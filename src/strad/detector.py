@@ -8,10 +8,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeMismatchError
-from .losses import LossWeights, mse_batch, seasonality_batch, slopes_batch, strad_batch, _slope_weights
-from .metrics import ConfusionCounts, pa_counts, rpa_counts
+from .losses import LossWeights, mse_batch, seasonality_batch, strad_batch, trend_batch
+from .metrics import pa_counts, rpa_counts
 from .model import DenseAutoencoder, backward_batch, forward_batch, init_adam, adam_step
-from .series import Segment, TimeSeries, WindowSet, segments_from_labels
+from .series import Segment, TimeSeries, WindowSet, segments_from_labels, sliding_windows
 
 LOSS_KINDS = ("mse", "strad", "mse_plus_strad")
 SCORE_MODES = ("shape_only", "strad_broadcast")
@@ -92,11 +92,10 @@ def train(model: DenseAutoencoder, windows: WindowSet, cfg: TrainConfig) -> Trai
     Raises NumericError the moment a loss, gradient, or parameter goes
     non-finite instead of clipping.
     """
-    t, d = windows.window_length, windows.windows[0].channels
+    data = windows.data
+    n, t, d = data.shape
     if t * d != model.input_size:
         raise ShapeMismatchError(f"windows flatten to {t * d}, model expects {model.input_size}")
-    data = windows.stack()  # (N, t, d)
-    n = data.shape[0]
     rng = np.random.default_rng(cfg.seed)
     state = init_adam(model, lr=cfg.lr)
     model = model.copy()
@@ -123,15 +122,8 @@ def train(model: DenseAutoencoder, windows: WindowSet, cfg: TrainConfig) -> Trai
             param_grads = backward_batch(model, acts, upstream)
             model, state = adam_step(model, param_grads, state)
             steps += 1
-        if track_components:
-            history.append(EpochStats(
-                total=total_sum / n,
-                trend=comp_sums[0] / n,
-                seasonality=comp_sums[1] / n,
-                shape=comp_sums[2] / n,
-            ))
-        else:
-            history.append(EpochStats(total=total_sum / n))
+        components = comp_sums / n if track_components else (None, None, None)
+        history.append(EpochStats(total_sum / n, *components))
     return TrainResult(model=model, history=history, steps=steps)
 
 
@@ -157,38 +149,39 @@ def score(
     if mode not in SCORE_MODES:
         raise ConfigError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
     weights = weights or LossWeights()
-    if length > series.length:
-        raise DataError(f"window length {length} exceeds series length {series.length}")
-    t, d = length, series.channels
+    data = sliding_windows(series, length, stride).data  # (N, t, d)
+    t, d = data.shape[1:]
     if t * d != model.input_size:
         raise ShapeMismatchError(f"windows flatten to {t * d}, model expects {model.input_size}")
-    n_windows = (series.length - t) // stride + 1
     sums = np.zeros(series.length)
     coverage = np.zeros(series.length, dtype=np.int64)
-    for lo in range(0, n_windows, chunk):
-        count = min(chunk, n_windows - lo)
-        starts = (lo + np.arange(count)) * stride
-        X = np.stack([series.values[s : s + t] for s in starts])
+    for lo in range(0, len(data), chunk):
+        X = data[lo : lo + chunk]
+        count = len(X)
         XR = forward_batch(model, X.reshape(count, -1))[-1].reshape(X.shape)
         contrib = weights.lambda3 * np.sum(np.abs(X - XR), axis=2)  # (count, t)
         if mode == "strad_broadcast":
             sea, _ = seasonality_batch(X, XR)
-            _, abs_tau_sum = _slope_weights(t)
-            slope_gap = np.abs(slopes_batch(XR) - slopes_batch(X)).sum(axis=1) * abs_tau_sum
-            tre = np.log(slope_gap + weights.epsilon) - np.log(weights.epsilon)
+            tre, _ = trend_batch(X, XR, weights.epsilon, "monotone")
             contrib = contrib + ((weights.lambda1 * tre + weights.lambda2 * sea) / t)[:, None]
-        for i, s in enumerate(starts):  # deterministic reduction order
-            sums[s : s + t] += contrib[i]
-            coverage[s : s + t] += 1
+        # Window i adds contrib[i, j] at point lo*stride + i*stride + j. Offsets
+        # run from t-1 down so every point sums its windows in start order.
+        first = lo * stride
+        for j in range(t - 1, -1, -1):
+            points = slice(first + j, first + j + count * stride, stride)
+            sums[points] += contrib[:, j]
+            coverage[points] += 1
     scores = np.divide(sums, coverage, out=np.zeros_like(sums), where=coverage > 0)
     return ScoreSeries(scores=scores, coverage=coverage)
 
 
-def _counts_at(preds: np.ndarray, labels: np.ndarray, segments: list[Segment],
-               metric: str, fp_per_point: bool) -> ConfusionCounts:
+def f1_at(scores: np.ndarray, threshold: float, labels: np.ndarray, segments: list[Segment],
+          metric: str, fp_per_point: bool = False) -> float:
+    """F1 of the predictions `scores >= threshold` under the RPA or PA metric."""
+    preds = (scores >= threshold).astype(np.int64)
     if metric == "rpa":
-        return rpa_counts(preds, segments, fp_per_point=fp_per_point)
-    return pa_counts(preds, labels)
+        return rpa_counts(preds, segments, fp_per_point=fp_per_point).f1
+    return pa_counts(preds, labels).f1
 
 
 def threshold_best_f1(
@@ -214,8 +207,7 @@ def threshold_best_f1(
     best_threshold = np.inf
     best_f1 = 0.0  # +inf threshold predicts nothing: F1 = 0 under the 0/0 convention
     for threshold in np.unique(scores)[::-1]:  # descending: ties keep the higher threshold
-        preds = (scores >= threshold).astype(np.int64)
-        f1 = _counts_at(preds, labels, segments, metric, fp_per_point).f1
+        f1 = f1_at(scores, threshold, labels, segments, metric, fp_per_point)
         if f1 > best_f1:
             best_f1 = f1
             best_threshold = float(threshold)

@@ -8,7 +8,6 @@ are reproducible byte for byte and parse back exactly.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,18 +19,13 @@ from .config import ExperimentConfig
 from .detector import (
     ScoreSeries,
     TrainResult,
+    f1_at,
     score,
     threshold_best_f1,
     threshold_quantile,
     train,
 )
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DataError,
-    MissingColumnError,
-    NonBinaryLabelError,
-)
+from .errors import CheckpointError, ConfigError, DataError
 from .losses import LossWeights
 from .metrics import (
     EvalReport,
@@ -39,10 +33,14 @@ from .metrics import (
     air,
     avg_improved,
     entire_f1,
-    pa_counts,
-    rpa_counts,
 )
-from .model import default_layer_sizes, init_model, load_checkpoint, save_checkpoint
+from .model import (
+    DenseAutoencoder,
+    default_layer_sizes,
+    init_model,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .series import (
     Segment,
     TimeSeries,
@@ -70,6 +68,15 @@ def provenance(cfg: ExperimentConfig, **extra) -> str:
 # ---------------------------------------------------------------------------
 
 
+def dataset_seed(cfg: ExperimentConfig, index: int) -> int:
+    """Seed that generates synthetic dataset `index` and that the manifest records.
+
+    Derived seeds are spaced by 10 so the +1 test-split offset never collides.
+    """
+    own = cfg.datasets[index].synth.seed
+    return own if own is not None else cfg.seed * 1000 + 10 * index
+
+
 def materialize_dataset(cfg: ExperimentConfig, index: int) -> tuple[TimeSeries, TimeSeries]:
     """Build (train, test) series for one configured dataset."""
     ds = cfg.datasets[index]
@@ -79,13 +86,11 @@ def materialize_dataset(cfg: ExperimentConfig, index: int) -> tuple[TimeSeries, 
         test_ts = load_csv(ds.csv.test_path, ds.csv.value_columns, ds.csv.label_column,
                            name=f"{ds.name}_test")
         return train_ts, test_ts
-    # spaced by 10 so the +1 test-split offset never collides across datasets
-    seed = ds.synth.seed if ds.synth.seed is not None else cfg.seed * 1000 + 10 * index
     gen = GeneratorConfig(
         length=ds.synth.length,
         channels=tuple(ChannelSpec(**ch) for ch in ds.synth.channels),
         noise_sigma=ds.synth.noise_sigma,
-        seed=seed,
+        seed=dataset_seed(cfg, index),
         name=ds.name,
     )
     specs = [AnomalySpec(**spec) for spec in ds.synth.anomalies]
@@ -100,8 +105,54 @@ def resolve_score_mode(configured: str, loss_kind: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# one (dataset, loss) pipeline
+# the pipeline: fit on the train split, detect on the test split
 # ---------------------------------------------------------------------------
+
+
+def fit(
+    cfg: ExperimentConfig,
+    train_raw: TimeSeries,
+    loss_kind: Optional[str] = None,
+    weights: Optional[LossWeights] = None,
+) -> TrainResult:
+    """Normalize the train split, window it, and train a model seeded by `cfg.seed`."""
+    train_norm = apply_normalization(train_raw, fit_normalization(train_raw))
+    t = cfg.window_length
+    windows = sliding_windows(train_norm, t, cfg.train_stride)
+    model = init_model(default_layer_sizes(t * train_norm.channels, cfg.model_hidden),
+                       seed=cfg.seed)
+    return train(model, windows, cfg.train_config(loss_kind=loss_kind, weights=weights))
+
+
+def detect(
+    cfg: ExperimentConfig,
+    model: DenseAutoencoder,
+    train_raw: TimeSeries,
+    test_raw: TimeSeries,
+    mode: str,
+    weights: LossWeights,
+    metrics: Sequence[str],
+) -> tuple[ScoreSeries, dict]:
+    """Score the test split and choose one threshold per metric.
+
+    Both splits are normalized with the train split's statistics. "quantile"
+    mode gives every metric the q-quantile of the train-split scores;
+    "best_f1" mode sweeps the labeled test scores once per metric.
+    """
+    stats = fit_normalization(train_raw)
+
+    def scores_of(series: TimeSeries) -> ScoreSeries:
+        return score(model, apply_normalization(series, stats), cfg.window_length,
+                     cfg.score_stride, weights, mode)
+
+    test_scores = scores_of(test_raw)
+    if cfg.threshold_mode == "quantile":
+        threshold = threshold_quantile(scores_of(train_raw), cfg.threshold_q)
+        return test_scores, {metric: threshold for metric in metrics}
+    if test_raw.labels is None:
+        raise DataError(f"{test_raw.name}: best_f1 thresholding requires test labels")
+    return test_scores, {metric: threshold_best_f1(test_scores, test_raw.labels, metric)[0]
+                         for metric in metrics}
 
 
 @dataclass
@@ -129,44 +180,20 @@ def run_arm(
     ds = cfg.datasets[dataset_index]
     weights = weights or cfg.loss_weights
     train_raw, test_raw = data if data is not None else materialize_dataset(cfg, dataset_index)
-    stats = fit_normalization(train_raw)
-    train_norm = apply_normalization(train_raw, stats)
-    test_norm = apply_normalization(test_raw, stats)
-
-    t = cfg.window_length
-    windows = sliding_windows(train_norm, t, cfg.train_stride)
-    model = init_model(default_layer_sizes(t * train_norm.channels, cfg.model_hidden),
-                       seed=cfg.seed)
-    result = train(model, windows, cfg.train_config(loss_kind=loss_kind, weights=weights))
-
-    mode = resolve_score_mode(cfg.score_mode, loss_kind)
-    test_scores = score(result.model, test_norm, t, cfg.score_stride, weights, mode)
     labels = test_raw.labels
-    segments = segments_from_labels(labels) if labels is not None else []
-
-    thresholds: dict = {}
-    f1s: dict = {}
-    if cfg.threshold_mode == "quantile":
-        train_scores = score(result.model, train_norm, t, cfg.score_stride, weights, mode)
-        threshold = threshold_quantile(train_scores, cfg.threshold_q)
-        for metric in cfg.eval_metrics:
-            thresholds[metric] = threshold
-    else:
-        if labels is None:
-            raise DataError(f"dataset {ds.name}: best_f1 thresholding requires test labels")
-        for metric in cfg.eval_metrics:
-            thresholds[metric], _ = threshold_best_f1(test_scores, labels, metric)
     if labels is None:
         raise DataError(f"dataset {ds.name}: evaluation requires test labels")
-    for metric in cfg.eval_metrics:
-        preds = (test_scores.scores >= thresholds[metric]).astype(np.int64)
-        counts = rpa_counts(preds, segments) if metric == "rpa" else pa_counts(preds, labels)
-        f1s[metric] = counts.f1
+    result = fit(cfg, train_raw, loss_kind, weights)
+    mode = resolve_score_mode(cfg.score_mode, loss_kind)
+    test_scores, thresholds = detect(cfg, result.model, train_raw, test_raw, mode, weights,
+                                     cfg.eval_metrics)
+    segments = segments_from_labels(labels)
     return ArmResult(
         arm=arm_label or loss_kind,
         dataset=ds.name,
         segment_count=len(segments),
-        f1=f1s,
+        f1={m: f1_at(test_scores.scores, thresholds[m], labels, segments, m)
+            for m in cfg.eval_metrics},
         thresholds=thresholds,
         train_result=result,
         test_scores=test_scores,
@@ -199,32 +226,13 @@ def write_scores_csv(scores: ScoreSeries, path, prov: str) -> None:
 
 
 def read_scores_csv(path) -> np.ndarray:
-    lines = [l for l in Path(path).read_text().splitlines() if l and not l.startswith("#")]
-    if not lines or lines[0] != "index,score":
-        raise DataError(f"{path}: not a score file")
-    return np.array([float(l.split(",")[1]) for l in lines[1:]])
+    """The score column of a score CSV written by `write_scores_csv`."""
+    return load_csv(path, ["score"]).values[:, 0]
 
 
 def read_labels_csv(path, label_column: str = "label") -> np.ndarray:
     """Just the 0/1 label column of a labeled series CSV."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows:
-        raise DataError(f"{path}: no header row")
-    header = rows[0]
-    if label_column not in header:
-        raise MissingColumnError(f"{path}: column {label_column!r} not in header {header}")
-    idx = header.index(label_column)
-    labels = np.empty(len(rows) - 1, dtype=np.int64)
-    for i, row in enumerate(rows[1:]):
-        cell = row[idx].strip()
-        if cell not in ("0", "1"):
-            raise NonBinaryLabelError(f"{path}: row {i}: label {cell!r} is not 0/1")
-        labels[i] = int(cell)
-    return labels
+    return load_csv(path, [label_column], label_column).labels
 
 
 def write_segments_csv(segments: Sequence[Segment], path, prov: str) -> None:
@@ -263,6 +271,10 @@ def write_table(rows: list[dict], columns: list[str], csv_path, txt_path, prov: 
     Path(txt_path).write_text("\n".join(txt_lines) + "\n")
 
 
+def _metric_columns(metrics: Sequence[str]) -> list[str]:
+    return [c for m in metrics for c in (f"{m}_f1", f"{m}_threshold")]
+
+
 def _cell(value) -> str:
     if isinstance(value, float):
         return _fmt(value)
@@ -296,10 +308,9 @@ def run_synth(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         write_series_csv(train_ts, train_path, provenance(cfg, dataset=ds.name, split="train"))
         write_series_csv(test_ts, test_path, provenance(cfg, dataset=ds.name, split="test"))
         written += [train_path, test_path]
-        resolved_seed = ds.synth.seed if ds.synth.seed is not None else cfg.seed * 1000 + i
         manifest["datasets"].append({
             "name": ds.name,
-            "seed": resolved_seed,
+            "seed": dataset_seed(cfg, i),
             "length": ds.synth.length,
             "noise_sigma": ds.synth.noise_sigma,
             "train_fraction": ds.synth.train_fraction,
@@ -318,13 +329,7 @@ def run_train_cmd(cfg: ExperimentConfig, outdir: Path) -> tuple[Path, Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     ds = cfg.datasets[0]
     train_raw, _ = materialize_dataset(cfg, 0)
-    stats = fit_normalization(train_raw)
-    train_norm = apply_normalization(train_raw, stats)
-    t = cfg.window_length
-    windows = sliding_windows(train_norm, t, cfg.train_stride)
-    model = init_model(default_layer_sizes(t * train_norm.channels, cfg.model_hidden),
-                       seed=cfg.seed)
-    result = train(model, windows, cfg.train_config())
+    result = fit(cfg, train_raw)
     ckpt_path = outdir / f"{ds.name}_model.ckpt"
     save_checkpoint(result.model, ckpt_path, meta={"config": cfg.hash, "seed": str(cfg.seed)})
     hist_path = outdir / f"{ds.name}_history.csv"
@@ -344,20 +349,11 @@ def run_detect_cmd(cfg: ExperimentConfig, checkpoint: Path, outdir: Path) -> dic
             f"checkpoint expects input size {model.input_size}, "
             f"configuration implies {t * train_raw.channels}"
         )
-    stats = fit_normalization(train_raw)
-    train_norm = apply_normalization(train_raw, stats)
-    test_norm = apply_normalization(test_raw, stats)
     mode = resolve_score_mode(cfg.score_mode, cfg.train_loss)
-    test_scores = score(model, test_norm, t, cfg.score_stride, cfg.loss_weights, mode)
-    if cfg.threshold_mode == "quantile":
-        train_scores = score(model, train_norm, t, cfg.score_stride, cfg.loss_weights, mode)
-        threshold = threshold_quantile(train_scores, cfg.threshold_q)
-    else:
-        if test_raw.labels is None:
-            raise DataError("best_f1 thresholding requires test labels")
-        threshold, _ = threshold_best_f1(test_scores, test_raw.labels, cfg.threshold_metric)
-    preds = (test_scores.scores >= threshold).astype(np.int64)
-    predicted_segments = segments_from_labels(preds)
+    test_scores, thresholds = detect(cfg, model, train_raw, test_raw, mode, cfg.loss_weights,
+                                     (cfg.threshold_metric,))
+    threshold = thresholds[cfg.threshold_metric]
+    predicted_segments = segments_from_labels((test_scores.scores >= threshold).astype(np.int64))
 
     scores_path = outdir / f"{ds.name}_scores.csv"
     write_scores_csv(test_scores, scores_path, provenance(cfg, dataset=ds.name, mode=mode))
@@ -411,9 +407,7 @@ def run_eval_cmd(
                 threshold, f1 = threshold_best_f1(score_series, labels, metric)
             else:
                 threshold = thresholds[i]
-                preds = (scores >= threshold).astype(np.int64)
-                counts = rpa_counts(preds, segments) if metric == "rpa" else pa_counts(preds, labels)
-                f1 = counts.f1
+                f1 = f1_at(scores, threshold, labels, segments, metric)
             fields[f"{metric}_f1"] = f1
             fields[f"threshold_{metric}"] = threshold
         rows.append(SubdatasetResult(**fields))
@@ -424,22 +418,14 @@ def run_eval_cmd(
     }
     report = EvalReport(rows=tuple(rows), **entire)
 
-    table = []
-    for r in report.rows:
-        row = {"name": r.name, "segments": r.segment_count}
-        for metric in metrics:
-            row[f"{metric}_f1"] = getattr(r, f"{metric}_f1")
-            row[f"{metric}_threshold"] = getattr(r, f"threshold_{metric}")
-        table.append(row)
-    entire_row = {"name": "ENTIRE", "segments": sum(r.segment_count for r in report.rows)}
-    for metric in metrics:
-        entire_row[f"{metric}_f1"] = getattr(report, f"entire_{metric}_f1")
-        entire_row[f"{metric}_threshold"] = ""
-    table.append(entire_row)
-    columns = ["name", "segments"]
-    for metric in metrics:
-        columns += [f"{metric}_f1", f"{metric}_threshold"]
-    write_table(table, columns, outdir / "report.csv", outdir / "report.txt", prov)
+    table = [{"name": r.name, "segments": r.segment_count,
+              **{f"{m}_f1": getattr(r, f"{m}_f1") for m in metrics},
+              **{f"{m}_threshold": getattr(r, f"threshold_{m}") for m in metrics}}
+             for r in report.rows]
+    table.append({"name": "ENTIRE", "segments": sum(r.segment_count for r in report.rows),
+                  **{f"{m}_f1": getattr(report, f"entire_{m}_f1") for m in metrics}})
+    write_table(table, ["name", "segments", *_metric_columns(metrics)],
+                outdir / "report.csv", outdir / "report.txt", prov)
     return report
 
 
@@ -501,11 +487,9 @@ def run_compare(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> Compare
 
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
-        columns = ["arm", "dataset", "segments"]
-        for metric in cfg.eval_metrics:
-            columns += [f"{metric}_f1", f"{metric}_threshold"]
-        write_table(per_arm_dataset, columns, outdir / "comparison.csv",
-                    outdir / "comparison.txt", provenance(cfg))
+        write_table(per_arm_dataset, ["arm", "dataset", "segments",
+                                       *_metric_columns(cfg.eval_metrics)],
+                    outdir / "comparison.csv", outdir / "comparison.txt", provenance(cfg))
         write_table(summary, ["arm", "metric", "entire_f1", "avg_improved", "air"],
                     outdir / "improvement.csv", outdir / "improvement.txt", provenance(cfg))
     return CompareOutcome(per_arm_dataset=per_arm_dataset, summary=summary)

@@ -11,7 +11,7 @@ crosses such a kink.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from . import losses
 from .losses import LossWeights
 from .model import DenseAutoencoder, forward_batch, init_model, parameter_gradients
 from .series import Window
-from .spectral import _transform
 
 FD_STEP = 1e-5
 KINK_MARGIN = 1e-6
@@ -77,7 +76,7 @@ def _exclusion_mask(component: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         gap = np.abs(losses.trend_fit(y) - losses.trend_fit(x))  # (d,)
         mask |= (gap < KINK_MARGIN)[None, :]
     if component in ("seasonality", "combined"):
-        delta = _transform(y.T.astype(complex)) - _transform(x.T.astype(complex))
+        delta = np.fft.fft(y.T) - np.fft.fft(x.T)
         if np.abs(delta).min() < KINK_MARGIN:
             mask |= True  # a tiny bin couples into every coordinate; skip the window
     return mask
@@ -144,20 +143,11 @@ def check_loss_component(
                            max_rel_error=max_err, tolerance=LOSS_TOLERANCE)
 
 
-def _model_loss(component: str) -> tuple[Callable, Callable]:
-    if component == "model_mse":
-        return losses.mse_loss, losses.mse_loss_grad
-    if component == "model_combined":
-        return (lambda x, y: losses.strad_loss(x, y, _WEIGHTS).total,
-                lambda x, y: losses.strad_grad(x, y, _WEIGHTS))
-    raise ValueError(f"unknown component {component!r}")
-
-
 def _kink_signature(x: np.ndarray, y: np.ndarray) -> tuple:
     """Sign pattern of every absolute-value argument in the combined loss."""
     shape_signs = np.sign(y - x)
     slope_signs = np.sign(losses.trend_fit(y) - losses.trend_fit(x))
-    delta = _transform(y.T.astype(complex)) - _transform(x.T.astype(complex))
+    delta = np.fft.fft(y.T) - np.fft.fft(x.T)
     bins_ok = bool(np.abs(delta).min() > 1e-9)
     return (shape_signs.tobytes(), slope_signs.tobytes(), bins_ok)
 
@@ -171,7 +161,9 @@ def check_model_component(
     perturb: bool = False,
 ) -> GradCheckResult:
     """End-to-end parameter gradients (loss o forward) against central differences."""
-    value_fn, grad_fn = _model_loss(component)
+    if component not in MODEL_COMPONENTS:
+        raise ValueError(f"unknown component {component!r}")
+    value_fn, grad_fn = _loss_pair(component.removeprefix("model_"))
     t, d = layer_sizes[0], 1
     tolerance = MODEL_MSE_TOLERANCE if component == "model_mse" else MODEL_COMBINED_TOLERANCE
     rng = np.random.default_rng(seed + 1)

@@ -3,7 +3,8 @@
 Each component provides a value and an analytic gradient with respect to the
 reconstruction. Single-window functions accept a `Window` or a (t, d) array;
 the `*_batch` variants operate on stacked (B, t, d) arrays and are what the
-trainer and scorer call in their hot loops. Both paths share the same kernels.
+trainer and scorer call in their hot loops. Both paths share the same kernels;
+the seasonality kernel lives in `spectral` and is re-exported here.
 
 Multivariate inputs are handled by computing trend and seasonality per channel
 and summing; shape and MSE already run over all entries.
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeMismatchError
 from .series import Window
-from .spectral import ZERO_MODULUS, _transform
+from .spectral import seasonality_batch
 
 TREND_VARIANTS = ("negated_log", "monotone")
 
@@ -139,29 +140,6 @@ def trend_batch(X, XR, epsilon: float, variant: str, want_grad: bool = False):
         scale = -scale
     grads = scale[:, None, None] * w[None, :, None] * sign[:, None, :]
     return values, grads
-
-
-def seasonality_batch(X, XR, want_grad: bool = False, split_parts: bool = False):
-    """Spectral L1 values (B,) summed over channels; gradients (B, t, d)."""
-    # Channels become the batch axis of the transform: (B, d, t).
-    fx = _transform(np.swapaxes(X, 1, 2).astype(np.complex128))
-    fr = _transform(np.swapaxes(XR, 1, 2).astype(np.complex128))
-    delta = fr - fx  # gradient is taken with respect to the reconstruction
-    if split_parts:
-        values = np.sum(np.abs(delta.real) + np.abs(delta.imag), axis=(1, 2))
-        if not want_grad:
-            return values, None
-        weights = np.sign(delta.real) - 1j * np.sign(delta.imag)
-        grads = _transform(weights).real
-    else:
-        mod = np.abs(delta)
-        values = np.sum(mod, axis=(1, 2))
-        if not want_grad:
-            return values, None
-        with np.errstate(invalid="ignore"):  # non-finite inputs surface via the loss check
-            unit = np.where(mod < ZERO_MODULUS, 0.0, delta / np.maximum(mod, ZERO_MODULUS))
-        grads = _transform(np.conj(unit)).real
-    return values, np.swapaxes(grads, 1, 2)
 
 
 def shape_batch(X, XR, want_grad: bool = False):

@@ -227,8 +227,15 @@ def save_checkpoint(model: DenseAutoencoder, path, meta: Optional[dict] = None) 
 
 
 def load_checkpoint(path) -> tuple[DenseAutoencoder, dict]:
-    """Read a checkpoint written by `save_checkpoint`; returns (model, meta)."""
-    lines = Path(path).read_text().splitlines()
+    """Read a checkpoint written by `save_checkpoint`; returns (model, meta).
+
+    A missing file raises FileNotFoundError; any other unreadable, truncated
+    or malformed file raises CheckpointError.
+    """
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from None
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_MAGIC!r} file")
     meta = {}
@@ -239,27 +246,28 @@ def load_checkpoint(path) -> tuple[DenseAutoencoder, dict]:
         pos += 1
     if pos >= len(lines) or not lines[pos].startswith("sizes "):
         raise CheckpointError(f"{path}: missing sizes line")
-    sizes = tuple(int(s) for s in lines[pos].split()[1:])
-    pos += 1
     weights, biases = [], []
-    for i in range(len(sizes) - 1):
-        header = lines[pos].split()
-        if header[:2] != ["W", str(i)]:
-            raise CheckpointError(f"{path}: expected weight block {i}")
-        rows, cols = int(header[2]), int(header[3])
-        if (rows, cols) != (sizes[i + 1], sizes[i]):
-            raise CheckpointError(f"{path}: weight block {i} has wrong shape")
+    try:
+        sizes = tuple(int(s) for s in lines[pos].split()[1:])
+        if len(sizes) < 2 or min(sizes) < 1:
+            raise CheckpointError(f"{path}: invalid layer sizes {sizes}")
         pos += 1
-        w = np.array([[float(v) for v in lines[pos + r].split()] for r in range(rows)])
-        pos += rows
-        header = lines[pos].split()
-        if header[:2] != ["b", str(i)] or int(header[2]) != rows:
-            raise CheckpointError(f"{path}: expected bias block {i}")
-        pos += 1
-        b = np.array([float(v) for v in lines[pos].split()])
-        pos += 1
-        weights.append(w)
-        biases.append(b)
+        for i in range(len(sizes) - 1):
+            rows, cols = sizes[i + 1], sizes[i]
+            if lines[pos].split() != ["W", str(i), str(rows), str(cols)]:
+                raise CheckpointError(f"{path}: expected weight block {i} of shape {(rows, cols)}")
+            w = np.array([[float(v) for v in lines[pos + 1 + r].split()] for r in range(rows)])
+            pos += 1 + rows
+            if lines[pos].split() != ["b", str(i), str(rows)]:
+                raise CheckpointError(f"{path}: expected bias block {i}")
+            b = np.array([float(v) for v in lines[pos + 1].split()])
+            pos += 2
+            if w.shape != (rows, cols) or b.shape != (rows,):
+                raise CheckpointError(f"{path}: block {i} has the wrong number of values")
+            weights.append(w)
+            biases.append(b)
+    except (IndexError, ValueError) as exc:
+        raise CheckpointError(f"{path}: truncated or malformed checkpoint: {exc}") from None
     model = DenseAutoencoder(layer_sizes=sizes, weights=weights, biases=biases)
     if not model.all_finite():
         raise CheckpointError(f"{path}: checkpoint contains non-finite parameters")

@@ -112,21 +112,24 @@ class Window:
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Sliding windows in start order; consecutive starts differ by `stride`."""
+    """Sliding windows in start order; consecutive starts differ by `stride`.
 
-    windows: tuple[Window, ...]
-    window_length: int
+    `data` is one read-only (N, t, d) strided view of the parent series.
+    """
+
+    data: np.ndarray
     stride: int
 
     def __len__(self) -> int:
-        return len(self.windows)
+        return self.data.shape[0]
 
-    def stack(self) -> np.ndarray:
-        """All window data as one (N, t, d) array."""
-        return np.stack([w.data for w in self.windows])
+    @property
+    def window_length(self) -> int:
+        return self.data.shape[1]
 
-    def starts(self) -> np.ndarray:
-        return np.array([w.start for w in self.windows], dtype=np.int64)
+    @property
+    def windows(self) -> tuple[Window, ...]:
+        return tuple(Window(data=w, start=k * self.stride) for k, w in enumerate(self.data))
 
 
 @dataclass(frozen=True)
@@ -256,12 +259,9 @@ def sliding_windows(series: TimeSeries, length: int, stride: int = 1) -> WindowS
         raise DataError(f"stride must be >= 1, got {stride}")
     if length > series.length:
         raise DataError(f"window length {length} exceeds series length {series.length}")
-    count = (series.length - length) // stride + 1
-    windows = tuple(
-        Window(data=series.values[k * stride : k * stride + length], start=k * stride)
-        for k in range(count)
-    )
-    return WindowSet(windows=windows, window_length=length, stride=stride)
+    # (M - t + 1, d, t) -> every stride-th window -> (N, t, d); still a view
+    view = np.lib.stride_tricks.sliding_window_view(series.values, length, axis=0)
+    return WindowSet(data=view[::stride].swapaxes(1, 2), stride=stride)
 
 
 def segments_from_labels(labels) -> list[Segment]:

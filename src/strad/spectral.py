@@ -9,7 +9,6 @@ difference over all n bins (conjugate-symmetric bins counted twice).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,53 +41,9 @@ class Spectrum:
         return self.re.shape[0]
 
 
-@lru_cache(maxsize=64)
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    perm = np.zeros(n, dtype=np.intp)
-    for i in range(n):
-        r = 0
-        v = i
-        for _ in range(bits):
-            r = (r << 1) | (v & 1)
-            v >>= 1
-        perm[i] = r
-    perm.setflags(write=False)
-    return perm
-
-
-@lru_cache(maxsize=64)
-def _dft_matrix(n: int) -> np.ndarray:
-    k = np.arange(n)
-    mat = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    mat.setflags(write=False)
-    return mat
-
-
 def _transform(z: np.ndarray) -> np.ndarray:
-    """Unnormalized forward DFT along the last axis.
-
-    Radix-2 Cooley-Tukey when the length is a power of two, dense O(n^2)
-    matrix application otherwise (fine at window scale, avoids Bluestein).
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    n = z.shape[-1]
-    if n == 1:
-        return z.copy()
-    if n & (n - 1):  # not a power of two
-        return z @ _dft_matrix(n).T
-    out = z[..., _bit_reversal(n)].copy()
-    half = 1
-    while half < n:
-        size = 2 * half
-        twiddle = np.exp(-1j * np.pi * np.arange(half) / half)
-        shaped = out.reshape(out.shape[:-1] + (n // size, size))
-        even = shaped[..., :half]
-        odd = shaped[..., half:] * twiddle
-        shaped[..., half:] = even - odd
-        shaped[..., :half] = even + odd
-        half = size
-    return out
+    """Unnormalized forward DFT along the last axis."""
+    return np.fft.fft(z, axis=-1)
 
 
 def dft_naive(x) -> Spectrum:
@@ -107,8 +62,7 @@ def dft_naive(x) -> Spectrum:
 
 def fft_forward(x) -> Spectrum:
     """Forward transform of a real signal."""
-    x = np.asarray(x, dtype=np.float64)
-    z = _transform(x.astype(np.complex128))
+    z = _transform(np.asarray(x, dtype=np.float64))
     return Spectrum(re=z.real, im=z.imag)
 
 
@@ -117,45 +71,58 @@ def fft_inverse(spectrum: Spectrum) -> np.ndarray:
 
     Returns the real part; round-trips `fft_forward` within 1e-9.
     """
-    z = spectrum.as_complex()
-    n = len(spectrum)
-    return (np.conj(_transform(np.conj(z))) / n).real
+    return np.fft.ifft(spectrum.as_complex()).real
+
+
+def seasonality_batch(X, XR, want_grad: bool = False, split_parts: bool = False):
+    """Spectral L1 values (B,) summed over channels; gradients (B, t, d).
+
+    Inputs are (B, t, d) window stacks; the gradient is taken with respect to
+    the reconstruction `XR`. By default each bin contributes the modulus of
+    the complex difference. With ``split_parts=True`` the real and imaginary
+    parts contribute separately (|Re| + |Im| per bin); this alternate reading
+    is exposed for comparison and is not the default. Bins whose difference
+    has modulus below ``ZERO_MODULUS`` use the subgradient 0, so X == XR
+    yields a zero gradient. Per-bin weights map back through the adjoint of
+    the forward transform.
+    """
+    # Channels become the batch axis of the transform: (B, d, t).
+    delta = _transform(np.swapaxes(XR, 1, 2)) - _transform(np.swapaxes(X, 1, 2))
+    if split_parts:
+        values = np.sum(np.abs(delta.real) + np.abs(delta.imag), axis=(1, 2))
+        if not want_grad:
+            return values, None
+        weights = np.sign(delta.real) - 1j * np.sign(delta.imag)
+    else:
+        mod = np.abs(delta)
+        values = np.sum(mod, axis=(1, 2))
+        if not want_grad:
+            return values, None
+        with np.errstate(invalid="ignore"):  # non-finite inputs surface via the loss check
+            weights = np.conj(np.where(mod < ZERO_MODULUS, 0.0,
+                                       delta / np.maximum(mod, ZERO_MODULUS)))
+    return values, np.swapaxes(_transform(weights).real, 1, 2)
+
+
+def _as_columns(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Two equal-length 1-D signals as one-window, one-channel (1, n, 1) stacks."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ShapeMismatchError(f"signals must be equal-length 1-D, got {x.shape}, {y.shape}")
+    return x[None, :, None], y[None, :, None]
 
 
 def spectral_l1(x, y, split_parts: bool = False) -> float:
     """L1 distance between the spectra of two equal-length real signals.
 
-    By default each bin contributes the modulus of the complex difference.
-    With ``split_parts=True`` the real and imaginary parts contribute
-    separately (|Re| + |Im| per bin); this alternate reading is exposed for
-    comparison and is not the default.
+    A 1-D adapter over `seasonality_batch`; see there for ``split_parts``.
     """
-    delta = _spectral_delta(x, y)
-    if split_parts:
-        return float(np.sum(np.abs(delta.real)) + np.sum(np.abs(delta.imag)))
-    return float(np.sum(np.abs(delta)))
+    values, _ = seasonality_batch(*_as_columns(x, y), split_parts=split_parts)
+    return float(values[0])
 
 
 def spectral_l1_grad(x, y, split_parts: bool = False) -> np.ndarray:
-    """Gradient of `spectral_l1` with respect to `y`.
-
-    Exact wherever no difference bin has modulus below ``ZERO_MODULUS``; such
-    bins use the subgradient 0, so x == y yields a zero gradient. The per-bin
-    weights are mapped back through the adjoint of the forward transform.
-    """
-    delta = _spectral_delta(x, y)
-    if split_parts:
-        weights = np.sign(delta.real) - 1j * np.sign(delta.imag)
-        return _transform(weights).real
-    mod = np.abs(delta)
-    unit = np.where(mod < ZERO_MODULUS, 0.0, delta / np.maximum(mod, ZERO_MODULUS))
-    return _transform(np.conj(unit)).real
-
-
-def _spectral_delta(x, y) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ShapeMismatchError(f"signals must be equal-length 1-D, got {x.shape}, {y.shape}")
-    stacked = _transform(np.stack([y, x]).astype(np.complex128))
-    return stacked[0] - stacked[1]
+    """Gradient of `spectral_l1` with respect to `y`; 0 where x == y."""
+    _, grads = seasonality_batch(*_as_columns(x, y), want_grad=True, split_parts=split_parts)
+    return grads[0, :, 0]

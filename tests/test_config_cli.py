@@ -128,6 +128,28 @@ class TestCliSynth:
         assert train.length == 300 and np.all(train.labels == 0)
         assert test.length == 600 and test.labels.sum() == 41
 
+    def test_manifest_regenerates_every_dataset(self, tmp_path):
+        from strad.benchmarks import pattern_benchmark_config
+        from strad.synth import AnomalySpec, ChannelSpec, GeneratorConfig, make_benchmark
+
+        out = tmp_path / "out"
+        doc = pattern_benchmark_config(seed=1, length=1000)
+        doc["output_dir"] = str(out)
+        assert main(["synth", "-c", write_config(tmp_path, doc)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(manifest["datasets"]) == 4
+        for entry in manifest["datasets"]:
+            gen = GeneratorConfig(
+                length=entry["length"],
+                channels=tuple(ChannelSpec(**ch) for ch in entry["channels"]),
+                noise_sigma=entry["noise_sigma"], seed=entry["seed"], name=entry["name"])
+            specs = [AnomalySpec(**a) for a in entry["anomalies"]]
+            train, test = make_benchmark(gen, specs, entry["train_fraction"])
+            for split, csv_name in ((train, entry["train_csv"]), (test, entry["test_csv"])):
+                written = load_csv(out / csv_name, ["v0"], "label")
+                assert np.array_equal(split.values, written.values), entry["name"]
+                assert np.array_equal(split.labels, written.labels), entry["name"]
+
     def test_out_of_region_spec_is_usage_error(self, tmp_path):
         doc = small_config(tmp_path / "out")
         doc["datasets"][0]["synth"]["anomalies"][0]["start"] = 599
@@ -198,6 +220,16 @@ class TestCliDetect:
         sum_b = json.loads((tmp_path / "b" / "demo_detect.json").read_text())
         assert sum_a["threshold"] == sum_b["threshold"]
 
+    def test_truncated_checkpoint_exits_2(self, tmp_path):
+        out = self.run_train_detect(tmp_path)
+        ckpt = out / "demo_model.ckpt"
+        ckpt.write_text("\n".join(ckpt.read_text().splitlines()[:10]) + "\n")
+        assert main(["detect", "-c", str(tmp_path / "out.json"), "--checkpoint", str(ckpt)]) == 2
+
+    def test_directory_checkpoint_exits_2(self, tmp_path):
+        out = self.run_train_detect(tmp_path)
+        assert main(["detect", "-c", str(tmp_path / "out.json"), "--checkpoint", str(out)]) == 2
+
     def test_incompatible_checkpoint(self, tmp_path):
         out = self.run_train_detect(tmp_path)
         cfgp = write_config(tmp_path, small_config(out, window={"length": 32}), name="w.json")
@@ -257,6 +289,26 @@ class TestCliEval:
         header = [l for l in (out / "report.csv").read_text().splitlines()
                   if l and not l.startswith("#")][0]
         assert "rpa_f1" in header and "pa_f1" in header
+
+    @pytest.mark.parametrize("bad_row", ["1,abc", "1"])
+    def test_malformed_score_row_exits_2(self, tmp_path, capsys, bad_row):
+        sc, data = self.write_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
+        lines = sc.read_text().splitlines()
+        lines[2] = bad_row
+        sc.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--scores", str(sc), "--data", str(data),
+                     "-o", str(tmp_path / "rep")]) == 2
+        assert "row 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_row", ["0.0", "0.0,x", "0.0,2"])
+    def test_malformed_label_row_exits_2(self, tmp_path, capsys, bad_row):
+        sc, data = self.write_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
+        lines = data.read_text().splitlines()
+        lines[2] = bad_row
+        data.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--scores", str(sc), "--data", str(data),
+                     "-o", str(tmp_path / "rep")]) == 2
+        assert "row 1" in capsys.readouterr().err
 
     def test_misaligned_inputs(self, tmp_path):
         sc, _ = self.write_pair(tmp_path, "x", [0, 1, 0], [0, 7, 0])

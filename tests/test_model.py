@@ -178,6 +178,28 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_truncated_file_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model([6, 3, 6], seed=2), path)
+        lines = path.read_text().splitlines()
+        for keep in range(3, len(lines)):
+            path.write_text("\n".join(lines[:keep]) + "\n")
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+
+    def test_malformed_number_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model([6, 3, 6], seed=2), path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].replace(" ", " x", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_directory_is_checkpoint_error(self, tmp_path):
+        with pytest.raises(CheckpointError):
+            load_checkpoint(tmp_path)
+
     def test_save_is_deterministic(self, tmp_path):
         m = init_model([6, 3, 6], seed=11)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

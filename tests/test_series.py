@@ -204,3 +204,12 @@ class TestImmutability:
         ws = sliding_windows(ts, 4, 2)
         with pytest.raises(ValueError):
             ws.windows[0].data[0, 0] = 1.0
+
+    def test_window_set_is_one_read_only_view(self):
+        ts = TimeSeries(values=np.arange(24.0).reshape(12, 2))
+        ws = sliding_windows(ts, 4, 3)
+        assert ws.data.shape == (3, 4, 2)
+        assert np.shares_memory(ws.data, ts.values)
+        assert not ws.data.flags.writeable
+        for k, w in enumerate(ws.windows):
+            assert np.array_equal(ws.data[k], ts.values[3 * k : 3 * k + 4])
