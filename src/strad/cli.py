@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -44,7 +45,7 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
     if args.output_dir is not None:
-        overrides.append(f'output_dir="{args.output_dir}"')
+        overrides.append(f"output_dir={json.dumps(args.output_dir)}")
     return load_config(args.config, overrides)
 
 

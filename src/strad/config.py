@@ -82,45 +82,51 @@ DEFAULTS: dict[str, Any] = {
     "datasets": [_DATASET_DEFAULTS],
 }
 
-# list-valued keys whose elements are objects with their own defaults
+# list-valued keys whose elements are objects with their own defaults; every
+# other list-valued key holds scalars of its default's first element's type
 _LIST_DEFAULTS = {
     "datasets": _DATASET_DEFAULTS,
     "channels": _CHANNEL_DEFAULTS,
     "anomalies": _ANOMALY_DEFAULTS,
 }
-# list-valued keys holding plain scalars
-_SCALAR_LISTS = {"hidden", "metrics", "losses", "value_columns"}
 
 
-def _merge(defaults: Any, given: Any, path: str) -> Any:
-    if isinstance(defaults, dict):
-        if not isinstance(given, dict):
-            raise ConfigError(f"{path or 'config'}: expected an object")
-        for key in given:
-            if key not in defaults:
-                raise ConfigError(f"unknown configuration key: {path + key!r}")
-        merged = {}
-        for key, default in defaults.items():
-            if key in given:
-                merged[key] = _merge_value(key, default, given[key], f"{path}{key}.")
-            else:
-                merged[key] = copy.deepcopy(default)
-        return merged
-    return copy.deepcopy(given)
+def _scalar_ok(default: Any, given: Any, key: str) -> bool:
+    """An int default takes an int, a float default an int or a float, a str
+    default a str; null only where the default is null, and for csv.label_column
+    (no label column). A null default otherwise takes an int. Bools match none."""
+    if given is None:
+        return default is None or key == "label_column"
+    if isinstance(given, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(given, (int, float))
+    return isinstance(given, str if isinstance(default, str) else int)
 
 
-def _merge_value(key: str, default: Any, given: Any, path: str) -> Any:
-    if key in _LIST_DEFAULTS:
-        if not isinstance(given, list):
-            raise ConfigError(f"{path[:-1]}: expected a list")
-        return [_merge(_LIST_DEFAULTS[key], item, f"{path}{i}.") for i, item in enumerate(given)]
-    if key in _SCALAR_LISTS:
-        if not isinstance(given, list):
-            raise ConfigError(f"{path[:-1]}: expected a list")
-        return copy.deepcopy(given)
+def _merge(default: Any, given: Any, path: str) -> Any:
+    """Check `given` against `default` and fill in what it leaves out.
+
+    `path` is the key path of `given` with a trailing dot, for error messages.
+    """
+    key = path[:-1].rpartition(".")[2]
     if isinstance(default, dict):
-        return _merge(default, given, path)
-    return copy.deepcopy(given)
+        if not isinstance(given, dict):
+            raise ConfigError(f"{path[:-1] or 'config'}: expected an object")
+        for name in given:
+            if name not in default:
+                raise ConfigError(f"unknown configuration key: {path + name!r}")
+        return {name: _merge(value, given[name], f"{path}{name}.") if name in given
+                else copy.deepcopy(value) for name, value in default.items()}
+    if isinstance(default, list):
+        if not isinstance(given, list):
+            raise ConfigError(f"{path[:-1]}: expected a list")
+        element = _LIST_DEFAULTS[key] if key in _LIST_DEFAULTS else default[0]
+        return [_merge(element, item, f"{path}{i}.") for i, item in enumerate(given)]
+    if not _scalar_ok(default, given, key):
+        expected = {float: "a number", str: "a string"}.get(type(default), "an integer")
+        raise ConfigError(f"{path[:-1]}: expected {expected}, got {given!r}")
+    return given
 
 
 def resolve(raw: dict) -> dict:
@@ -234,19 +240,18 @@ def _require(condition: bool, message: str) -> None:
 def build(resolved: dict) -> ExperimentConfig:
     """Validate a resolved document and construct the typed configuration."""
     window = resolved["window"]
-    _require(int(window["length"]) >= 2, "window.length must be >= 2")
-    length = int(window["length"])
+    length = window["length"]
+    _require(length >= 2, "window.length must be >= 2")
     train_stride = window["train_stride"]
-    train_stride = max(1, length // 2) if train_stride is None else int(train_stride)
+    train_stride = max(1, length // 2) if train_stride is None else train_stride
     _require(train_stride >= 1, "window.train_stride must be >= 1")
-    score_stride = int(window["score_stride"])
+    score_stride = window["score_stride"]
     _require(score_stride >= 1, "window.score_stride must be >= 1")
 
-    hidden = tuple(int(h) for h in resolved["model"]["hidden"])
+    hidden = tuple(resolved["model"]["hidden"])
     _require(all(h >= 1 for h in hidden) and hidden, "model.hidden must be positive sizes")
 
     train = resolved["train"]
-    _require(train["loss"] in LOSS_KINDS, f"train.loss must be one of {LOSS_KINDS}")
 
     lw = resolved["loss_weights"]
     _require(lw["trend_variant"] in TREND_VARIANTS,
@@ -264,7 +269,7 @@ def build(resolved: dict) -> ExperimentConfig:
     threshold = resolved["threshold"]
     _require(threshold["mode"] in THRESHOLD_MODE_CHOICES,
              f"threshold.mode must be one of {THRESHOLD_MODE_CHOICES}")
-    _require(0.0 < float(threshold["q"]) <= 1.0, "threshold.q must lie in (0, 1]")
+    _require(0.0 < threshold["q"] <= 1.0, "threshold.q must lie in (0, 1]")
     _require(threshold["metric"] in THRESHOLD_METRICS,
              f"threshold.metric must be one of {THRESHOLD_METRICS}")
 
@@ -287,27 +292,27 @@ def build(resolved: dict) -> ExperimentConfig:
             _require(spec["kind"] in ANOMALY_KINDS,
                      f"datasets.{i}: anomaly kind must be one of {ANOMALY_KINDS}")
             if ds["source"] == "synth":
-                end = int(spec["start"]) + int(spec["length"]) - 1
+                end = spec["start"] + spec["length"] - 1
                 _require(
-                    0 <= int(spec["start"]) and end < int(synth_cfg["length"]),
+                    0 <= spec["start"] and end < synth_cfg["length"],
                     f"datasets.{i}: anomaly {spec['kind']} range "
                     f"({spec['start']}, {end}) outside test region "
                     f"[0, {synth_cfg['length']})",
                 )
         datasets.append(DatasetConfig(
-            name=str(ds["name"]),
+            name=ds["name"],
             source=ds["source"],
             synth=SynthDatasetConfig(
-                length=int(synth_cfg["length"]),
+                length=synth_cfg["length"],
                 noise_sigma=float(synth_cfg["noise_sigma"]),
-                seed=None if synth_cfg["seed"] is None else int(synth_cfg["seed"]),
+                seed=synth_cfg["seed"],
                 train_fraction=float(synth_cfg["train_fraction"]),
                 channels=tuple(synth_cfg["channels"]),
                 anomalies=tuple(synth_cfg["anomalies"]),
             ),
             csv=CsvDatasetConfig(
-                train_path=str(ds["csv"]["train_path"]),
-                test_path=str(ds["csv"]["test_path"]),
+                train_path=ds["csv"]["train_path"],
+                test_path=ds["csv"]["test_path"],
                 value_columns=tuple(ds["csv"]["value_columns"]),
                 label_column=ds["csv"]["label_column"],
             ),
@@ -315,15 +320,15 @@ def build(resolved: dict) -> ExperimentConfig:
     names = [d.name for d in datasets]
     _require(len(set(names)) == len(names), "dataset names must be unique")
 
-    return ExperimentConfig(
-        seed=int(resolved["seed"]),
-        output_dir=str(resolved["output_dir"]),
+    config = ExperimentConfig(
+        seed=resolved["seed"],
+        output_dir=resolved["output_dir"],
         window_length=length,
         train_stride=train_stride,
         score_stride=score_stride,
         model_hidden=hidden,
-        train_epochs=int(train["epochs"]),
-        train_batch_size=int(train["batch_size"]),
+        train_epochs=train["epochs"],
+        train_batch_size=train["batch_size"],
         train_loss=train["loss"],
         train_mix=float(train["mix"]),
         train_lr=float(train["lr"]),
@@ -338,6 +343,8 @@ def build(resolved: dict) -> ExperimentConfig:
         resolved=resolved,
         hash=config_hash(resolved),
     )
+    config.train_config()  # TrainConfig rejects bad epochs, batch_size, loss, mix and lr
+    return config
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[list[str]] = None) -> ExperimentConfig:

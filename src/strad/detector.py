@@ -37,6 +37,8 @@ class TrainConfig:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
         if not 0.0 <= self.mix <= 1.0:
             raise ConfigError(f"mix must lie in [0, 1], got {self.mix}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,6 @@ def train(model: DenseAutoencoder, windows: WindowSet, cfg: TrainConfig) -> Trai
         raise ShapeMismatchError(f"windows flatten to {t * d}, model expects {model.input_size}")
     rng = np.random.default_rng(cfg.seed)
     state = init_adam(model, lr=cfg.lr)
-    model = model.copy()
     history: list[EpochStats] = []
     steps = 0
     track_components = cfg.loss_kind != "mse"
@@ -119,8 +120,8 @@ def train(model: DenseAutoencoder, windows: WindowSet, cfg: TrainConfig) -> Trai
             if components is not None:
                 comp_sums += [float(c.sum()) for c in components]
             upstream = grads.reshape(len(idx), -1) / len(idx)  # mean over the batch
-            param_grads = backward_batch(model, acts, upstream)
-            model, state = adam_step(model, param_grads, state)
+            grad = backward_batch(model, acts, upstream)
+            model, state = adam_step(model, grad, state)
             steps += 1
         components = comp_sums / n if track_components else (None, None, None)
         history.append(EpochStats(total_sum / n, *components))

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import losses
 from .losses import LossWeights
-from .model import DenseAutoencoder, forward_batch, init_model, parameter_gradients
-from .series import Window
+from .model import backward_batch, forward_batch, init_model
 
 FD_STEP = 1e-5
 KINK_MARGIN = 1e-6
@@ -101,6 +100,20 @@ def _rel_errors(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
     return np.abs(analytic - fd) / denom
 
 
+def _fold(component: str, trials: list, tolerance: float) -> GradCheckResult:
+    """One result from per-trial (analytic, finite-difference, keep-mask) triples."""
+    max_err = 0.0
+    checked = 0
+    excluded = 0
+    for analytic, fd, keep in trials:
+        excluded += int((~keep).sum())
+        if keep.any():
+            checked += int(keep.sum())
+            max_err = max(max_err, float(_rel_errors(analytic, fd)[keep].max()))
+    return GradCheckResult(component=component, checked=checked, excluded=excluded,
+                           max_rel_error=max_err, tolerance=tolerance)
+
+
 def _corrupt(grad: np.ndarray) -> np.ndarray:
     """Test hook: a 1% relative plus small absolute error on one coordinate."""
     grad = grad.copy()
@@ -121,9 +134,7 @@ def check_loss_component(
     value_fn, grad_fn = _loss_pair(component)
     rng = np.random.default_rng(seed)
     combos = [(t, d) for t in lengths for d in channels]
-    max_err = 0.0
-    checked = 0
-    excluded = 0
+    trials = []
     for i in range(n_windows):
         t, d = combos[i % len(combos)]
         x = rng.uniform(-1.0, 1.0, size=(t, d))
@@ -132,15 +143,8 @@ def check_loss_component(
         if perturb:
             analytic = _corrupt(analytic)
         fd = _fd_window_gradient(value_fn, x, y, step)
-        keep = ~_exclusion_mask(component, x, y)
-        excluded += int((~keep).sum())
-        if not keep.any():
-            continue
-        errs = _rel_errors(analytic, fd)[keep]
-        checked += int(keep.sum())
-        max_err = max(max_err, float(errs.max()))
-    return GradCheckResult(component=component, checked=checked, excluded=excluded,
-                           max_rel_error=max_err, tolerance=LOSS_TOLERANCE)
+        trials.append((analytic, fd, ~_exclusion_mask(component, x, y)))
+    return _fold(component, trials, LOSS_TOLERANCE)
 
 
 def _kink_signature(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -167,59 +171,35 @@ def check_model_component(
     t, d = layer_sizes[0], 1
     tolerance = MODEL_MSE_TOLERANCE if component == "model_mse" else MODEL_COMBINED_TOLERANCE
     rng = np.random.default_rng(seed + 1)
-    max_err = 0.0
-    checked = 0
-    excluded = 0
+    trials = []
     for trial in range(n_models):
         model = init_model(layer_sizes, seed=seed * 1000 + trial)
         x = rng.uniform(-1.0, 1.0, size=(t, d))
-        window = Window(data=x, start=0)
-        recon = forward_batch(model, x.reshape(1, -1))[-1].reshape(t, d)
-        analytic = parameter_gradients(model, window, np.asarray(grad_fn(x, recon)))
-        flat_analytic = np.concatenate(
-            [gw.ravel() for gw, _ in analytic] + [gb.ravel() for _, gb in analytic]
-        )
+        acts = forward_batch(model, x.reshape(1, -1))
+        upstream = np.asarray(grad_fn(x, acts[-1].reshape(t, d))).reshape(1, -1)
+        analytic = backward_batch(model, acts, upstream)
         if perturb:
-            flat_analytic = _corrupt(flat_analytic)
+            analytic = _corrupt(analytic)
 
-        def loss_of(m: DenseAutoencoder) -> float:
-            out = forward_batch(m, x.reshape(1, -1))[-1].reshape(t, d)
-            return value_fn(x, out)
+        def probe(k: int, value: float) -> tuple[float, tuple]:
+            model.params[k] = value
+            out = forward_batch(model, x.reshape(1, -1))[-1].reshape(t, d)
+            return value_fn(x, out), _kink_signature(x, out)
 
-        params = [(w, True) for w in model.weights] + [(b, False) for b in model.biases]
-        fd_parts = []
-        keep_parts = []
-        for arr, _ in params:
-            fd = np.zeros(arr.size)
-            keep = np.ones(arr.size, dtype=bool)
-            for k in range(arr.size):
-                orig = arr.flat[k]
-                arr.flat[k] = orig + step
-                out_hi = forward_batch(model, x.reshape(1, -1))[-1].reshape(t, d)
-                hi = value_fn(x, out_hi)
-                sig_hi = _kink_signature(x, out_hi)
-                arr.flat[k] = orig - step
-                out_lo = forward_batch(model, x.reshape(1, -1))[-1].reshape(t, d)
-                lo = value_fn(x, out_lo)
-                sig_lo = _kink_signature(x, out_lo)
-                arr.flat[k] = orig
-                fd[k] = (hi - lo) / (2.0 * step)
-                # exclude parameters whose probe flips a sign pattern or
-                # touches a near-zero spectrum bin
-                if sig_hi != sig_lo or not (sig_hi[2] and sig_lo[2]):
-                    keep[k] = False
-            fd_parts.append(fd)
-            keep_parts.append(keep)
-        flat_fd = np.concatenate(fd_parts)  # weights first, then biases, as above
-        flat_keep = np.concatenate(keep_parts)
-        excluded += int((~flat_keep).sum())
-        if not flat_keep.any():
-            continue
-        errs = _rel_errors(flat_analytic, flat_fd)[flat_keep]
-        checked += int(flat_keep.sum())
-        max_err = max(max_err, float(errs.max()))
-    return GradCheckResult(component=component, checked=checked, excluded=excluded,
-                           max_rel_error=max_err, tolerance=tolerance)
+        fd = np.zeros(model.params.size)
+        keep = np.ones(model.params.size, dtype=bool)
+        for k in range(model.params.size):
+            orig = model.params[k]
+            hi, sig_hi = probe(k, orig + step)
+            lo, sig_lo = probe(k, orig - step)
+            model.params[k] = orig
+            fd[k] = (hi - lo) / (2.0 * step)
+            # exclude parameters whose probe flips a sign pattern or
+            # touches a near-zero spectrum bin
+            if sig_hi != sig_lo or not (sig_hi[2] and sig_lo[2]):
+                keep[k] = False
+        trials.append((analytic, fd, keep))
+    return _fold(component, trials, tolerance)
 
 
 def run_all(

@@ -8,7 +8,7 @@ no autodiff engine underneath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -17,35 +17,47 @@ import numpy as np
 from .errors import CheckpointError, ConfigError, NumericError, ShapeMismatchError
 from .series import Window
 
-CHECKPOINT_MAGIC = "strad-checkpoint v1"
+CHECKPOINT_MAGIC = "strad-checkpoint v2"
+
+
+def _param_count(sizes: tuple[int, ...]) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
+def _layer_views(sizes: tuple[int, ...], flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (weights, biases) views into `flat`, laid out W0 (row-major), b0, W1, b1, ..."""
+    count = _param_count(sizes)
+    if flat.shape != (count,):
+        raise ShapeMismatchError(f"parameter vector shape {flat.shape} != ({count},) for sizes {sizes}")
+    weights, biases = [], []
+    pos = 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+        pos += fan_out * fan_in
+        biases.append(flat[pos : pos + fan_out])
+        pos += fan_out
+    return weights, biases
 
 
 @dataclass
 class DenseAutoencoder:
-    """Weights W[i] of shape (sizes[i+1], sizes[i]) and biases b[i] of shape (sizes[i+1],)."""
+    """All parameters in one float64 vector `params`, laid out W0 (row-major), b0, W1, b1, ...
+
+    `weights[i]` (shape (sizes[i+1], sizes[i])) and `biases[i]` (shape
+    (sizes[i+1],)) are views into `params`: writing through either changes both.
+    """
 
     layer_sizes: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.weights, self.biases = _layer_views(self.layer_sizes, self.params)
 
     @property
     def input_size(self) -> int:
         return self.layer_sizes[0]
-
-    def parameter_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
-    def copy(self) -> "DenseAutoencoder":
-        return DenseAutoencoder(
-            layer_sizes=self.layer_sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
-    def all_finite(self) -> bool:
-        return all(np.isfinite(w).all() for w in self.weights) and all(
-            np.isfinite(b).all() for b in self.biases
-        )
 
 
 def default_layer_sizes(input_size: int, hidden: tuple[int, ...] = (64, 16)) -> tuple[int, ...]:
@@ -64,13 +76,11 @@ def init_model(layer_sizes, seed: int = 0) -> DenseAutoencoder:
     if sizes[0] != sizes[-1]:
         raise ConfigError(f"output size {sizes[-1]} must equal input size {sizes[0]}")
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return DenseAutoencoder(layer_sizes=sizes, weights=weights, biases=biases)
+    model = DenseAutoencoder(layer_sizes=sizes, params=np.zeros(_param_count(sizes)))
+    for w in model.weights:
+        bound = np.sqrt(6.0 / sum(w.shape))  # w.shape is (fan_out, fan_in)
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return model
 
 
 def forward_batch(model: DenseAutoencoder, X: np.ndarray) -> list[np.ndarray]:
@@ -94,10 +104,8 @@ def forward(model: DenseAutoencoder, window: Window) -> Window:
     return Window(data=out.reshape(t, d), start=window.start)
 
 
-def backward_batch(
-    model: DenseAutoencoder, acts: list[np.ndarray], upstream: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Parameter gradients summed over the batch.
+def backward_batch(model: DenseAutoencoder, acts: list[np.ndarray], upstream: np.ndarray) -> np.ndarray:
+    """Parameter gradient summed over the batch, laid out like `model.params`.
 
     `acts` are the cached activations from `forward_batch`; `upstream` is the
     loss gradient with respect to the output, shape (B, output).
@@ -106,20 +114,20 @@ def backward_batch(
         raise ShapeMismatchError(
             f"upstream shape {upstream.shape} does not match output {acts[-1].shape}"
         )
-    grads: list[Optional[tuple[np.ndarray, np.ndarray]]] = [None] * len(model.weights)
+    grad = np.empty_like(model.params)
+    grad_weights, grad_biases = _layer_views(model.layer_sizes, grad)
     delta = upstream
     for i in range(len(model.weights) - 1, -1, -1):
-        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        np.matmul(delta.T, acts[i], out=grad_weights[i])
+        delta.sum(axis=0, out=grad_biases[i])
         if i > 0:
             # tanh'(z) expressed through the cached activation a: 1 - a^2
             delta = (delta @ model.weights[i]) * (1.0 - acts[i] ** 2)
-    return grads  # type: ignore[return-value]
+    return grad
 
 
-def parameter_gradients(
-    model: DenseAutoencoder, window: Window, loss_grad: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact gradient of (loss o forward) in every weight and bias.
+def parameter_gradients(model: DenseAutoencoder, window: Window, loss_grad: np.ndarray) -> np.ndarray:
+    """Exact gradient of (loss o forward) in every parameter, laid out like `model.params`.
 
     `loss_grad` is the gradient of the loss with respect to the reconstruction,
     shape (t, d).
@@ -133,13 +141,11 @@ def parameter_gradients(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators mirroring the parameter structure."""
+    """First/second moment accumulators, laid out like the model's `params`."""
 
     step: int
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -148,63 +154,41 @@ class AdamState:
 
 def init_adam(model: DenseAutoencoder, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps_adam: float = 1e-8) -> AdamState:
-    return AdamState(
-        step=0,
-        m_weights=[np.zeros_like(w) for w in model.weights],
-        v_weights=[np.zeros_like(w) for w in model.weights],
-        m_biases=[np.zeros_like(b) for b in model.biases],
-        v_biases=[np.zeros_like(b) for b in model.biases],
-        lr=lr, beta1=beta1, beta2=beta2, eps_adam=eps_adam,
-    )
+    return AdamState(step=0, m=np.zeros_like(model.params), v=np.zeros_like(model.params),
+                     lr=lr, beta1=beta1, beta2=beta2, eps_adam=eps_adam)
 
 
 def adam_step(
-    model: DenseAutoencoder,
-    grads: list[tuple[np.ndarray, np.ndarray]],
-    state: AdamState,
+    model: DenseAutoencoder, grad: np.ndarray, state: AdamState
 ) -> tuple[DenseAutoencoder, AdamState]:
     """One bias-corrected Adam update; returns a new model and state."""
-    if len(grads) != len(model.weights):
-        raise ShapeMismatchError("gradient structure does not match the model")
-    for (gw, gb), w in zip(grads, model.weights):
-        if gw.shape != w.shape:
-            raise ShapeMismatchError(f"weight gradient shape {gw.shape} != {w.shape}")
-        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-            raise NumericError("non-finite gradient passed to adam_step")
+    if grad.shape != model.params.shape:
+        raise ShapeMismatchError(f"gradient shape {grad.shape} != parameter shape {model.params.shape}")
+    if not np.isfinite(grad).all():
+        raise NumericError("non-finite gradient passed to adam_step")
     step = state.step + 1
     correct1 = 1.0 - state.beta1 ** step
     correct2 = 1.0 - state.beta2 ** step
-    new_w, new_b = [], []
-    m_w, v_w, m_b, v_b = [], [], [], []
-    for i, (gw, gb) in enumerate(grads):
-        mw = state.beta1 * state.m_weights[i] + (1 - state.beta1) * gw
-        vw = state.beta2 * state.v_weights[i] + (1 - state.beta2) * gw * gw
-        mb = state.beta1 * state.m_biases[i] + (1 - state.beta1) * gb
-        vb = state.beta2 * state.v_biases[i] + (1 - state.beta2) * gb * gb
-        new_w.append(model.weights[i] - state.lr * (mw / correct1) / (np.sqrt(vw / correct2) + state.eps_adam))
-        new_b.append(model.biases[i] - state.lr * (mb / correct1) / (np.sqrt(vb / correct2) + state.eps_adam))
-        m_w.append(mw)
-        v_w.append(vw)
-        m_b.append(mb)
-        v_b.append(vb)
-    new_model = DenseAutoencoder(layer_sizes=model.layer_sizes, weights=new_w, biases=new_b)
-    if not new_model.all_finite():
+    m = state.beta1 * state.m + (1 - state.beta1) * grad
+    v = state.beta2 * state.v + (1 - state.beta2) * grad * grad
+    params = model.params - state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps_adam)
+    if not np.isfinite(params).all():
         raise NumericError("model parameters became non-finite after an Adam step")
-    new_state = replace(state, step=step, m_weights=m_w, v_weights=v_w, m_biases=m_b, v_biases=v_b)
-    return new_model, new_state
+    return DenseAutoencoder(layer_sizes=model.layer_sizes, params=params), replace(state, step=step, m=m, v=v)
 
 
 # ---------------------------------------------------------------------------
 # checkpoint file format (textual, versioned, portable)
 #
-#   strad-checkpoint v1
+#   strad-checkpoint v2
 #   # key=value provenance lines (zero or more)
 #   sizes <s0> <s1> ... <sk>
 #   W <i> <rows> <cols>
 #   <rows lines of cols %.17g numbers>
 #   b <i> <n>
 #   <one line of n %.17g numbers>
-#   ... repeated per layer, in order
+#   ... repeated per layer, in order: the blocks are the `params` layout
+#   end
 # ---------------------------------------------------------------------------
 
 
@@ -223,6 +207,7 @@ def save_checkpoint(model: DenseAutoencoder, path, meta: Optional[dict] = None) 
         lines.extend(_fmt(row) for row in w)
         lines.append(f"b {i} {b.shape[0]}")
         lines.append(_fmt(b))
+    lines.append("end")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -246,7 +231,7 @@ def load_checkpoint(path) -> tuple[DenseAutoencoder, dict]:
         pos += 1
     if pos >= len(lines) or not lines[pos].startswith("sizes "):
         raise CheckpointError(f"{path}: missing sizes line")
-    weights, biases = [], []
+    blocks = []
     try:
         sizes = tuple(int(s) for s in lines[pos].split()[1:])
         if len(sizes) < 2 or min(sizes) < 1:
@@ -264,11 +249,16 @@ def load_checkpoint(path) -> tuple[DenseAutoencoder, dict]:
             pos += 2
             if w.shape != (rows, cols) or b.shape != (rows,):
                 raise CheckpointError(f"{path}: block {i} has the wrong number of values")
-            weights.append(w)
-            biases.append(b)
+            blocks.append((w, b))
+        if lines[pos:] != ["end"]:  # so a file cut inside its last number fails to load
+            raise CheckpointError(f"{path}: missing end line, or content after it")
     except (IndexError, ValueError) as exc:
         raise CheckpointError(f"{path}: truncated or malformed checkpoint: {exc}") from None
-    model = DenseAutoencoder(layer_sizes=sizes, weights=weights, biases=biases)
-    if not model.all_finite():
+    # allocate only after every block parsed, so the file bounds the model's size
+    model = DenseAutoencoder(layer_sizes=sizes, params=np.zeros(_param_count(sizes)))
+    for w, b, (w_block, b_block) in zip(model.weights, model.biases, blocks):
+        w[...] = w_block
+        b[...] = b_block
+    if not np.isfinite(model.params).all():
         raise CheckpointError(f"{path}: checkpoint contains non-finite parameters")
     return model, meta

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from strad.cli import main
+from strad.cli import _load, build_parser, main
 from strad.config import config_hash, load_config, resolve
 from strad.errors import ConfigError
 from strad.experiments import read_scores_csv
@@ -97,6 +97,15 @@ class TestConfig:
         path = write_config(tmp_path, doc)
         with pytest.raises(ConfigError, match="trend_pattern.*outside test region"):
             load_config(path)
+
+    def test_value_types(self, tmp_path):
+        doc = small_config(tmp_path, threshold={"q": 1})  # an int is a number
+        doc["datasets"][0]["csv"] = {"label_column": None}  # no label column
+        cfg = load_config(write_config(tmp_path, doc))
+        assert cfg.threshold_q == 1.0 and cfg.datasets[0].csv.label_column is None
+        doc["datasets"][0]["csv"] = {"value_columns": None}
+        with pytest.raises(ConfigError, match="datasets.0.csv.value_columns"):
+            load_config(write_config(tmp_path, doc))
 
     def test_bad_threshold_q(self, tmp_path):
         path = write_config(tmp_path, {"threshold": {"q": 1.5}})
@@ -491,3 +500,28 @@ class TestExitCodes:
     def test_unknown_key_is_usage_error(self, tmp_path):
         cfgp = write_config(tmp_path, {"bogus": 1})
         assert main(["train", "-c", cfgp]) == 1
+
+    @pytest.mark.parametrize("override", [
+        'window.length="abc"', 'threshold.q="x"', "window.score_stride=null",  # were tracebacks
+        "window.length=64.9", "seed=1.5", "model.hidden=[3.5]",  # were truncated silently
+        "train.epochs=true", "window.train_stride=2.5", 'eval.metrics=["rpa", 1]',
+    ])
+    def test_mistyped_value_is_usage_error(self, tmp_path, capsys, override):
+        cfgp = write_config(tmp_path, small_config(tmp_path / "out"))
+        assert main(["synth", "-c", cfgp, "--set", override]) == 1
+        assert override.partition("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "train.lr=-1", "train.lr=0", "train.lr=NaN", "train.lr=Infinity",
+        "train.epochs=0", "train.batch_size=0", "train.mix=1.5", 'train.loss="bogus"',
+    ])
+    def test_bad_training_value_fails_at_load(self, tmp_path, override):
+        # rejected before any work, even by a command that does not train
+        cfgp = write_config(tmp_path, small_config(tmp_path / "out"))
+        assert main(["synth", "-c", cfgp, "--set", override]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_output_dir_is_taken_verbatim(self, tmp_path):
+        odd = str(tmp_path / 'runs\\new "q" x\\u0041')
+        args = build_parser().parse_args(["synth", "-o", odd])
+        assert _load(args).output_dir == odd

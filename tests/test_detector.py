@@ -12,12 +12,14 @@ from strad.detector import (
 from strad.errors import ConfigError, DataError, NumericError
 from strad.losses import LossWeights, seasonality_loss, trend_loss
 from strad.metrics import pa_counts, rpa_counts
-from strad.model import DenseAutoencoder, forward, init_model, default_layer_sizes
+from strad.model import forward, init_model, default_layer_sizes
 from strad.series import TimeSeries, Window, segments_from_labels, sliding_windows
 
 
 def identity_model(n):
-    return DenseAutoencoder(layer_sizes=(n, n), weights=[np.eye(n)], biases=[np.zeros(n)])
+    m = init_model((n, n))
+    m.weights[0][...] = np.eye(n)
+    return m
 
 
 def sine_series(m, seed=0, noise=0.05, channels=1):
@@ -102,8 +104,7 @@ class TestTrain:
                                                      loss_kind="strad"))
 
         a, b = run(), run()
-        for wa, wb in zip(a.model.weights, b.model.weights):
-            assert np.array_equal(wa, wb)
+        assert np.array_equal(a.model.params, b.model.params)
         assert a.history == b.history
 
     def test_mse_plus_strad_mixes(self):
@@ -157,8 +158,8 @@ class TestScore:
     def test_single_window_shape_only_value(self):
         # one covering window, x=1, x'=0, lambda3=1, d=1 -> score 1 per point
         ts = TimeSeries(values=np.ones(4))
-        zero = DenseAutoencoder(layer_sizes=(4, 4), weights=[np.zeros((4, 4))],
-                                biases=[np.zeros(4)])
+        zero = init_model((4, 4))
+        zero.weights[0][...] = 0.0
         result = score(zero, ts, 4, 1, LossWeights(), "shape_only")
         assert np.allclose(result.scores, 1.0)
 

@@ -4,7 +4,6 @@ import pytest
 from strad.errors import CheckpointError, ConfigError, NumericError, ShapeMismatchError
 from strad.losses import mse_loss, mse_loss_grad
 from strad.model import (
-    DenseAutoencoder,
     adam_step,
     default_layer_sizes,
     forward,
@@ -21,8 +20,7 @@ class TestInit:
     def test_same_seed_bit_identical(self):
         a = init_model([8, 4, 2, 4, 8], seed=123)
         b = init_model([8, 4, 2, 4, 8], seed=123)
-        for wa, wb in zip(a.weights, b.weights):
-            assert np.array_equal(wa, wb)
+        assert np.array_equal(a.params, b.params)
 
     def test_different_seed_differs(self):
         a = init_model([8, 4, 8], seed=0)
@@ -40,6 +38,18 @@ class TestInit:
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             assert np.abs(w).max() <= bound
 
+    def test_params_layout(self):
+        # one flat vector, laid out W0 (row-major), b0, W1, b1; the lists are views
+        m = init_model([3, 2, 3], seed=0)
+        m.params[:] = np.arange(m.params.size)
+        assert isinstance(m.weights, list) and isinstance(m.biases, list)
+        assert np.array_equal(m.weights[0], np.arange(6).reshape(2, 3))
+        assert np.array_equal(m.biases[0], [6, 7])
+        assert np.array_equal(m.weights[1], np.arange(8, 14).reshape(3, 2))
+        assert np.array_equal(m.biases[1], [14, 15, 16])
+        m.biases[1][0] = -1.0
+        assert m.params[14] == -1.0
+
     def test_biases_zero(self):
         m = init_model([5, 3, 5], seed=0)
         assert all(np.all(b == 0) for b in m.biases)
@@ -56,7 +66,8 @@ class TestInit:
 class TestForward:
     def test_zero_model_reconstructs_zero(self):
         m = init_model([6, 3, 6], seed=0)
-        m.weights = [np.zeros_like(w) for w in m.weights]
+        for w in m.weights:
+            w[...] = 0.0
         out = forward(m, Window(data=np.ones((6, 1))))
         assert np.all(out.data == 0)
 
@@ -67,7 +78,8 @@ class TestForward:
         assert out.data.shape == (4, 3) and out.start == 7
 
     def test_identity_single_linear_layer(self):
-        m = DenseAutoencoder(layer_sizes=(6, 6), weights=[np.eye(6)], biases=[np.zeros(6)])
+        m = init_model((6, 6))
+        m.weights[0][...] = np.eye(6)
         x = np.random.default_rng(1).normal(size=(3, 2))
         out = forward(m, Window(data=x))
         assert np.allclose(out.data, x, atol=0)
@@ -81,30 +93,28 @@ class TestForward:
 class TestParameterGradients:
     def test_zero_upstream_all_zero(self):
         m = init_model([6, 4, 6], seed=2)
-        grads = parameter_gradients(m, Window(data=np.ones((6, 1))), np.zeros((6, 1)))
-        assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
+        grad = parameter_gradients(m, Window(data=np.ones((6, 1))), np.zeros((6, 1)))
+        assert grad.shape == m.params.shape and np.all(grad == 0)
 
     def test_matches_finite_differences_mse(self):
         # <= 50 parameters: sizes (4,3,2,3,4) has 48
         rng = np.random.default_rng(3)
         m = init_model([4, 3, 2, 3, 4], seed=5)
-        assert m.parameter_count() <= 50
+        assert m.params.size <= 50
         x = rng.uniform(-1, 1, size=(4, 1))
         recon = forward(m, Window(data=x)).data
         analytic = parameter_gradients(m, Window(data=x), mse_loss_grad(x, recon))
         step = 1e-5
-        for li, (gw, gb) in enumerate(analytic):
-            for arr, grad in ((m.weights[li], gw), (m.biases[li], gb)):
-                for k in range(arr.size):
-                    orig = arr.flat[k]
-                    arr.flat[k] = orig + step
-                    hi = mse_loss(x, forward(m, Window(data=x)).data)
-                    arr.flat[k] = orig - step
-                    lo = mse_loss(x, forward(m, Window(data=x)).data)
-                    arr.flat[k] = orig
-                    fd = (hi - lo) / (2 * step)
-                    denom = max(abs(grad.flat[k]), abs(fd), 1e-6)
-                    assert abs(grad.flat[k] - fd) / denom < 1e-4
+        for k in range(m.params.size):
+            orig = m.params[k]
+            m.params[k] = orig + step
+            hi = mse_loss(x, forward(m, Window(data=x)).data)
+            m.params[k] = orig - step
+            lo = mse_loss(x, forward(m, Window(data=x)).data)
+            m.params[k] = orig
+            fd = (hi - lo) / (2 * step)
+            denom = max(abs(analytic[k]), abs(fd), 1e-6)
+            assert abs(analytic[k] - fd) / denom < 1e-4
 
     def test_shape_mismatch(self):
         m = init_model([6, 3, 6], seed=0)
@@ -116,24 +126,20 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         m = init_model([6, 3, 6], seed=1)
         state = init_adam(m)
-        zero = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(m.weights, m.biases)]
-        updated, state2 = adam_step(m, zero, state)
+        updated, state2 = adam_step(m, np.zeros_like(m.params), state)
         assert state2.step == 1
-        for w0, w1 in zip(m.weights, updated.weights):
-            assert np.array_equal(w0, w1)
+        assert np.array_equal(m.params, updated.params)
 
     def test_first_step_bounded_by_lr(self):
         m = init_model([6, 3, 6], seed=2)
         state = init_adam(m, lr=1e-3)
         rng = np.random.default_rng(0)
-        grads = [(rng.normal(size=w.shape), rng.normal(size=b.shape))
-                 for w, b in zip(m.weights, m.biases)]
-        updated, _ = adam_step(m, grads, state)
-        for w0, w1, (gw, _) in zip(m.weights, updated.weights, grads):
-            delta = w1 - w0
-            assert np.abs(delta).max() <= 1e-3 * (1 + 1e-6)
-            moved = np.abs(gw) > 1e-12
-            assert np.all(np.sign(delta[moved]) == -np.sign(gw[moved]))
+        grad = rng.normal(size=m.params.shape)
+        updated, _ = adam_step(m, grad, state)
+        delta = updated.params - m.params
+        assert np.abs(delta).max() <= 1e-3 * (1 + 1e-6)
+        moved = np.abs(grad) > 1e-12
+        assert np.all(np.sign(delta[moved]) == -np.sign(grad[moved]))
 
     def test_deterministic_replay(self):
         def run():
@@ -141,22 +147,19 @@ class TestAdam:
             state = init_adam(m)
             rng = np.random.default_rng(1)
             for _ in range(2):
-                grads = [(rng.normal(size=w.shape), rng.normal(size=b.shape))
-                         for w, b in zip(m.weights, m.biases)]
-                m, state = adam_step(m, grads, state)
+                m, state = adam_step(m, rng.normal(size=m.params.shape), state)
             return m
 
         a, b = run(), run()
-        for wa, wb in zip(a.weights, b.weights):
-            assert np.array_equal(wa, wb)
+        assert np.array_equal(a.params, b.params)
 
     def test_non_finite_gradient_rejected(self):
         m = init_model([6, 3, 6], seed=4)
         state = init_adam(m)
-        grads = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(m.weights, m.biases)]
-        grads[0][0][0, 0] = np.nan
+        grad = np.zeros_like(m.params)
+        grad[0] = np.nan
         with pytest.raises(NumericError):
-            adam_step(m, grads, state)
+            adam_step(m, grad, state)
 
 
 class TestCheckpoint:
@@ -167,10 +170,7 @@ class TestCheckpoint:
         loaded, meta = load_checkpoint(path)
         assert meta == {"config": "abc123", "seed": "9"}
         assert loaded.layer_sizes == m.layer_sizes
-        for wa, wb in zip(m.weights, loaded.weights):
-            assert np.array_equal(wa, wb)
-        for ba, bb in zip(m.biases, loaded.biases):
-            assert np.array_equal(ba, bb)
+        assert np.array_equal(m.params, loaded.params)
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -186,6 +186,33 @@ class TestCheckpoint:
             path.write_text("\n".join(lines[:keep]) + "\n")
             with pytest.raises(CheckpointError):
                 load_checkpoint(path)
+
+    def test_every_cut_before_end_is_checkpoint_error(self, tmp_path):
+        # a cut inside the last bias line used to load a wrong bias silently
+        path = tmp_path / "model.ckpt"
+        m = init_model([6, 3, 6], seed=2)
+        m.biases[-1][...] = np.random.default_rng(0).normal(size=6)
+        save_checkpoint(m, path, meta={"seed": "2"})
+        text = path.read_text()
+        for cut in range(len(text) - 1):  # every prefix short of the whole last line
+            path.write_text(text[:cut])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+
+    def test_content_after_end_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model([6, 3, 6], seed=2), path)
+        path.write_text(path.read_text() + "0.5\n")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_v1_file_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model([6, 3, 6], seed=2), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(["strad-checkpoint v1"] + lines[1:-1]) + "\n")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
     def test_malformed_number_is_checkpoint_error(self, tmp_path):
         path = tmp_path / "model.ckpt"
