@@ -18,6 +18,7 @@ from . import gradcheck as gradcheck_mod
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, StradError
 from .experiments import (
+    DEGENERATE,
     run_ablate,
     run_compare,
     run_detect_cmd,
@@ -136,7 +137,8 @@ def _cmd_eval(args) -> int:
         prov=f"# config=eval-{digest} seed=0",
     )
     for row in report.rows:
-        cells = " ".join(f"{m}_f1={getattr(row, f'{m}_f1'):.6f}" for m in metrics)
+        cells = " ".join(f"{m}_f1={getattr(row, f'{m}_f1'):.6f}"
+                         + (f" {DEGENERATE}" if m in row.degenerate else "") for m in metrics)
         print(f"{row.name}: segments={row.segment_count} {cells}")
     entire = " ".join(f"{m}_f1={getattr(report, f'entire_{m}_f1'):.6f}" for m in metrics)
     print(f"ENTIRE: {entire}")

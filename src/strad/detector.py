@@ -9,9 +9,9 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeMismatchError
 from .losses import LossWeights, mse_batch, seasonality_batch, strad_batch, trend_batch
-from .metrics import pa_counts, rpa_counts
+from .metrics import pa_counts, rpa_counts, sweep_counts
 from .model import DenseAutoencoder, backward_batch, forward_batch, init_adam, adam_step
-from .series import Segment, TimeSeries, WindowSet, segments_from_labels, sliding_windows
+from .series import Segment, TimeSeries, WindowSet, sliding_windows
 
 LOSS_KINDS = ("mse", "strad", "mse_plus_strad")
 SCORE_MODES = ("shape_only", "strad_broadcast")
@@ -195,24 +195,30 @@ def threshold_best_f1(
 
     Predictions at threshold theta are `scores >= theta`. Ties are broken
     toward the higher threshold (fewer positives). Returns (threshold, f1).
+    The sweep costs O(M log M): `sweep_counts` gets every threshold's counts
+    at once, each count being the number of events (points, segments, runs)
+    whose switch-on level is at or above the threshold's.
     """
     if metric not in THRESHOLD_METRICS:
         raise ConfigError(f"metric must be one of {THRESHOLD_METRICS}, got {metric!r}")
     if labels is None:
         raise DataError("threshold_best_f1 requires labels")
     labels = np.asarray(labels, dtype=np.int64)
-    scores = score_series.scores
-    if labels.shape != scores.shape:
+    if labels.shape != score_series.scores.shape:
         raise ShapeMismatchError("labels and scores must have equal length")
-    segments = segments_from_labels(labels)
-    best_threshold = np.inf
-    best_f1 = 0.0  # +inf threshold predicts nothing: F1 = 0 under the 0/0 convention
-    for threshold in np.unique(scores)[::-1]:  # descending: ties keep the higher threshold
-        f1 = f1_at(scores, threshold, labels, segments, metric, fp_per_point)
-        if f1 > best_f1:
-            best_f1 = f1
-            best_threshold = float(threshold)
-    return best_threshold, best_f1
+    thresholds, tp, fp, fn = sweep_counts(score_series.scores, labels, metric, fp_per_point)
+    # ConfusionCounts.f1's expression and 0/0 -> 0 convention, on every threshold
+    p = _ratio(tp, tp + fp)
+    r = _ratio(tp, tp + fn)
+    f1 = _ratio(2 * p * r, p + r)
+    if f1.size and f1.max() > 0:
+        best = int(np.argmax(f1))  # the first maximum: ties keep the higher threshold
+        return float(thresholds[best]), float(f1[best])
+    return np.inf, 0.0  # +inf predicts nothing: F1 = 0 under the 0/0 convention
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.zeros(den.shape), where=den != 0)
 
 
 def threshold_quantile(score_series: ScoreSeries, q: float) -> float:

@@ -53,6 +53,11 @@ from .series import (
 from .synth import AnomalySpec, ChannelSpec, GeneratorConfig, make_benchmark
 
 
+# Marks a swept best F1 that the all-positive prediction (threshold at the
+# minimum score) already reaches, so the sweep chose nothing a constant could not.
+DEGENERATE = "(degenerate: all-positive prediction scores the same F1)"
+
+
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
@@ -401,10 +406,12 @@ def run_eval_cmd(
             raise DataError(f"{data_path}: labels misaligned with {scores_path}")
         score_series = ScoreSeries(scores=scores, coverage=np.ones(len(scores), dtype=np.int64))
         segments = segments_from_labels(labels)
-        fields = {"name": Path(data_path).stem, "segment_count": len(segments)}
+        fields = {"name": Path(data_path).stem, "segment_count": len(segments), "degenerate": ()}
         for metric in metrics:
             if thresholds is None:
                 threshold, f1 = threshold_best_f1(score_series, labels, metric)
+                if f1_at(scores, scores.min(), labels, segments, metric) >= f1:
+                    fields["degenerate"] += (metric,)
             else:
                 threshold = thresholds[i]
                 f1 = f1_at(scores, threshold, labels, segments, metric)
@@ -426,6 +433,10 @@ def run_eval_cmd(
                   **{f"{m}_f1": getattr(report, f"entire_{m}_f1") for m in metrics}})
     write_table(table, ["name", "segments", *_metric_columns(metrics)],
                 outdir / "report.csv", outdir / "report.txt", prov)
+    notes = [f"note: {r.name} {m}_f1={getattr(r, f'{m}_f1'):.6f} {DEGENERATE}\n"
+             for r in report.rows for m in r.degenerate]
+    with open(outdir / "report.txt", "a") as fh:
+        fh.writelines(notes)
     return report
 
 

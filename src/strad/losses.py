@@ -50,12 +50,14 @@ class LossWeights:
     trend_variant: str = "monotone"
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0 or self.lambda3 < 0:
-            raise ConfigError("loss weights must be non-negative")
-        if self.lambda1 == 0 and self.lambda2 == 0 and self.lambda3 == 0:
+        lambdas = (self.lambda1, self.lambda2, self.lambda3)
+        # every comparison with NaN is false, so each check is phrased to fail on it
+        if not all(math.isfinite(v) and v >= 0 for v in lambdas):
+            raise ConfigError(f"loss weights must be finite and non-negative, got {lambdas}")
+        if not any(lambdas):
             raise ConfigError("at least one loss weight must be positive")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.trend_variant not in TREND_VARIANTS:
             raise ConfigError(f"trend_variant must be one of {TREND_VARIANTS}")
 

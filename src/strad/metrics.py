@@ -102,6 +102,78 @@ def rpa_counts(preds, truth_segments: Sequence[Segment], fp_per_point: bool = Fa
     return ConfusionCounts(tp=tp, fp=fp, fn=fn)
 
 
+def _bounds(segments: Sequence[Segment]) -> tuple[np.ndarray, np.ndarray]:
+    starts = np.array([s.start for s in segments], dtype=np.intp)
+    ends = np.array([s.end for s in segments], dtype=np.intp)
+    return starts, ends
+
+
+def _run_reduce(ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """`ufunc` reduced over each inclusive run values[start:end + 1]."""
+    bounds = np.stack([starts, ends + 1], axis=1).ravel()
+    return ufunc.reduceat(np.append(values, 0), bounds)[::2]
+
+
+def sweep_counts(scores, truth_labels, metric: str, fp_per_point: bool = False):
+    """Confusion counts of `scores >= theta` at every distinct score theta, in one pass.
+
+    Returns (thresholds, tp, fp, fn): the distinct scores in descending order
+    and, per threshold, the int64 counts that `rpa_counts` (metric "rpa") or
+    `pa_counts` (metric "pa") give for that prediction.
+
+    Point i is predicted at the j-th smallest distinct score iff its level
+    (`np.unique`'s inverse index) is >= j. So every count is the number of
+    events switched on at that threshold, where an event switches on at the
+    level of a point or at the min (all of several points on) or max (any one
+    on) of several levels: a bincount of event levels, summed from the top.
+    """
+    if metric not in ("rpa", "pa"):
+        raise DataError(f"metric must be 'rpa' or 'pa', got {metric!r}")
+    scores = np.asarray(scores, dtype=np.float64)
+    segments = segments_from_labels(truth_labels)
+    truth = np.asarray(truth_labels, dtype=np.int64) == 1
+    if scores.shape != truth.shape:
+        raise ShapeMismatchError(f"scores length {scores.shape} != labels length {truth.shape}")
+    levels, inv = np.unique(scores, return_inverse=True)
+
+    def on(event_levels: np.ndarray) -> np.ndarray:
+        return np.cumsum(np.bincount(event_levels, minlength=levels.size)[::-1])
+
+    starts, ends = _bounds(segments)
+    hit = _run_reduce(np.maximum, inv, starts, ends)  # a segment is hit when any point is on
+    normal = ~truth
+    fp = on(inv[normal])
+    if metric == "pa":
+        # a hit segment counts all its points as true positives
+        tp = on(np.repeat(hit, ends - starts + 1))
+        return levels[::-1], tp, fp, int(truth.sum()) - tp
+
+    tp = on(hit)
+    gap_starts, gap_ends = _bounds(segments_from_labels(normal))
+    last = scores.size - 1
+    if fp_per_point:
+        # A normal point leaves the false positives once an all-on path links
+        # it to a truth neighbour: at the min level along that path.
+        joined = []
+        for s, e in zip(gap_starts, gap_ends):
+            never = np.full(e - s + 1, -1)
+            left = np.minimum.accumulate(inv[s - 1 : e + 1])[1:] if s > 0 else never
+            right = np.minimum.accumulate(inv[s : e + 2][::-1])[::-1][:-1] if e < last else never
+            joined.append(np.maximum(left, right))
+        joined = np.concatenate(joined) if joined else np.zeros(0, dtype=np.intp)
+        return levels[::-1], tp, fp - on(joined[joined >= 0]), len(segments) - tp
+
+    # Runs of on normal points are on normal points minus on normal-normal
+    # pairs. Those touching truth are the on (normal, truth) pairs, less the
+    # gaps between two segments that are on end to end with both neighbours,
+    # which touch truth twice.
+    pair = np.minimum(inv[:-1], inv[1:])
+    closed = (gap_starts > 0) & (gap_ends < last)
+    fp = (fp - on(pair[normal[:-1] & normal[1:]]) - on(pair[truth[:-1] != truth[1:]])
+          + on(_run_reduce(np.minimum, inv, gap_starts[closed] - 1, gap_ends[closed] + 1)))
+    return levels[::-1], tp, fp, len(segments) - tp
+
+
 def entire_f1(per_subdataset: Sequence[tuple[int, float]]) -> float:
     """Segment-count-weighted average of per-sub-dataset F1 scores."""
     total = sum(e for e, _ in per_subdataset)
@@ -148,6 +220,7 @@ class SubdatasetResult:
     pa_f1: Optional[float] = None
     threshold_rpa: Optional[float] = None
     threshold_pa: Optional[float] = None
+    degenerate: tuple[str, ...] = ()  # swept metrics the all-positive prediction already maxes
 
 
 @dataclass(frozen=True)

@@ -299,6 +299,25 @@ class TestCliEval:
                   if l and not l.startswith("#")][0]
         assert "rpa_f1" in header and "pa_f1" in header
 
+    def test_degenerate_best_f1_is_marked(self, tmp_path, capsys):
+        # RPA: the all-positive prediction is one run over every segment, so
+        # it reaches F1 = 1 on any labelled input; PA on a lone spike is not.
+        rng = np.random.default_rng(5)
+        labels = (rng.uniform(size=50) < 0.3).astype(int)
+        sr, dr = self.write_pair(tmp_path, "random", labels, rng.normal(size=50))
+        ss, ds = self.write_pair(tmp_path, "spike", [0, 0, 1, 0], [0.0, 0.0, 9.0, 0.0])
+        out = tmp_path / "rep"
+        assert main(["eval", "--scores", str(sr), "--data", str(dr),
+                     "--scores", str(ss), "--data", str(ds), "-o", str(out)]) == 0
+        marker = " (degenerate: all-positive prediction scores the same F1)"
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[1] == f"spike: segments=1 rpa_f1=1.000000{marker} pa_f1=1.000000"
+        assert f"rpa_f1=1.000000{marker}" in stdout[0]
+        notes = [l for l in (out / "report.txt").read_text().splitlines() if l.startswith("note:")]
+        assert notes == [f"note: random rpa_f1=1.000000{marker}",
+                              f"note: spike rpa_f1=1.000000{marker}"]
+        assert "degenerate" not in (out / "report.csv").read_text()
+
     @pytest.mark.parametrize("bad_row", ["1,abc", "1"])
     def test_malformed_score_row_exits_2(self, tmp_path, capsys, bad_row):
         sc, data = self.write_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
@@ -514,6 +533,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("override", [
         "train.lr=-1", "train.lr=0", "train.lr=NaN", "train.lr=Infinity",
         "train.epochs=0", "train.batch_size=0", "train.mix=1.5", 'train.loss="bogus"',
+        "loss_weights.lambda1=NaN", "loss_weights.lambda2=NaN", "loss_weights.lambda3=NaN",
+        "loss_weights.lambda1=Infinity", "loss_weights.epsilon=Infinity",
+        "loss_weights.epsilon=NaN",
     ])
     def test_bad_training_value_fails_at_load(self, tmp_path, override):
         # rejected before any work, even by a command that does not train

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import strad.detector
 from strad.detector import (
     ScoreSeries,
     TrainConfig,
+    f1_at,
     score,
     threshold_best_f1,
     threshold_quantile,
@@ -189,7 +193,78 @@ class TestScore:
             score(identity_model(16), sine_series(40), 16, 1, LossWeights(), "mse")
 
 
+def brute_best_f1(score_series, labels, metric="rpa", fp_per_point=False):
+    """Reference sweep: recount F1 at every distinct score, highest first.
+
+    The strict `>` keeps the higher threshold on ties; +inf (predict nothing)
+    with F1 = 0 stands when no threshold scores above 0.
+    """
+    scores = score_series.scores
+    labels = np.asarray(labels, dtype=np.int64)
+    segments = segments_from_labels(labels)
+    best_threshold, best_f1 = np.inf, 0.0
+    for threshold in np.unique(scores)[::-1]:
+        f1 = f1_at(scores, threshold, labels, segments, metric, fp_per_point)
+        if f1 > best_f1:
+            best_f1, best_threshold = f1, float(threshold)
+    return best_threshold, best_f1
+
+
+SWEEPS = [("rpa", False), ("rpa", True), ("pa", False)]
+
+
+def as_series(scores):
+    scores = np.asarray(scores, dtype=float)
+    return ScoreSeries(scores=scores, coverage=np.ones(scores.size, dtype=int))
+
+
+@st.composite
+def labelled_scores(draw):
+    m = draw(st.integers(0, 40))
+    labels = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    if draw(st.booleans()):  # few distinct values: many tied scores
+        scores = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    else:
+        scores = draw(st.lists(st.floats(-5, 5, allow_nan=False), min_size=m, max_size=m))
+    return as_series(scores), np.array(labels, dtype=np.int64)
+
+
 class TestThresholdBestF1:
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_scores(), st.sampled_from(SWEEPS))
+    def test_matches_brute_force_sweep(self, case, sweep):
+        scores, labels = case
+        metric, fp_per_point = sweep
+        assert (threshold_best_f1(scores, labels, metric, fp_per_point)
+                == brute_best_f1(scores, labels, metric, fp_per_point))
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    @pytest.mark.parametrize("scores,labels", [
+        ([], []),  # M = 0
+        ([1.0, 2.0, 3.0], [0, 0, 0]),  # no truth segment
+        ([1.0, 2.0, 2.0], [1, 1, 1]),  # all truth
+        ([3.0, 1.0, 2.0, 0.0, 3.0], [1, 0, 0, 0, 1]),  # truth at 0 and at M - 1
+        ([2.0, 0.5, 0.5, 2.0, 1.0, 0.5], [1, 0, 1, 1, 0, 1]),  # ties across segments and gaps
+    ])
+    def test_edge_cases_match_brute_force(self, scores, labels, sweep):
+        metric, fp_per_point = sweep
+        series, labels = as_series(scores), np.array(labels, dtype=np.int64)
+        assert (threshold_best_f1(series, labels, metric, fp_per_point)
+                == brute_best_f1(series, labels, metric, fp_per_point))
+
+    def test_sweep_makes_no_per_threshold_recount(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        series = as_series(rng.integers(0, 12, size=80))
+        labels = (rng.uniform(size=80) < 0.3).astype(np.int64)
+        expected = [brute_best_f1(series, labels, *sweep) for sweep in SWEEPS]
+
+        def recount(*args, **kwargs):
+            raise AssertionError("threshold_best_f1 recounted at a single threshold")
+
+        monkeypatch.setattr(strad.detector, "rpa_counts", recount)
+        monkeypatch.setattr(strad.detector, "pa_counts", recount)
+        assert [threshold_best_f1(series, labels, *sweep) for sweep in SWEEPS] == expected
+
     def test_single_spike(self):
         scores = ScoreSeries(scores=np.array([0.0, 0.0, 9.0, 0.0]),
                              coverage=np.ones(4, dtype=int))
