@@ -9,21 +9,7 @@ from .detector import (
     threshold_quantile,
     train,
 )
-from .losses import (
-    LossBreakdown,
-    LossWeights,
-    mse_loss,
-    mse_loss_grad,
-    seasonality_loss,
-    seasonality_loss_grad,
-    shape_loss,
-    shape_loss_grad,
-    strad_grad,
-    strad_loss,
-    trend_fit,
-    trend_loss,
-    trend_loss_grad,
-)
+from .losses import LossWeights
 from .metrics import (
     ConfusionCounts,
     EvalReport,
@@ -38,19 +24,15 @@ from .model import (
     AdamState,
     DenseAutoencoder,
     adam_step,
-    forward,
     init_adam,
     init_model,
     load_checkpoint,
-    parameter_gradients,
     save_checkpoint,
 )
 from .series import (
     NormalizationStats,
     Segment,
     TimeSeries,
-    Window,
-    WindowSet,
     apply_normalization,
     fit_normalization,
     labels_from_segments,
@@ -58,7 +40,7 @@ from .series import (
     segments_from_labels,
     sliding_windows,
 )
-from .spectral import Spectrum, dft_naive, fft_forward, fft_inverse, spectral_l1, spectral_l1_grad
+from .spectral import dft_naive
 from .synth import AnomalySpec, ChannelSpec, GeneratorConfig, generate_base, inject, make_benchmark
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -122,6 +123,10 @@ def _cmd_eval(args) -> int:
     if len(args.scores) != len(args.data):
         raise ConfigError("--scores and --data must be given the same number of times")
     metrics = args.metric or ["rpa", "pa"]
+    if len(set(metrics)) != len(metrics):
+        raise ConfigError(f"--metric repeats a metric: {metrics}")
+    if any(math.isnan(t) for t in args.threshold or ()):
+        raise ConfigError("--threshold must be a number or +/-inf, got nan")
     digest = hashlib.sha256()
     for name in args.scores + args.data:
         path = Path(name)

@@ -219,12 +219,11 @@ class ExperimentConfig:
     hash: str = ""
 
     def train_config(self, loss_kind: Optional[str] = None,
-                     weights: Optional[LossWeights] = None,
-                     seed: Optional[int] = None) -> TrainConfig:
+                     weights: Optional[LossWeights] = None) -> TrainConfig:
         return TrainConfig(
             epochs=self.train_epochs,
             batch_size=self.train_batch_size,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
             loss_kind=loss_kind or self.train_loss,
             weights=weights or self.loss_weights,
             mix=self.train_mix,
@@ -276,6 +275,7 @@ def build(resolved: dict) -> ExperimentConfig:
     metrics = tuple(resolved["eval"]["metrics"])
     _require(metrics and all(m in THRESHOLD_METRICS for m in metrics),
              f"eval.metrics entries must be among {THRESHOLD_METRICS}")
+    _require(len(set(metrics)) == len(metrics), f"eval.metrics repeats a metric: {list(metrics)}")
     losses = tuple(resolved["compare"]["losses"])
     _require(all(l in LOSS_KINDS for l in losses),
              f"compare.losses entries must be among {LOSS_KINDS}")

@@ -11,7 +11,7 @@ from .errors import ConfigError, DataError, NumericError, ShapeMismatchError
 from .losses import LossWeights, mse_batch, seasonality_batch, strad_batch, trend_batch
 from .metrics import pa_counts, rpa_counts, sweep_counts
 from .model import DenseAutoencoder, backward_batch, forward_batch, init_adam, adam_step
-from .series import Segment, TimeSeries, WindowSet, sliding_windows
+from .series import Segment, TimeSeries, sliding_windows
 
 LOSS_KINDS = ("mse", "strad", "mse_plus_strad")
 SCORE_MODES = ("shape_only", "strad_broadcast")
@@ -85,17 +85,17 @@ def _batch_loss(X, XR, cfg: TrainConfig):
     return values, grads, components
 
 
-def train(model: DenseAutoencoder, windows: WindowSet, cfg: TrainConfig) -> TrainResult:
+def train(model: DenseAutoencoder, windows: np.ndarray, cfg: TrainConfig) -> TrainResult:
     """Algorithmic core: encode, reconstruct, evaluate objective, Adam update.
 
-    Each epoch walks a seeded permutation of the windows in batches; the
-    per-batch parameter gradient is the mean over the batch. History records
-    per-epoch mean total loss, plus component means for the combined objective.
+    `windows` is the (N, t, d) stack from `sliding_windows`. Each epoch walks
+    a seeded permutation of the windows in batches; the per-batch parameter
+    gradient is the mean over the batch. History records per-epoch mean total
+    loss, plus component means for the combined objective.
     Raises NumericError the moment a loss, gradient, or parameter goes
     non-finite instead of clipping.
     """
-    data = windows.data
-    n, t, d = data.shape
+    n, t, d = windows.shape
     if t * d != model.input_size:
         raise ShapeMismatchError(f"windows flatten to {t * d}, model expects {model.input_size}")
     rng = np.random.default_rng(cfg.seed)
@@ -109,7 +109,7 @@ def train(model: DenseAutoencoder, windows: WindowSet, cfg: TrainConfig) -> Trai
         comp_sums = np.zeros(3)
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            X = data[idx]
+            X = windows[idx]
             flat = X.reshape(len(idx), -1)
             acts = forward_batch(model, flat)
             XR = acts[-1].reshape(X.shape)
@@ -150,7 +150,7 @@ def score(
     if mode not in SCORE_MODES:
         raise ConfigError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
     weights = weights or LossWeights()
-    data = sliding_windows(series, length, stride).data  # (N, t, d)
+    data = sliding_windows(series, length, stride)  # (N, t, d)
     t, d = data.shape[1:]
     if t * d != model.input_size:
         raise ShapeMismatchError(f"windows flatten to {t * d}, model expects {model.input_size}")

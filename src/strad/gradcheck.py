@@ -46,24 +46,25 @@ class GradCheckResult:
         return self.max_rel_error < self.tolerance
 
 
-def _loss_pair(component: str):
-    """(value_fn, grad_fn) taking (x, y) arrays."""
-    if component == "trend_negated_log":
-        return (lambda x, y: losses.trend_loss(x, y, 1e-7, "negated_log"),
-                lambda x, y: losses.trend_loss_grad(x, y, 1e-7, "negated_log"))
-    if component == "trend_monotone":
-        return (lambda x, y: losses.trend_loss(x, y, 1e-7, "monotone"),
-                lambda x, y: losses.trend_loss_grad(x, y, 1e-7, "monotone"))
-    if component == "seasonality":
-        return losses.seasonality_loss, losses.seasonality_loss_grad
-    if component == "shape":
-        return losses.shape_loss, losses.shape_loss_grad
-    if component == "mse":
-        return losses.mse_loss, losses.mse_loss_grad
-    if component == "combined":
-        return (lambda x, y: losses.strad_loss(x, y, _WEIGHTS).total,
-                lambda x, y: losses.strad_grad(x, y, _WEIGHTS))
-    raise ValueError(f"unknown component {component!r}")
+# Each component's batched kernel: (X, XR, want_grad) -> (values (B,), gradients (B, t, d) or None).
+_KERNELS = {
+    "trend_negated_log": lambda X, XR, g=False: losses.trend_batch(X, XR, 1e-7, "negated_log", g),
+    "trend_monotone": lambda X, XR, g=False: losses.trend_batch(X, XR, 1e-7, "monotone", g),
+    "seasonality": losses.seasonality_batch,
+    "shape": losses.shape_batch,
+    "mse": losses.mse_batch,
+    "combined": lambda X, XR, g=False: losses.strad_batch(X, XR, _WEIGHTS, g)[3:],
+}
+
+
+def _kernel(component: str):
+    if component not in _KERNELS:
+        raise ValueError(f"unknown component {component!r}")
+    return _KERNELS[component]
+
+
+def _slope(window: np.ndarray) -> np.ndarray:
+    return losses.slopes_batch(window[None])[0]
 
 
 def _exclusion_mask(component: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -72,7 +73,7 @@ def _exclusion_mask(component: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if component in ("shape", "combined"):
         mask |= np.abs(x - y) < KINK_MARGIN
     if component in ("trend_negated_log", "trend_monotone", "combined"):
-        gap = np.abs(losses.trend_fit(y) - losses.trend_fit(x))  # (d,)
+        gap = np.abs(_slope(y) - _slope(x))  # (d,)
         mask |= (gap < KINK_MARGIN)[None, :]
     if component in ("seasonality", "combined"):
         delta = np.fft.fft(y.T) - np.fft.fft(x.T)
@@ -81,17 +82,18 @@ def _exclusion_mask(component: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _fd_window_gradient(value_fn, x: np.ndarray, y: np.ndarray, step: float) -> np.ndarray:
-    grad = np.zeros_like(y)
-    perturbed = y.copy()
-    for idx in np.ndindex(y.shape):
-        perturbed[idx] = y[idx] + step
-        hi = value_fn(x, perturbed)
-        perturbed[idx] = y[idx] - step
-        lo = value_fn(x, perturbed)
-        perturbed[idx] = y[idx]
-        grad[idx] = (hi - lo) / (2.0 * step)
-    return grad
+def _fd_window_gradient(kernel, x: np.ndarray, y: np.ndarray, step: float) -> np.ndarray:
+    """Central differences in every entry of `y`, all 2*t*d probes in one kernel call.
+
+    Probe k of the stack is y + step*e_k and probe n + k is y - step*e_k, with
+    n = t*d and e_k the k-th entry in row-major order.
+    """
+    n = y.size
+    probes = np.repeat(y.reshape(1, n), 2 * n, axis=0)
+    probes[np.arange(n), np.arange(n)] += step
+    probes[n + np.arange(n), np.arange(n)] -= step
+    values, _ = kernel(np.broadcast_to(x, (2 * n, *x.shape)), probes.reshape(2 * n, *y.shape))
+    return ((values[:n] - values[n:]) / (2.0 * step)).reshape(y.shape)
 
 
 def _rel_errors(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
@@ -131,7 +133,7 @@ def check_loss_component(
     perturb: bool = False,
 ) -> GradCheckResult:
     """Compare one component's analytic gradient with central differences."""
-    value_fn, grad_fn = _loss_pair(component)
+    kernel = _kernel(component)
     rng = np.random.default_rng(seed)
     combos = [(t, d) for t in lengths for d in channels]
     trials = []
@@ -139,10 +141,10 @@ def check_loss_component(
         t, d = combos[i % len(combos)]
         x = rng.uniform(-1.0, 1.0, size=(t, d))
         y = rng.uniform(-1.0, 1.0, size=(t, d))
-        analytic = np.asarray(grad_fn(x, y), dtype=float)
+        analytic = kernel(x[None], y[None], True)[1][0]
         if perturb:
             analytic = _corrupt(analytic)
-        fd = _fd_window_gradient(value_fn, x, y, step)
+        fd = _fd_window_gradient(kernel, x, y, step)
         trials.append((analytic, fd, ~_exclusion_mask(component, x, y)))
     return _fold(component, trials, LOSS_TOLERANCE)
 
@@ -150,7 +152,7 @@ def check_loss_component(
 def _kink_signature(x: np.ndarray, y: np.ndarray) -> tuple:
     """Sign pattern of every absolute-value argument in the combined loss."""
     shape_signs = np.sign(y - x)
-    slope_signs = np.sign(losses.trend_fit(y) - losses.trend_fit(x))
+    slope_signs = np.sign(_slope(y) - _slope(x))
     delta = np.fft.fft(y.T) - np.fft.fft(x.T)
     bins_ok = bool(np.abs(delta).min() > 1e-9)
     return (shape_signs.tobytes(), slope_signs.tobytes(), bins_ok)
@@ -167,7 +169,7 @@ def check_model_component(
     """End-to-end parameter gradients (loss o forward) against central differences."""
     if component not in MODEL_COMPONENTS:
         raise ValueError(f"unknown component {component!r}")
-    value_fn, grad_fn = _loss_pair(component.removeprefix("model_"))
+    kernel = _kernel(component.removeprefix("model_"))
     t, d = layer_sizes[0], 1
     tolerance = MODEL_MSE_TOLERANCE if component == "model_mse" else MODEL_COMBINED_TOLERANCE
     rng = np.random.default_rng(seed + 1)
@@ -176,7 +178,7 @@ def check_model_component(
         model = init_model(layer_sizes, seed=seed * 1000 + trial)
         x = rng.uniform(-1.0, 1.0, size=(t, d))
         acts = forward_batch(model, x.reshape(1, -1))
-        upstream = np.asarray(grad_fn(x, acts[-1].reshape(t, d))).reshape(1, -1)
+        upstream = kernel(x[None], acts[-1].reshape(1, t, d), True)[1].reshape(1, -1)
         analytic = backward_batch(model, acts, upstream)
         if perturb:
             analytic = _corrupt(analytic)
@@ -184,7 +186,7 @@ def check_model_component(
         def probe(k: int, value: float) -> tuple[float, tuple]:
             model.params[k] = value
             out = forward_batch(model, x.reshape(1, -1))[-1].reshape(t, d)
-            return value_fn(x, out), _kink_signature(x, out)
+            return float(kernel(x[None], out[None])[0][0]), _kink_signature(x, out)
 
         fd = np.zeros(model.params.size)
         keep = np.ones(model.params.size, dtype=bool)

@@ -1,10 +1,11 @@
 """Structure-aware reconstruction losses: trend, seasonality, shape, and MSE.
 
-Each component provides a value and an analytic gradient with respect to the
-reconstruction. Single-window functions accept a `Window` or a (t, d) array;
-the `*_batch` variants operate on stacked (B, t, d) arrays and are what the
-trainer and scorer call in their hot loops. Both paths share the same kernels;
-the seasonality kernel lives in `spectral` and is re-exported here.
+Each component is one `*_batch` kernel that takes a stack of windows X and
+its reconstruction XR, both (B, t, d), and returns the per-window values (B,)
+and, on request, the analytic gradients (B, t, d) with respect to XR. One
+window is the stack X[None]. The trainer, the scorer and the gradient check
+all call these kernels; the seasonality kernel lives in `spectral` and is
+re-exported here.
 
 Multivariate inputs are handled by computing trend and seasonality per channel
 and summing; shape and MSE already run over all entries.
@@ -15,21 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatchError
-from .series import Window
-from .spectral import seasonality_batch
+from .spectral import _check_pair, seasonality_batch
 
 TREND_VARIANTS = ("negated_log", "monotone")
 
 # Slope pairs closer than this are treated as a non-differentiable tie of the
 # trend term and get the subgradient 0.
 SLOPE_TIE = 1e-12
-
-ArrayLike = Union[Window, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -39,7 +36,7 @@ class LossWeights:
     `trend_variant` selects the trend term's form: "negated_log" is
     -ln(D + eps), which decreases as the slope discrepancy D grows, so
     minimizing it rewards trend mismatch; "monotone" is ln(D + eps) - ln(eps),
-    non-negative, zero at D = 0, and increasing in D. See `trend_loss`.
+    non-negative, zero at D = 0, and increasing in D. See `trend_batch`.
     The monotone form is the training default.
     """
 
@@ -62,16 +59,6 @@ class LossWeights:
             raise ConfigError(f"trend_variant must be one of {TREND_VARIANTS}")
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Per-component values and their weighted total."""
-
-    trend: float
-    seasonality: float
-    shape: float
-    total: float
-
-
 @lru_cache(maxsize=64)
 def _time_axis(t: int) -> np.ndarray:
     """Normalized time axis tau_j = -1 + 2j/(t-1), the degree-1 projection domain."""
@@ -89,28 +76,6 @@ def _slope_weights(t: int) -> tuple[np.ndarray, float]:
     return w, float(np.sum(np.abs(tau)))
 
 
-def _as_window_array(x: ArrayLike) -> np.ndarray:
-    data = x.data if isinstance(x, Window) else np.asarray(x, dtype=np.float64)
-    if data.ndim == 1:
-        data = data[:, None]
-    if data.ndim != 2:
-        raise ShapeMismatchError(f"expected a (t, d) window, got shape {data.shape}")
-    return data
-
-
-def _as_pair(x: ArrayLike, x_rec: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
-    a = _as_window_array(x)
-    b = _as_window_array(x_rec)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"window shapes differ: {a.shape} vs {b.shape}")
-    return a, b
-
-
-# ---------------------------------------------------------------------------
-# batched kernels, inputs of shape (B, t, d)
-# ---------------------------------------------------------------------------
-
-
 def slopes_batch(X: np.ndarray) -> np.ndarray:
     """Per-channel OLS slopes on the normalized time axis; (B, t, d) -> (B, d)."""
     t = X.shape[1]
@@ -121,7 +86,16 @@ def slopes_batch(X: np.ndarray) -> np.ndarray:
 
 
 def trend_batch(X, XR, epsilon: float, variant: str, want_grad: bool = False):
-    """Trend component values (B,) and optionally gradients (B, t, d)."""
+    """Trend component values (B,) and optionally gradients (B, t, d).
+
+    With slope discrepancy D = sum_c |a_c - b_c| * sum_j |tau_j| (intercepts
+    excluded, so constant offsets do not register):
+
+    - "negated_log": -ln(D + epsilon)
+    - "monotone":  ln(D + epsilon) - ln(epsilon), non-negative and zero at D=0
+
+    Channels whose slopes tie get the subgradient 0.
+    """
     if variant not in TREND_VARIANTS:
         raise ConfigError(f"trend_variant must be one of {TREND_VARIANTS}")
     t = X.shape[1]
@@ -155,6 +129,7 @@ def shape_batch(X, XR, want_grad: bool = False):
 
 def mse_batch(X, XR, want_grad: bool = False):
     """Mean squared error over all t*d entries; gradient 2(XR - X)/(t*d)."""
+    _check_pair(X, XR)
     diff = XR - X
     n = diff.shape[1] * diff.shape[2]
     values = np.sum(diff * diff, axis=(1, 2)) / n
@@ -170,6 +145,7 @@ def strad_batch(X, XR, weights: LossWeights, want_grad: bool = False):
     gradient array (B, t, d) or None. The total and the gradient are the
     identically weighted sums of the components.
     """
+    _check_pair(X, XR)
     tre, g1 = trend_batch(X, XR, weights.epsilon, weights.trend_variant, want_grad)
     sea, g2 = seasonality_batch(X, XR, want_grad)
     shp, g3 = shape_batch(X, XR, want_grad)
@@ -178,93 +154,3 @@ def strad_batch(X, XR, weights: LossWeights, want_grad: bool = False):
         return tre, sea, shp, total, None
     grads = weights.lambda1 * g1 + weights.lambda2 * g2 + weights.lambda3 * g3
     return tre, sea, shp, total, grads
-
-
-# ---------------------------------------------------------------------------
-# single-window API
-# ---------------------------------------------------------------------------
-
-
-def trend_fit(window: ArrayLike) -> np.ndarray:
-    """Per-channel OLS slope of the window against the normalized time axis."""
-    data = _as_window_array(window)
-    return slopes_batch(data[None])[0]
-
-
-def trend_loss(x: ArrayLike, x_rec: ArrayLike, epsilon: float = 1e-7,
-               variant: str = "monotone") -> float:
-    """Trend discrepancy term.
-
-    With slope discrepancy D = sum_c |a_c - b_c| * sum_j |tau_j| (intercepts
-    excluded, so constant offsets do not register):
-
-    - "negated_log": -ln(D + epsilon)
-    - "monotone":  ln(D + epsilon) - ln(epsilon), non-negative and zero at D=0
-    """
-    a, b = _as_pair(x, x_rec)
-    values, _ = trend_batch(a[None], b[None], epsilon, variant)
-    return float(values[0])
-
-
-def trend_loss_grad(x: ArrayLike, x_rec: ArrayLike, epsilon: float = 1e-7,
-                    variant: str = "monotone") -> np.ndarray:
-    """Gradient of `trend_loss` in the reconstruction; 0 for tied slopes."""
-    a, b = _as_pair(x, x_rec)
-    _, grads = trend_batch(a[None], b[None], epsilon, variant, want_grad=True)
-    return grads[0]
-
-
-def seasonality_loss(x: ArrayLike, x_rec: ArrayLike, split_parts: bool = False) -> float:
-    """Per-channel spectral L1 distance, summed over channels."""
-    a, b = _as_pair(x, x_rec)
-    values, _ = seasonality_batch(a[None], b[None], split_parts=split_parts)
-    return float(values[0])
-
-
-def seasonality_loss_grad(x: ArrayLike, x_rec: ArrayLike, split_parts: bool = False) -> np.ndarray:
-    a, b = _as_pair(x, x_rec)
-    _, grads = seasonality_batch(a[None], b[None], want_grad=True, split_parts=split_parts)
-    return grads[0]
-
-
-def shape_loss(x: ArrayLike, x_rec: ArrayLike) -> float:
-    """Sum of absolute differences over all t*d entries."""
-    a, b = _as_pair(x, x_rec)
-    values, _ = shape_batch(a[None], b[None])
-    return float(values[0])
-
-
-def shape_loss_grad(x: ArrayLike, x_rec: ArrayLike) -> np.ndarray:
-    """Entrywise sign(x_rec - x), with sign(0) = 0."""
-    a, b = _as_pair(x, x_rec)
-    _, grads = shape_batch(a[None], b[None], want_grad=True)
-    return grads[0]
-
-
-def mse_loss(x: ArrayLike, x_rec: ArrayLike) -> float:
-    a, b = _as_pair(x, x_rec)
-    values, _ = mse_batch(a[None], b[None])
-    return float(values[0])
-
-
-def mse_loss_grad(x: ArrayLike, x_rec: ArrayLike) -> np.ndarray:
-    a, b = _as_pair(x, x_rec)
-    _, grads = mse_batch(a[None], b[None], want_grad=True)
-    return grads[0]
-
-
-def strad_loss(x: ArrayLike, x_rec: ArrayLike, weights: LossWeights) -> LossBreakdown:
-    """Component values and their weighted total for one window pair."""
-    a, b = _as_pair(x, x_rec)
-    tre, sea, shp, total, _ = strad_batch(a[None], b[None], weights)
-    return LossBreakdown(
-        trend=float(tre[0]), seasonality=float(sea[0]), shape=float(shp[0]),
-        total=float(total[0]),
-    )
-
-
-def strad_grad(x: ArrayLike, x_rec: ArrayLike, weights: LossWeights) -> np.ndarray:
-    """Weighted sum of the component gradients, entrywise."""
-    a, b = _as_pair(x, x_rec)
-    _, _, _, _, grads = strad_batch(a[None], b[None], weights, want_grad=True)
-    return grads[0]

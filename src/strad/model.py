@@ -15,9 +15,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericError, ShapeMismatchError
-from .series import Window
 
 CHECKPOINT_MAGIC = "strad-checkpoint v2"
+
+# Adam's moment decay rates and denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _param_count(sizes: tuple[int, ...]) -> int:
@@ -95,15 +99,6 @@ def forward_batch(model: DenseAutoencoder, X: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def forward(model: DenseAutoencoder, window: Window) -> Window:
-    """Reconstruct one window; output has the window's shape and start."""
-    t, d = window.data.shape
-    if t * d != model.input_size:
-        raise ShapeMismatchError(f"window flattens to {t * d}, model expects {model.input_size}")
-    out = forward_batch(model, window.data.reshape(1, -1))[-1]
-    return Window(data=out.reshape(t, d), start=window.start)
-
-
 def backward_batch(model: DenseAutoencoder, acts: list[np.ndarray], upstream: np.ndarray) -> np.ndarray:
     """Parameter gradient summed over the batch, laid out like `model.params`.
 
@@ -126,19 +121,6 @@ def backward_batch(model: DenseAutoencoder, acts: list[np.ndarray], upstream: np
     return grad
 
 
-def parameter_gradients(model: DenseAutoencoder, window: Window, loss_grad: np.ndarray) -> np.ndarray:
-    """Exact gradient of (loss o forward) in every parameter, laid out like `model.params`.
-
-    `loss_grad` is the gradient of the loss with respect to the reconstruction,
-    shape (t, d).
-    """
-    t, d = window.data.shape
-    if loss_grad.shape != (t, d):
-        raise ShapeMismatchError(f"loss gradient shape {loss_grad.shape} != window shape {(t, d)}")
-    acts = forward_batch(model, window.data.reshape(1, -1))
-    return backward_batch(model, acts, loss_grad.reshape(1, -1))
-
-
 @dataclass
 class AdamState:
     """First/second moment accumulators, laid out like the model's `params`."""
@@ -147,15 +129,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
 
 
-def init_adam(model: DenseAutoencoder, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps_adam: float = 1e-8) -> AdamState:
-    return AdamState(step=0, m=np.zeros_like(model.params), v=np.zeros_like(model.params),
-                     lr=lr, beta1=beta1, beta2=beta2, eps_adam=eps_adam)
+def init_adam(model: DenseAutoencoder, lr: float = 1e-3) -> AdamState:
+    return AdamState(step=0, m=np.zeros_like(model.params), v=np.zeros_like(model.params), lr=lr)
 
 
 def adam_step(
@@ -167,11 +144,11 @@ def adam_step(
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient passed to adam_step")
     step = state.step + 1
-    correct1 = 1.0 - state.beta1 ** step
-    correct2 = 1.0 - state.beta2 ** step
-    m = state.beta1 * state.m + (1 - state.beta1) * grad
-    v = state.beta2 * state.v + (1 - state.beta2) * grad * grad
-    params = model.params - state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps_adam)
+    correct1 = 1.0 - ADAM_BETA1 ** step
+    correct2 = 1.0 - ADAM_BETA2 ** step
+    m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grad * grad
+    params = model.params - state.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
     if not np.isfinite(params).all():
         raise NumericError("model parameters became non-finite after an Adam step")
     return DenseAutoencoder(layer_sizes=model.layer_sizes, params=params), replace(state, step=step, m=m, v=v)

@@ -85,54 +85,6 @@ class TimeSeries:
 
 
 @dataclass(frozen=True)
-class Window:
-    """A length-t view into a parent series, starting at offset `start`."""
-
-    data: np.ndarray  # (t, d)
-    start: int = 0
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim == 1:
-            data = data[:, None]
-        if data.ndim != 2 or data.shape[0] < 1:
-            raise DataError(f"window data must be (t, d) with t >= 1, got {data.shape}")
-        if self.start < 0:
-            raise DataError(f"window start must be >= 0, got {self.start}")
-        object.__setattr__(self, "data", _readonly(data))
-
-    @property
-    def length(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class WindowSet:
-    """Sliding windows in start order; consecutive starts differ by `stride`.
-
-    `data` is one read-only (N, t, d) strided view of the parent series.
-    """
-
-    data: np.ndarray
-    stride: int
-
-    def __len__(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def window_length(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def windows(self) -> tuple[Window, ...]:
-        return tuple(Window(data=w, start=k * self.stride) for k, w in enumerate(self.data))
-
-
-@dataclass(frozen=True)
 class NormalizationStats:
     """Per-channel mean and clamped population standard deviation."""
 
@@ -247,11 +199,11 @@ def apply_normalization(series: TimeSeries, stats: NormalizationStats) -> TimeSe
     return TimeSeries(values=values, labels=series.labels, name=series.name)
 
 
-def sliding_windows(series: TimeSeries, length: int, stride: int = 1) -> WindowSet:
+def sliding_windows(series: TimeSeries, length: int, stride: int = 1) -> np.ndarray:
     """Cut the series into N = floor((M - t)/stride) + 1 windows of length t.
 
-    Window k covers rows [k*stride, k*stride + t). Window data are read-only
-    views of the parent array, not copies.
+    Returns one read-only (N, t, d) view of the parent array, not a copy;
+    window k covers rows [k*stride, k*stride + t).
     """
     if length < 1:
         raise DataError(f"window length must be >= 1, got {length}")
@@ -261,7 +213,7 @@ def sliding_windows(series: TimeSeries, length: int, stride: int = 1) -> WindowS
         raise DataError(f"window length {length} exceeds series length {series.length}")
     # (M - t + 1, d, t) -> every stride-th window -> (N, t, d); still a view
     view = np.lib.stride_tricks.sliding_window_view(series.values, length, axis=0)
-    return WindowSet(data=view[::stride].swapaxes(1, 2), stride=stride)
+    return view[::stride].swapaxes(1, 2)
 
 
 def segments_from_labels(labels) -> list[Segment]:

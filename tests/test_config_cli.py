@@ -338,6 +338,26 @@ class TestCliEval:
                      "-o", str(tmp_path / "rep")]) == 2
         assert "row 1" in capsys.readouterr().err
 
+    def test_nan_threshold_is_usage_error(self, tmp_path, capsys):
+        sc, data = self.write_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
+        out = tmp_path / "rep"
+        assert main(["eval", "--scores", str(sc), "--data", str(data),
+                     "--threshold", "nan", "-o", str(out)]) == 1
+        assert "--threshold" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+        # +/-inf stay valid: +inf is what a sweep that finds nothing returns
+        for value in ("inf", "-inf"):
+            assert main(["eval", "--scores", str(sc), "--data", str(data),
+                         f"--threshold={value}", "-o", str(out)]) == 0
+
+    def test_repeated_metric_is_usage_error(self, tmp_path, capsys):
+        sc, data = self.write_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
+        out = tmp_path / "rep"
+        assert main(["eval", "--scores", str(sc), "--data", str(data),
+                     "--metric", "rpa", "--metric", "rpa", "-o", str(out)]) == 1
+        assert "--metric" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
     def test_misaligned_inputs(self, tmp_path):
         sc, _ = self.write_pair(tmp_path, "x", [0, 1, 0], [0, 7, 0])
         _, data = self.write_pair(tmp_path, "y", [0, 1], [0, 7])
@@ -524,6 +544,7 @@ class TestExitCodes:
         'window.length="abc"', 'threshold.q="x"', "window.score_stride=null",  # were tracebacks
         "window.length=64.9", "seed=1.5", "model.hidden=[3.5]",  # were truncated silently
         "train.epochs=true", "window.train_stride=2.5", 'eval.metrics=["rpa", 1]',
+        'eval.metrics=["rpa", "rpa"]',  # was duplicate report columns
     ])
     def test_mistyped_value_is_usage_error(self, tmp_path, capsys, override):
         cfgp = write_config(tmp_path, small_config(tmp_path / "out"))

@@ -14,10 +14,10 @@ from strad.detector import (
     train,
 )
 from strad.errors import ConfigError, DataError, NumericError
-from strad.losses import LossWeights, seasonality_loss, trend_loss
+from strad.losses import LossWeights, seasonality_batch, trend_batch
 from strad.metrics import pa_counts, rpa_counts
-from strad.model import forward, init_model, default_layer_sizes
-from strad.series import TimeSeries, Window, segments_from_labels, sliding_windows
+from strad.model import forward_batch, init_model, default_layer_sizes
+from strad.series import TimeSeries, segments_from_labels, sliding_windows
 
 
 def identity_model(n):
@@ -40,12 +40,12 @@ def naive_score(model, series, t, stride, weights, mode):
     n = (series.length - t) // stride + 1
     for k in range(n):
         s = k * stride
-        w = Window(data=series.values[s : s + t], start=s)
-        rec = forward(model, w)
-        per_point = weights.lambda3 * np.abs(w.data - rec.data).sum(axis=1)
+        w = series.values[s : s + t][None]  # a one-window stack
+        rec = forward_batch(model, w.reshape(1, -1))[-1].reshape(w.shape)
+        per_point = weights.lambda3 * np.abs(w[0] - rec[0]).sum(axis=1)
         if mode == "strad_broadcast":
-            sea = seasonality_loss(w.data, rec.data)
-            tre = trend_loss(w.data, rec.data, weights.epsilon, "monotone")
+            sea = seasonality_batch(w, rec)[0][0]
+            tre = trend_batch(w, rec, weights.epsilon, "monotone")[0][0]
             per_point = per_point + (weights.lambda1 * tre + weights.lambda2 * sea) / t
         sums[s : s + t] += per_point
         cov[s : s + t] += 1

@@ -2,18 +2,23 @@ import numpy as np
 import pytest
 
 from strad.errors import CheckpointError, ConfigError, NumericError, ShapeMismatchError
-from strad.losses import mse_loss, mse_loss_grad
+from strad.losses import mse_batch
 from strad.model import (
     adam_step,
+    backward_batch,
     default_layer_sizes,
-    forward,
+    forward_batch,
     init_adam,
     init_model,
     load_checkpoint,
-    parameter_gradients,
     save_checkpoint,
 )
-from strad.series import TimeSeries, Window, sliding_windows
+from strad.series import TimeSeries, sliding_windows
+
+
+def reconstruct(model, X):
+    """The model's reconstruction of a (B, t, d) window stack, in the stack's shape."""
+    return forward_batch(model, X.reshape(len(X), -1))[-1].reshape(X.shape)
 
 
 class TestInit:
@@ -68,32 +73,33 @@ class TestForward:
         m = init_model([6, 3, 6], seed=0)
         for w in m.weights:
             w[...] = 0.0
-        out = forward(m, Window(data=np.ones((6, 1))))
-        assert np.all(out.data == 0)
+        out = reconstruct(m, np.ones((1, 6, 1)))
+        assert np.all(out == 0)
 
     def test_output_shape_matches_input(self):
         m = init_model([12, 5, 12], seed=3)
-        w = Window(data=np.random.default_rng(0).normal(size=(4, 3)), start=7)
-        out = forward(m, w)
-        assert out.data.shape == (4, 3) and out.start == 7
+        X = np.random.default_rng(0).normal(size=(2, 4, 3))
+        acts = forward_batch(m, X.reshape(2, -1))
+        assert acts[-1].shape == (2, 12)
 
     def test_identity_single_linear_layer(self):
         m = init_model((6, 6))
         m.weights[0][...] = np.eye(6)
-        x = np.random.default_rng(1).normal(size=(3, 2))
-        out = forward(m, Window(data=x))
-        assert np.allclose(out.data, x, atol=0)
+        x = np.random.default_rng(1).normal(size=(1, 3, 2))
+        out = reconstruct(m, x)
+        assert np.allclose(out, x, atol=0)
 
     def test_size_mismatch(self):
         m = init_model([8, 4, 8], seed=0)
         with pytest.raises(ShapeMismatchError):
-            forward(m, Window(data=np.zeros((3, 2))))
+            reconstruct(m, np.zeros((1, 3, 2)))
 
 
 class TestParameterGradients:
     def test_zero_upstream_all_zero(self):
         m = init_model([6, 4, 6], seed=2)
-        grad = parameter_gradients(m, Window(data=np.ones((6, 1))), np.zeros((6, 1)))
+        acts = forward_batch(m, np.ones((1, 6)))
+        grad = backward_batch(m, acts, np.zeros((1, 6)))
         assert grad.shape == m.params.shape and np.all(grad == 0)
 
     def test_matches_finite_differences_mse(self):
@@ -101,16 +107,17 @@ class TestParameterGradients:
         rng = np.random.default_rng(3)
         m = init_model([4, 3, 2, 3, 4], seed=5)
         assert m.params.size <= 50
-        x = rng.uniform(-1, 1, size=(4, 1))
-        recon = forward(m, Window(data=x)).data
-        analytic = parameter_gradients(m, Window(data=x), mse_loss_grad(x, recon))
+        x = rng.uniform(-1, 1, size=(1, 4, 1))
+        acts = forward_batch(m, x.reshape(1, -1))
+        _, loss_grad = mse_batch(x, acts[-1].reshape(x.shape), want_grad=True)
+        analytic = backward_batch(m, acts, loss_grad.reshape(1, -1))
         step = 1e-5
         for k in range(m.params.size):
             orig = m.params[k]
             m.params[k] = orig + step
-            hi = mse_loss(x, forward(m, Window(data=x)).data)
+            hi = mse_batch(x, reconstruct(m, x))[0][0]
             m.params[k] = orig - step
-            lo = mse_loss(x, forward(m, Window(data=x)).data)
+            lo = mse_batch(x, reconstruct(m, x))[0][0]
             m.params[k] = orig
             fd = (hi - lo) / (2 * step)
             denom = max(abs(analytic[k]), abs(fd), 1e-6)
@@ -119,7 +126,7 @@ class TestParameterGradients:
     def test_shape_mismatch(self):
         m = init_model([6, 3, 6], seed=0)
         with pytest.raises(ShapeMismatchError):
-            parameter_gradients(m, Window(data=np.zeros((6, 1))), np.zeros((3, 2)))
+            backward_batch(m, forward_batch(m, np.zeros((1, 6))), np.zeros((1, 3)))
 
 
 class TestAdam:

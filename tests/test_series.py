@@ -135,7 +135,7 @@ class TestSlidingWindows:
         ts = TimeSeries(values=np.arange(10.0))
         ws = sliding_windows(ts, 4, 2)
         assert len(ws) == 4
-        assert [w.start for w in ws.windows] == [0, 2, 4, 6]
+        assert [w[0, 0] for w in ws] == [0, 2, 4, 6]  # values equal indices: first value = start
 
     def test_full_length_single_window(self):
         ts = TimeSeries(values=np.arange(6.0))
@@ -144,7 +144,7 @@ class TestSlidingWindows:
     def test_overrun_excluded(self):
         ts = TimeSeries(values=np.arange(5.0))
         ws = sliding_windows(ts, 4, 3)
-        assert len(ws) == 1 and ws.windows[0].start == 0
+        assert len(ws) == 1 and ws[0, 0, 0] == 0
 
     def test_length_exceeds_series(self):
         with pytest.raises(DataError):
@@ -161,7 +161,7 @@ class TestSlidingWindows:
         rng = np.random.default_rng(m * 100 + t)
         ts = TimeSeries(values=rng.normal(size=(m, d)))
         ws = sliding_windows(ts, t, t)
-        flat = np.concatenate([w.data for w in ws.windows], axis=0)
+        flat = ws.reshape(-1, d)
         n = len(ws)
         assert np.array_equal(flat, ts.values[: n * t])
 
@@ -203,13 +203,13 @@ class TestImmutability:
         ts = TimeSeries(values=np.arange(8.0))
         ws = sliding_windows(ts, 4, 2)
         with pytest.raises(ValueError):
-            ws.windows[0].data[0, 0] = 1.0
+            ws[0][0, 0] = 1.0
 
     def test_window_set_is_one_read_only_view(self):
         ts = TimeSeries(values=np.arange(24.0).reshape(12, 2))
         ws = sliding_windows(ts, 4, 3)
-        assert ws.data.shape == (3, 4, 2)
-        assert np.shares_memory(ws.data, ts.values)
-        assert not ws.data.flags.writeable
-        for k, w in enumerate(ws.windows):
-            assert np.array_equal(ws.data[k], ts.values[3 * k : 3 * k + 4])
+        assert ws.shape == (3, 4, 2)
+        assert np.shares_memory(ws, ts.values)
+        assert not ws.flags.writeable
+        for k, w in enumerate(ws):
+            assert np.array_equal(w, ts.values[3 * k : 3 * k + 4])
