@@ -9,6 +9,7 @@ commands are config-file-first (`--config experiment.json`) with individual
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -51,7 +52,13 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     return load_config(args.config, overrides)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing leaves it unchanged: every call gets a fresh namespace, and
+    argparse copies an `append` option's default list before appending.
+    """
     parser = argparse.ArgumentParser(prog="strad",
                                      description="structure-aware anomaly detection experiments")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -130,7 +137,7 @@ def _cmd_eval(args) -> int:
     digest = hashlib.sha256()
     for name in args.scores + args.data:
         path = Path(name)
-        if path.exists():  # provenance reflects input content, not location
+        if path.is_file():  # provenance reflects input content, not location
             digest.update(path.read_bytes())
     digest = digest.hexdigest()[:12]
     report = run_eval_cmd(
@@ -203,10 +210,31 @@ _COMMANDS = {
 }
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """`--threshold -1e-05` as `--threshold=-1e-05`.
+
+    argparse takes a separate value that starts with '-' for an option unless
+    it is a plain decimal, so `-inf` and a negative number in exponent form,
+    as `%.17g` prints it, could only be given after '='.
+    """
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] == "--threshold" and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                joined[-1] = f"--threshold={arg}"
+                continue
+        joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -18,6 +18,7 @@ from typing import Any, Optional
 from .detector import LOSS_KINDS, THRESHOLD_METRICS, TrainConfig
 from .errors import ConfigError
 from .losses import TREND_VARIANTS, LossWeights
+from .series import read_text
 from .synth import ANOMALY_KINDS, SHAPELETS
 
 SCORE_MODE_CHOICES = ("auto", "shape_only", "strad_broadcast")
@@ -356,7 +357,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[list[str]] = Non
         if not file.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            raw = json.loads(file.read_text())
+            raw = json.loads(read_text(file, ConfigError))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(raw, dict):

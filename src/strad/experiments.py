@@ -62,6 +62,14 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _make_outdir(outdir: Path) -> None:
+    """Create the output directory and its parents; a file in the way is a usage error."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"output directory {outdir}: {exc.strerror}") from None
+
+
 def provenance(cfg: ExperimentConfig, **extra) -> str:
     parts = [f"config={cfg.hash}", f"seed={cfg.seed}"]
     parts += [f"{k}={v}" for k, v in extra.items()]
@@ -211,22 +219,21 @@ def run_arm(
 
 
 def write_series_csv(ts: TimeSeries, path, prov: str) -> None:
-    lines = [prov]
     header = [f"v{c}" for c in range(ts.channels)]
-    if ts.labels is not None:
+    row = ",".join(["%.17g"] * ts.channels)
+    values = ts.values.tolist()
+    if ts.labels is None:
+        rows = [row % tuple(v) for v in values]
+    else:
         header.append("label")
-    lines.append(",".join(header))
-    for i in range(ts.length):
-        row = [_fmt(v) for v in ts.values[i]]
-        if ts.labels is not None:
-            row.append(str(int(ts.labels[i])))
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+        row += ",%d"
+        rows = [row % (*v, lab) for v, lab in zip(values, ts.labels.tolist())]
+    Path(path).write_text("\n".join([prov, ",".join(header), *rows]) + "\n")
 
 
 def write_scores_csv(scores: ScoreSeries, path, prov: str) -> None:
     lines = [prov, "index,score"]
-    lines.extend(f"{i},{_fmt(s)}" for i, s in enumerate(scores.scores))
+    lines.extend("%d,%.17g" % row for row in enumerate(scores.scores.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -299,7 +306,7 @@ def _pretty(value) -> str:
 
 def run_synth(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     """Write train/test CSVs per synthetic dataset plus one manifest."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_outdir(outdir)
     written = []
     manifest = {"config_hash": cfg.hash, "seed": cfg.seed, "datasets": []}
     indices = [i for i, d in enumerate(cfg.datasets) if d.source == "synth"]
@@ -331,7 +338,7 @@ def run_synth(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 
 def run_train_cmd(cfg: ExperimentConfig, outdir: Path) -> tuple[Path, Path]:
     """Train on the first configured dataset; emit checkpoint and history."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_outdir(outdir)
     ds = cfg.datasets[0]
     train_raw, _ = materialize_dataset(cfg, 0)
     result = fit(cfg, train_raw)
@@ -344,7 +351,7 @@ def run_train_cmd(cfg: ExperimentConfig, outdir: Path) -> tuple[Path, Path]:
 
 def run_detect_cmd(cfg: ExperimentConfig, checkpoint: Path, outdir: Path) -> dict:
     """Score the first dataset's test split and threshold it."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_outdir(outdir)
     ds = cfg.datasets[0]
     model, _ = load_checkpoint(checkpoint)
     train_raw, test_raw = materialize_dataset(cfg, 0)
@@ -393,7 +400,7 @@ def run_eval_cmd(
     each metric is evaluated at that fixed threshold; otherwise a best-F1
     sweep runs per metric.
     """
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_outdir(outdir)
     if thresholds is not None and len(thresholds) == 1:
         thresholds = thresholds * len(pairs)
     if thresholds is not None and len(thresholds) != len(pairs):
@@ -497,7 +504,7 @@ def run_compare(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> Compare
             summary.append(row)
 
     if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
+        _make_outdir(outdir)
         write_table(per_arm_dataset, ["arm", "dataset", "segments",
                                        *_metric_columns(cfg.eval_metrics)],
                     outdir / "comparison.csv", outdir / "comparison.txt", provenance(cfg))
@@ -538,7 +545,7 @@ def run_ablate(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> list[dic
                 [(r.segment_count, r.f1[metric]) for r in arm_results])
         rows.append(row)
     if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
+        _make_outdir(outdir)
         columns = ["trend", "seasonality", "shape"]
         columns += [f"entire_{m}_f1" for m in cfg.eval_metrics]
         for ds in cfg.datasets:

@@ -169,8 +169,19 @@ def adam_step(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(values: np.ndarray) -> str:
-    return " ".join(f"{v:.17g}" for v in values)
+def _fmt_rows(matrix: np.ndarray) -> list[str]:
+    """One line of %.17g numbers per row: one template applied to each row.
+
+    Rows go to Python floats one at a time, so a wide matrix never exists
+    as Python objects all at once.
+    """
+    row = " ".join(["%.17g"] * matrix.shape[1])
+    return [row % tuple(r.tolist()) for r in matrix]
+
+
+def _parse_row(line: str) -> np.ndarray:
+    """The numbers of one line, each parsed by `float` as written."""
+    return np.fromiter(map(float, line.split()), np.float64)
 
 
 def save_checkpoint(model: DenseAutoencoder, path, meta: Optional[dict] = None) -> None:
@@ -181,9 +192,9 @@ def save_checkpoint(model: DenseAutoencoder, path, meta: Optional[dict] = None) 
     lines.append("sizes " + " ".join(str(s) for s in model.layer_sizes))
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         lines.append(f"W {i} {w.shape[0]} {w.shape[1]}")
-        lines.extend(_fmt(row) for row in w)
+        lines.extend(_fmt_rows(w))
         lines.append(f"b {i} {b.shape[0]}")
-        lines.append(_fmt(b))
+        lines.extend(_fmt_rows(b[None]))
     lines.append("end")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -218,13 +229,14 @@ def load_checkpoint(path) -> tuple[DenseAutoencoder, dict]:
             rows, cols = sizes[i + 1], sizes[i]
             if lines[pos].split() != ["W", str(i), str(rows), str(cols)]:
                 raise CheckpointError(f"{path}: expected weight block {i} of shape {(rows, cols)}")
-            w = np.array([[float(v) for v in lines[pos + 1 + r].split()] for r in range(rows)])
+            # row by row, so only one row's strings are alive at a time
+            w = [_parse_row(lines[pos + 1 + r]) for r in range(rows)]
             pos += 1 + rows
             if lines[pos].split() != ["b", str(i), str(rows)]:
                 raise CheckpointError(f"{path}: expected bias block {i}")
-            b = np.array([float(v) for v in lines[pos + 1].split()])
+            b = _parse_row(lines[pos + 1])
             pos += 2
-            if w.shape != (rows, cols) or b.shape != (rows,):
+            if any(r.shape != (cols,) for r in w) or b.shape != (rows,):
                 raise CheckpointError(f"{path}: block {i} has the wrong number of values")
             blocks.append((w, b))
         if lines[pos:] != ["end"]:  # so a file cut inside its last number fails to load
@@ -233,8 +245,9 @@ def load_checkpoint(path) -> tuple[DenseAutoencoder, dict]:
         raise CheckpointError(f"{path}: truncated or malformed checkpoint: {exc}") from None
     # allocate only after every block parsed, so the file bounds the model's size
     model = DenseAutoencoder(layer_sizes=sizes, params=np.zeros(_param_count(sizes)))
-    for w, b, (w_block, b_block) in zip(model.weights, model.biases, blocks):
-        w[...] = w_block
+    for w, b, (w_rows, b_block) in zip(model.weights, model.biases, blocks):
+        for dst, src in zip(w, w_rows):
+            dst[...] = src
         b[...] = b_block
     if not np.isfinite(model.params).all():
         raise CheckpointError(f"{path}: checkpoint contains non-finite parameters")

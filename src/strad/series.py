@@ -7,6 +7,7 @@ read-only), so they can be shared freely between threads.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,6 +115,23 @@ class Segment:
         return self.end - self.start + 1
 
 
+def read_text(path, decode_error: type[Exception]) -> str:
+    """The whole text of `path`, with its line ends as written (newline="").
+
+    A path that names no readable regular file, such as a directory, raises
+    FileNotFoundError; bytes that do not decode raise `decode_error`.
+    """
+    try:
+        with open(path, newline="") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"no such file: {path}") from None
+    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        raise FileNotFoundError(f"{path}: not a readable file ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise decode_error(f"{path}: cannot decode: {exc}") from None
+
+
 def load_csv(
     path,
     value_columns: Sequence[str],
@@ -122,23 +140,78 @@ def load_csv(
 ) -> TimeSeries:
     """Load a series from a headed CSV file.
 
-    Row order defines time order; there is no timestamp parsing. Leading lines
+    Row order defines time order; there is no timestamp parsing. Lines
     starting with '#' are treated as provenance comments and skipped. Value
     cells are parsed as decimal floats, the label column as integer 0/1.
+
+    A plain file (no quotes, no carriage returns, every row as wide as the
+    header), as strad writes them, is parsed a whole column at a time; any
+    other file, or any cell the column pass rejects, goes through the
+    row-by-row parse, which names the first bad row and column. Both give
+    the same arrays.
 
     Raises
     ------
     FileNotFoundError
-        If `path` does not exist.
+        If `path` does not name a readable file.
+    DataError
+        If the file is not valid text.
     MissingColumnError, NonNumericCellError, NonBinaryLabelError,
     NonFiniteValueError
         On the corresponding malformed content, naming row and column.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    text = read_text(path, DataError)
+    values, labels = (_parse_columns(text, value_columns, label_column)
+                      or _parse_rows(path, text, value_columns, label_column))
+    return TimeSeries(values=values, labels=labels, name=name or path.stem)
+
+
+def _parse_columns(text: str, value_columns: Sequence[str], label_column: Optional[str]):
+    """(values, labels) of a plain file in one pass per column, or None.
+
+    None means the row loop must decide: it accepts everything accepted here,
+    with bit-identical results, and alone raises the errors that name a cell.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    lines = [ln for ln in text.split("\n") if ln and ln[0] != "#"]
+    if len(lines) < 2:
+        return None
+    header, data = lines[0].split(","), lines[1:]
+    col_index = {c: i for i, c in enumerate(header)}
+    wanted = list(value_columns) + ([label_column] if label_column else [])
+    if any(c not in col_index for c in wanted):
+        return None
+    # a row the csv module would split differently, or a line long enough to
+    # hold a cell over the csv module's field limit
+    ncol = len(header)
+    if ({ln.count(",") for ln in data} != {ncol - 1}
+            or max(map(len, data)) > csv.field_size_limit()):
+        return None
+    cells = ",".join(data).split(",")
+    values = np.empty((len(data), len(value_columns)), dtype=np.float64)
+    try:
+        for j, col in enumerate(value_columns):
+            values[:, j] = np.fromiter(map(float, cells[col_index[col]::ncol]), np.float64,
+                                       len(data))
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    if not label_column:
+        return values, None
+    stripped = [c.strip() for c in cells[col_index[label_column]::ncol]]
+    if not set(stripped) <= {"0", "1"}:
+        return None
+    return values, np.array(stripped, dtype=np.int64)
+
+
+def _parse_rows(path: Path, text: str, value_columns: Sequence[str],
+                label_column: Optional[str]):
+    """(values, labels) by the csv module, one cell at a time."""
+    rows = [r for r in csv.reader(io.StringIO(text, newline=""))
+            if r and not r[0].startswith("#")]
     if not rows:
         raise DataError(f"{path}: no header row")
     header, data_rows = rows[0], rows[1:]
@@ -178,7 +251,7 @@ def load_csv(
                     f"{path}: row {i}, column {label_column!r}: {cell!r} is not 0/1"
                 )
             labels[i] = lab
-    return TimeSeries(values=values, labels=labels, name=name or path.stem)
+    return values, labels
 
 
 def fit_normalization(series: TimeSeries) -> NormalizationStats:

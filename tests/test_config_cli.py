@@ -246,19 +246,20 @@ class TestCliDetect:
         assert code == 2
 
 
-class TestCliEval:
-    def write_pair(self, tmp_path, name, labels, scores):
-        data = tmp_path / f"{name}.csv"
-        lines = ["v0,label"] + [f"0.0,{l}" for l in labels]
-        data.write_text("\n".join(lines) + "\n")
-        sc = tmp_path / f"{name}_scores.csv"
-        sc.write_text("index,score\n" + "\n".join(f"{i},{s}" for i, s in enumerate(scores)) + "\n")
-        return sc, data
+def write_eval_pair(tmp_path, name, labels, scores):
+    data = tmp_path / f"{name}.csv"
+    lines = ["v0,label"] + [f"0.0,{l}" for l in labels]
+    data.write_text("\n".join(lines) + "\n")
+    sc = tmp_path / f"{name}_scores.csv"
+    sc.write_text("index,score\n" + "\n".join(f"{i},{s}" for i, s in enumerate(scores)) + "\n")
+    return sc, data
 
+
+class TestCliEval:
     def test_single_dataset_entire_equals_own(self, tmp_path):
         labels = [0, 1, 1, 0, 0, 1, 0]
         scores = [0, 5, 0, 0, 0, 5, 0]
-        sc, data = self.write_pair(tmp_path, "solo", labels, scores)
+        sc, data = write_eval_pair(tmp_path, "solo", labels, scores)
         out = tmp_path / "rep"
         assert main(["eval", "--scores", str(sc), "--data", str(data),
                      "--metric", "rpa", "-o", str(out)]) == 0
@@ -274,8 +275,8 @@ class TestCliEval:
         scores_a = [5, 0, 0, 0, 0, 0, 0, 5]
         labels_b = [1, 0, 1, 0, 1, 0]
         scores_b = [9, 0, 9, 0, 9, 0]
-        sa, da = self.write_pair(tmp_path, "a", labels_a, scores_a)
-        sb, db = self.write_pair(tmp_path, "b", labels_b, scores_b)
+        sa, da = write_eval_pair(tmp_path, "a", labels_a, scores_a)
+        sb, db = write_eval_pair(tmp_path, "b", labels_b, scores_b)
         out = tmp_path / "rep"
         assert main(["eval", "--scores", str(sa), "--data", str(da),
                      "--scores", str(sb), "--data", str(db),
@@ -292,7 +293,7 @@ class TestCliEval:
         assert float(entire["pa_f1"]) == pytest.approx(0.8)
 
     def test_both_metrics_emitted(self, tmp_path):
-        sc, data = self.write_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
+        sc, data = write_eval_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
         out = tmp_path / "rep"
         assert main(["eval", "--scores", str(sc), "--data", str(data), "-o", str(out)]) == 0
         header = [l for l in (out / "report.csv").read_text().splitlines()
@@ -304,8 +305,8 @@ class TestCliEval:
         # it reaches F1 = 1 on any labelled input; PA on a lone spike is not.
         rng = np.random.default_rng(5)
         labels = (rng.uniform(size=50) < 0.3).astype(int)
-        sr, dr = self.write_pair(tmp_path, "random", labels, rng.normal(size=50))
-        ss, ds = self.write_pair(tmp_path, "spike", [0, 0, 1, 0], [0.0, 0.0, 9.0, 0.0])
+        sr, dr = write_eval_pair(tmp_path, "random", labels, rng.normal(size=50))
+        ss, ds = write_eval_pair(tmp_path, "spike", [0, 0, 1, 0], [0.0, 0.0, 9.0, 0.0])
         out = tmp_path / "rep"
         assert main(["eval", "--scores", str(sr), "--data", str(dr),
                      "--scores", str(ss), "--data", str(ds), "-o", str(out)]) == 0
@@ -320,7 +321,7 @@ class TestCliEval:
 
     @pytest.mark.parametrize("bad_row", ["1,abc", "1"])
     def test_malformed_score_row_exits_2(self, tmp_path, capsys, bad_row):
-        sc, data = self.write_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
+        sc, data = write_eval_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
         lines = sc.read_text().splitlines()
         lines[2] = bad_row
         sc.write_text("\n".join(lines) + "\n")
@@ -330,7 +331,7 @@ class TestCliEval:
 
     @pytest.mark.parametrize("bad_row", ["0.0", "0.0,x", "0.0,2"])
     def test_malformed_label_row_exits_2(self, tmp_path, capsys, bad_row):
-        sc, data = self.write_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
+        sc, data = write_eval_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
         lines = data.read_text().splitlines()
         lines[2] = bad_row
         data.write_text("\n".join(lines) + "\n")
@@ -339,7 +340,7 @@ class TestCliEval:
         assert "row 1" in capsys.readouterr().err
 
     def test_nan_threshold_is_usage_error(self, tmp_path, capsys):
-        sc, data = self.write_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
+        sc, data = write_eval_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
         out = tmp_path / "rep"
         assert main(["eval", "--scores", str(sc), "--data", str(data),
                      "--threshold", "nan", "-o", str(out)]) == 1
@@ -351,16 +352,28 @@ class TestCliEval:
                          f"--threshold={value}", "-o", str(out)]) == 0
 
     def test_repeated_metric_is_usage_error(self, tmp_path, capsys):
-        sc, data = self.write_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
+        sc, data = write_eval_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
         out = tmp_path / "rep"
         assert main(["eval", "--scores", str(sc), "--data", str(data),
                      "--metric", "rpa", "--metric", "rpa", "-o", str(out)]) == 1
         assert "--metric" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("value", ["-inf", "-1e-05", "%.17g" % -3.2e-07])
+    def test_separate_negative_threshold_equals_joined_form(self, tmp_path, value):
+        # `%.17g` prints a small negative threshold in exponent form, as
+        # `detect` does; argparse took such a separate value for an option
+        sc, data = write_eval_pair(tmp_path, "m", [0, 1, 0], [-1.0, 7.0, -5e-06])
+        outs = tmp_path / "separate", tmp_path / "joined"
+        assert main(["eval", "--scores", str(sc), "--data", str(data),
+                     "--threshold", value, "-o", str(outs[0])]) == 0
+        assert main(["eval", "--scores", str(sc), "--data", str(data),
+                     f"--threshold={value}", "-o", str(outs[1])]) == 0
+        assert (outs[0] / "report.csv").read_bytes() == (outs[1] / "report.csv").read_bytes()
+
     def test_misaligned_inputs(self, tmp_path):
-        sc, _ = self.write_pair(tmp_path, "x", [0, 1, 0], [0, 7, 0])
-        _, data = self.write_pair(tmp_path, "y", [0, 1], [0, 7])
+        sc, _ = write_eval_pair(tmp_path, "x", [0, 1, 0], [0, 7, 0])
+        _, data = write_eval_pair(tmp_path, "y", [0, 1], [0, 7])
         assert main(["eval", "--scores", str(sc), "--data", str(data)]) == 2
 
 
@@ -564,7 +577,74 @@ class TestExitCodes:
         assert main(["synth", "-c", cfgp, "--set", override]) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_parser_built_once_without_leaking_values(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        first = parser.parse_args(["synth", "--set", "seed=1", "--set", "seed=2"])
+        second = parser.parse_args(["synth"])
+        assert first.overrides == ["seed=1", "seed=2"]
+        assert second.overrides == []
+        assert parser.parse_args(["eval", "--scores", "s", "--data", "d",
+                                  "--threshold", "1"]).threshold == [1.0]
+        assert parser.parse_args(["eval", "--scores", "s", "--data", "d"]).threshold is None
+
     def test_output_dir_is_taken_verbatim(self, tmp_path):
         odd = str(tmp_path / 'runs\\new "q" x\\u0041')
         args = build_parser().parse_args(["synth", "-o", odd])
         assert _load(args).output_dir == odd
+
+
+class TestInputOutputPaths:
+    """Paths that name the wrong kind of file, and files that are not text."""
+
+    def eval_args(self, tmp_path, scores=None, data=None, out=None):
+        sc, dt = write_eval_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
+        return ["eval", "--scores", str(scores or sc), "--data", str(data or dt),
+                "-o", str(out or tmp_path / "rep")]
+
+    @pytest.mark.parametrize("which", ["scores", "data"])
+    def test_directory_as_eval_input_exits_1(self, tmp_path, capsys, which):
+        assert main(self.eval_args(tmp_path, **{which: tmp_path})) == 1
+        assert "not a readable file" in capsys.readouterr().err
+
+    def test_directory_as_config_exits_1(self, tmp_path, capsys):
+        assert main(["synth", "-c", str(tmp_path)]) == 1
+        assert "not a readable file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["scores", "data"])
+    def test_undecodable_eval_input_exits_2(self, tmp_path, capsys, which):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"index,score,label\n0,1.0,0\n1,\xff\xfe,1\n")
+        assert main(self.eval_args(tmp_path, **{which: bad})) == 2
+        assert "cannot decode" in capsys.readouterr().err
+
+    def test_undecodable_series_csv_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"v0,label\n\xff,0\n")
+        doc = small_config(tmp_path / "out")
+        doc["datasets"] = [{"name": "ext", "source": "csv",
+                            "csv": {"train_path": str(bad), "test_path": str(bad)}}]
+        assert main(["train", "-c", write_config(tmp_path, doc)]) == 2
+        assert "cannot decode" in capsys.readouterr().err
+
+    def test_undecodable_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"seed": 1, "name": "\xff"}')
+        assert main(["synth", "-c", str(cfg)]) == 1
+        assert "cannot decode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth", "eval"])
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_file_in_the_way_of_output_dir_exits_1(self, tmp_path, capsys, command,
+                                                   under_file):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / "sub" if under_file else blocker
+        if command == "synth":
+            args = ["synth", "-c", write_config(tmp_path, small_config(tmp_path / "x")),
+                    "-o", str(out)]
+        else:
+            args = self.eval_args(tmp_path, out=out)
+        assert main(args) == 1
+        assert "output directory" in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory\n"

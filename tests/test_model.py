@@ -234,6 +234,32 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path)
 
+    def test_resave_is_byte_identical(self, tmp_path):
+        # signed zeros, subnormals, the extremes and integers, in every block
+        m = init_model([8, 4, 2, 4, 8], seed=9)
+        odd = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+               1.7976931348623157e308, 3.0, -2.0 ** 53, 0.1, 1 / 3]
+        m.params[: len(odd)] = odd
+        m.params[-len(odd):] = odd
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(m, first, meta={"seed": "9"})
+        loaded, meta = load_checkpoint(first)
+        save_checkpoint(loaded, second, meta=meta)
+        assert first.read_bytes() == second.read_bytes()
+        assert loaded.params.tobytes() == m.params.tobytes()
+        assert first.read_text().splitlines()[4].split() == [f"{v:.17g}" for v in m.weights[0][0]]
+
+    def test_row_of_wrong_width_is_checkpoint_error(self, tmp_path):
+        # one number moved from the first row to the second keeps the block's count
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model([6, 3, 6], seed=2), path)
+        lines = path.read_text().splitlines()
+        first = lines[3].split()
+        lines[3], lines[4] = " ".join(first[:-1]), lines[4] + " " + first[-1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match="wrong number of values"):
+            load_checkpoint(path)
+
     def test_save_is_deterministic(self, tmp_path):
         m = init_model([6, 3, 6], seed=11)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

@@ -1,7 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from strad.detector import ScoreSeries
 
 from strad.errors import (
     DataError,
@@ -11,6 +15,7 @@ from strad.errors import (
     NonNumericCellError,
     ShapeMismatchError,
 )
+from strad.experiments import read_scores_csv, write_scores_csv, write_series_csv
 from strad.series import (
     STD_FLOOR,
     Segment,
@@ -18,6 +23,8 @@ from strad.series import (
     apply_normalization,
     fit_normalization,
     labels_from_segments,
+    _parse_columns,
+    _parse_rows,
     load_csv,
     segments_from_labels,
     sliding_windows,
@@ -76,6 +83,171 @@ class TestLoadCsv:
         path = write_csv(tmp_path, "# config=abc seed=0\nv\n5.0\n")
         ts = load_csv(path, ["v"])
         assert ts.length == 1
+
+
+# Cells that the column pass must either read exactly as `float`/`int` do,
+# or leave to the row loop: quoting, padding, underscores, non-ASCII digits,
+# non-finite and out-of-range values, and labels that only `int` accepts.
+ODD_CELLS = ['"0.5"', " 0.5 ", "\t1", "", " ", "abc", "nan", "inf", "-inf", "1e400",
+             "4.9e-324", "-0", "1_000", "\u0661", "+1", "01", " 1", "1 ", "2", "1.0", "0x1"]
+
+
+@st.composite
+def csv_cases(draw):
+    """(text, value_columns, label_column): a valid strad-like file, then mutations."""
+    ncol = draw(st.integers(1, 4))
+    header = [f"c{j}" for j in range(ncol)]
+    label = draw(st.sampled_from([None, header[-1]]))
+    finite = st.floats(allow_nan=False, allow_infinity=False).map("%.17g".__mod__)
+    rows = [[draw(st.sampled_from(["0", "1"])) if h == label else draw(finite) for h in header]
+            for _ in range(draw(st.integers(0, 6)))]
+    value_columns = draw(st.lists(st.sampled_from(header), min_size=1, max_size=3))
+    value_columns += draw(st.sampled_from([[]] * 9 + [["absent"]]))
+    lines = [",".join(r) for r in rows]
+    newline = "\n"
+    for kind, at, value in draw(st.lists(
+            st.tuples(st.sampled_from(["cell", "cell", "cell", "quote", "drop", "comma",
+                                       "comment", "blank", "crlf"]),
+                      st.integers(0, 24), st.sampled_from(ODD_CELLS)), max_size=3)):
+        if kind == "crlf":
+            newline = "\r\n"
+            continue
+        if not rows:
+            continue
+        r = at % len(rows)
+        c = at % max(len(rows[r]), 1)
+        if kind == "cell" and rows[r]:
+            rows[r][c] = value
+        elif kind == "quote" and rows[r]:
+            rows[r][c] = f'"{rows[r][c]}"'
+        elif kind == "drop":
+            rows[r] = rows[r][:-1]
+        elif kind == "comma":
+            rows[r] = rows[r] + [""]
+        lines = [",".join(row) for row in rows]
+        if kind in ("comment", "blank"):
+            lines.insert(r, "# note, mid-file" if kind == "comment" else "")
+    text = newline.join(["# config=x seed=0", ",".join(header), *lines])
+    text += draw(st.sampled_from([newline, ""]))
+    return text, value_columns, label
+
+
+def _outcome(load):
+    try:
+        ts = load()
+    except DataError as exc:
+        return type(exc), str(exc)
+    labels = None if ts.labels is None else (ts.labels.dtype, ts.labels.tobytes())
+    return ts.values.shape, ts.values.tobytes(), labels
+
+
+class TestColumnPass:
+    """The column pass of `load_csv` against the row loop as the oracle."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=csv_cases())
+    def test_agrees_with_row_loop(self, tmp_path, case):
+        text, value_columns, label = case
+        path = tmp_path / "data.csv"
+        path.write_text(text, newline="")
+        expected = _outcome(lambda: TimeSeries(
+            *_parse_rows(path, text, value_columns, label), name=path.stem))
+        assert _outcome(lambda: load_csv(path, value_columns, label)) == expected
+        if _parse_columns(text, value_columns, label) is not None:
+            assert not isinstance(expected[0], type)  # accepted only what the loop accepts
+
+    @pytest.mark.parametrize("cell", ODD_CELLS)
+    def test_every_odd_cell_agrees(self, tmp_path, cell):
+        for header, row, label in (("v", cell, None), ("v,label", f"1.5,{cell}", "label")):
+            text = f"{header}\n{row}\n"
+            path = write_csv(tmp_path, text)
+            expected = _outcome(lambda: TimeSeries(
+                *_parse_rows(path, text, ["v"], label), name=path.stem))
+            assert _outcome(lambda: load_csv(path, ["v"], label)) == expected
+
+    def test_strad_files_take_the_column_pass(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        ts = TimeSeries(values=rng.normal(size=(40, 2)),
+                        labels=(rng.uniform(size=40) < 0.3).astype(np.int64))
+        scores = np.abs(rng.normal(size=40))
+        write_series_csv(ts, tmp_path / "series.csv", "# config=x seed=0")
+        write_scores_csv(ScoreSeries(scores=scores, coverage=np.ones(40, dtype=np.int64)),
+                         tmp_path / "scores.csv", "# config=x seed=0")
+
+        def no_row_loop(*args, **kwargs):
+            raise AssertionError("the row loop ran on a file strad wrote")
+
+        monkeypatch.setattr(csv, "reader", no_row_loop)
+        back = load_csv(tmp_path / "series.csv", ["v0", "v1"], "label")
+        assert back.values.tobytes() == ts.values.tobytes()
+        assert np.array_equal(back.labels, ts.labels)
+        assert read_scores_csv(tmp_path / "scores.csv").tobytes() == scores.tobytes()
+
+
+# Floats whose `%.17g` text is easy to get wrong: signed zeros, subnormals,
+# the extremes, integers beyond 2**53 and short decimals.
+ADVERSARIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                      1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0,
+                      2.0 ** 53, 2.0 ** 53 + 2, 1e16, 123456789.0, 0.1, 1 / 3, -2.5e-7]
+
+
+def _old_fmt(value) -> str:
+    return f"{value:.17g}"
+
+
+def _old_series_csv(ts: TimeSeries, prov: str) -> str:
+    """The per-value rendering `write_series_csv` must reproduce byte for byte."""
+    lines = [prov]
+    header = [f"v{c}" for c in range(ts.channels)]
+    if ts.labels is not None:
+        header.append("label")
+    lines.append(",".join(header))
+    for i in range(ts.length):
+        row = [_old_fmt(v) for v in ts.values[i]]
+        if ts.labels is not None:
+            row.append(str(int(ts.labels[i])))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _old_scores_csv(scores: np.ndarray, prov: str) -> str:
+    lines = [prov, "index,score"]
+    lines.extend(f"{i},{_old_fmt(s)}" for i, s in enumerate(scores))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriters:
+    def adversarial(self, n):
+        rng = np.random.default_rng(11)
+        values = np.concatenate([ADVERSARIAL_FLOATS, rng.normal(size=n),
+                                 rng.normal(size=n) * 1e-310, rng.normal(size=n) * 1e300])
+        return values
+
+    def test_template_equals_per_value_format(self):
+        values = self.adversarial(300)
+        row = " ".join(["%.17g"] * values.size)
+        assert row % tuple(values.tolist()) == " ".join(_old_fmt(v) for v in values)
+        assert all("%.17g" % v == _old_fmt(v) for v in values.tolist())
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_series_csv_matches_per_value_rendering(self, tmp_path, channels, labelled):
+        values = self.adversarial(40)
+        values = values[: values.size // channels * channels].reshape(-1, channels)
+        labels = np.arange(values.shape[0]) % 3 == 0 if labelled else None
+        ts = TimeSeries(values=values, labels=labels)
+        path = tmp_path / "series.csv"
+        write_series_csv(ts, path, "# config=x seed=0")
+        assert path.read_text() == _old_series_csv(ts, "# config=x seed=0")
+
+    def test_scores_csv_matches_per_value_rendering(self, tmp_path):
+        scores = self.adversarial(40)
+        path = tmp_path / "scores.csv"
+        write_scores_csv(ScoreSeries(scores=scores, coverage=np.ones(scores.size)), path,
+                         "# config=x seed=0")
+        assert path.read_text() == _old_scores_csv(scores, "# config=x seed=0")
+        assert read_scores_csv(path).tobytes() == scores.tobytes()
 
 
 class TestNormalization:
