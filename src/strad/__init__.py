@@ -12,7 +12,6 @@ from .detector import (
 from .losses import LossWeights
 from .metrics import (
     ConfusionCounts,
-    EvalReport,
     air,
     avg_improved,
     entire_f1,

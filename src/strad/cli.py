@@ -140,7 +140,7 @@ def _cmd_eval(args) -> int:
         if path.is_file():  # provenance reflects input content, not location
             digest.update(path.read_bytes())
     digest = digest.hexdigest()[:12]
-    report = run_eval_cmd(
+    *rows, entire = run_eval_cmd(
         pairs=[(Path(s), Path(d)) for s, d in zip(args.scores, args.data)],
         metrics=metrics,
         outdir=Path(args.output_dir),
@@ -148,12 +148,11 @@ def _cmd_eval(args) -> int:
         thresholds=args.threshold,
         prov=f"# config=eval-{digest} seed=0",
     )
-    for row in report.rows:
-        cells = " ".join(f"{m}_f1={getattr(row, f'{m}_f1'):.6f}"
-                         + (f" {DEGENERATE}" if m in row.degenerate else "") for m in metrics)
-        print(f"{row.name}: segments={row.segment_count} {cells}")
-    entire = " ".join(f"{m}_f1={getattr(report, f'entire_{m}_f1'):.6f}" for m in metrics)
-    print(f"ENTIRE: {entire}")
+    for row in rows:
+        cells = " ".join(f"{m}_f1={row[f'{m}_f1']:.6f}"
+                         + (f" {DEGENERATE}" if m in row["degenerate"] else "") for m in metrics)
+        print(f"{row['name']}: segments={row['segments']} {cells}")
+    print("ENTIRE: " + " ".join(f"{m}_f1={entire[f'{m}_f1']:.6f}" for m in metrics))
     return EXIT_OK
 
 
@@ -179,6 +178,8 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     results = gradcheck_mod.run_all(
         seed=args.seed,
         n_windows=args.windows,
@@ -242,7 +243,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StradError as exc:

@@ -127,6 +127,8 @@ def _merge(default: Any, given: Any, path: str) -> Any:
     if not _scalar_ok(default, given, key):
         expected = {float: "a number", str: "a string"}.get(type(default), "an integer")
         raise ConfigError(f"{path[:-1]}: expected {expected}, got {given!r}")
+    if isinstance(given, str) and "\x00" in given:  # no file name may hold one
+        raise ConfigError(f"{path[:-1]}: contains a NUL character")
     return given
 
 
@@ -239,6 +241,7 @@ def _require(condition: bool, message: str) -> None:
 
 def build(resolved: dict) -> ExperimentConfig:
     """Validate a resolved document and construct the typed configuration."""
+    _require(resolved["seed"] >= 0, "seed must be >= 0")
     window = resolved["window"]
     length = window["length"]
     _require(length >= 2, "window.length must be >= 2")
@@ -286,6 +289,8 @@ def build(resolved: dict) -> ExperimentConfig:
     for i, ds in enumerate(resolved["datasets"]):
         _require(ds["source"] in ("synth", "csv"), f"datasets.{i}.source must be synth or csv")
         synth_cfg = ds["synth"]
+        _require(synth_cfg["seed"] is None or synth_cfg["seed"] >= 0,
+                 f"datasets.{i}.synth.seed must be >= 0")
         for ch in synth_cfg["channels"]:
             _require(ch["shapelet"] in SHAPELETS,
                      f"datasets.{i}: shapelet must be one of {SHAPELETS}")

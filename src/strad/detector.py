@@ -177,20 +177,15 @@ def score(
 
 
 def f1_at(scores: np.ndarray, threshold: float, labels: np.ndarray, segments: list[Segment],
-          metric: str, fp_per_point: bool = False) -> float:
+          metric: str) -> float:
     """F1 of the predictions `scores >= threshold` under the RPA or PA metric."""
     preds = (scores >= threshold).astype(np.int64)
     if metric == "rpa":
-        return rpa_counts(preds, segments, fp_per_point=fp_per_point).f1
+        return rpa_counts(preds, segments).f1
     return pa_counts(preds, labels).f1
 
 
-def threshold_best_f1(
-    score_series: ScoreSeries,
-    labels,
-    metric: str = "rpa",
-    fp_per_point: bool = False,
-) -> tuple[float, float]:
+def threshold_best_f1(score_series: ScoreSeries, labels, metric: str = "rpa") -> tuple[float, float]:
     """Best-F1 threshold sweep over the distinct observed scores plus +inf.
 
     Predictions at threshold theta are `scores >= theta`. Ties are broken
@@ -206,7 +201,7 @@ def threshold_best_f1(
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != score_series.scores.shape:
         raise ShapeMismatchError("labels and scores must have equal length")
-    thresholds, tp, fp, fn = sweep_counts(score_series.scores, labels, metric, fp_per_point)
+    thresholds, tp, fp, fn = sweep_counts(score_series.scores, labels, metric)
     # ConfusionCounts.f1's expression and 0/0 -> 0 convention, on every threshold
     p = _ratio(tp, tp + fp)
     r = _ratio(tp, tp + fn)

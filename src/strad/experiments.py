@@ -27,13 +27,7 @@ from .detector import (
 )
 from .errors import CheckpointError, ConfigError, DataError
 from .losses import LossWeights
-from .metrics import (
-    EvalReport,
-    SubdatasetResult,
-    air,
-    avg_improved,
-    entire_f1,
-)
+from .metrics import air, avg_improved, entire_f1
 from .model import (
     DenseAutoencoder,
     default_layer_sizes,
@@ -172,45 +166,31 @@ def detect(
 class ArmResult:
     """Outcome of training and evaluating one objective on one dataset."""
 
-    arm: str
-    dataset: str
     segment_count: int
     f1: dict  # metric -> F1
     thresholds: dict  # metric -> threshold
-    train_result: TrainResult
-    test_scores: ScoreSeries
 
 
 def run_arm(
     cfg: ExperimentConfig,
     dataset_index: int,
     loss_kind: str,
+    data: tuple[TimeSeries, TimeSeries],
     weights: Optional[LossWeights] = None,
-    arm_label: Optional[str] = None,
-    data: Optional[tuple[TimeSeries, TimeSeries]] = None,
 ) -> ArmResult:
-    """Train one model and evaluate it with the configured thresholding."""
-    ds = cfg.datasets[dataset_index]
+    """Train one model on `data`'s train split and evaluate it on its test split."""
     weights = weights or cfg.loss_weights
-    train_raw, test_raw = data if data is not None else materialize_dataset(cfg, dataset_index)
+    train_raw, test_raw = data
     labels = test_raw.labels
     if labels is None:
-        raise DataError(f"dataset {ds.name}: evaluation requires test labels")
+        raise DataError(f"dataset {cfg.datasets[dataset_index].name}: evaluation requires test labels")
     result = fit(cfg, train_raw, loss_kind, weights)
     mode = resolve_score_mode(cfg.score_mode, loss_kind)
     test_scores, thresholds = detect(cfg, result.model, train_raw, test_raw, mode, weights,
                                      cfg.eval_metrics)
     segments = segments_from_labels(labels)
-    return ArmResult(
-        arm=arm_label or loss_kind,
-        dataset=ds.name,
-        segment_count=len(segments),
-        f1={m: f1_at(test_scores.scores, thresholds[m], labels, segments, m)
-            for m in cfg.eval_metrics},
-        thresholds=thresholds,
-        train_result=result,
-        test_scores=test_scores,
-    )
+    f1 = {m: f1_at(test_scores.scores, thresholds[m], labels, segments, m) for m in cfg.eval_metrics}
+    return ArmResult(segment_count=len(segments), f1=f1, thresholds=thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +373,14 @@ def run_eval_cmd(
     label_column: str = "label",
     thresholds: Optional[list[float]] = None,
     prov: str = "# config=adhoc seed=0",
-) -> EvalReport:
+) -> list[dict]:
     """Per-sub-dataset F1s plus the segment-weighted entire-dataset F1s.
 
     With explicit `thresholds` (one per pair, or a single broadcast value)
     each metric is evaluated at that fixed threshold; otherwise a best-F1
-    sweep runs per metric.
+    sweep runs per metric. Returns the rows of `report.csv`, the ENTIRE row
+    last; each sub-dataset row also lists under "degenerate" the swept
+    metrics whose best F1 the all-positive prediction already reaches.
     """
     _make_outdir(outdir)
     if thresholds is not None and len(thresholds) == 1:
@@ -413,38 +395,28 @@ def run_eval_cmd(
             raise DataError(f"{data_path}: labels misaligned with {scores_path}")
         score_series = ScoreSeries(scores=scores, coverage=np.ones(len(scores), dtype=np.int64))
         segments = segments_from_labels(labels)
-        fields = {"name": Path(data_path).stem, "segment_count": len(segments), "degenerate": ()}
+        row = {"name": Path(data_path).stem, "segments": len(segments), "degenerate": ()}
         for metric in metrics:
             if thresholds is None:
                 threshold, f1 = threshold_best_f1(score_series, labels, metric)
                 if f1_at(scores, scores.min(), labels, segments, metric) >= f1:
-                    fields["degenerate"] += (metric,)
+                    row["degenerate"] += (metric,)
             else:
                 threshold = thresholds[i]
                 f1 = f1_at(scores, threshold, labels, segments, metric)
-            fields[f"{metric}_f1"] = f1
-            fields[f"threshold_{metric}"] = threshold
-        rows.append(SubdatasetResult(**fields))
-    entire = {
-        f"entire_{metric}_f1": entire_f1(
-            [(r.segment_count, getattr(r, f"{metric}_f1")) for r in rows])
-        for metric in metrics
-    }
-    report = EvalReport(rows=tuple(rows), **entire)
-
-    table = [{"name": r.name, "segments": r.segment_count,
-              **{f"{m}_f1": getattr(r, f"{m}_f1") for m in metrics},
-              **{f"{m}_threshold": getattr(r, f"threshold_{m}") for m in metrics}}
-             for r in report.rows]
-    table.append({"name": "ENTIRE", "segments": sum(r.segment_count for r in report.rows),
-                  **{f"{m}_f1": getattr(report, f"entire_{m}_f1") for m in metrics}})
-    write_table(table, ["name", "segments", *_metric_columns(metrics)],
+            row[f"{metric}_f1"] = f1
+            row[f"{metric}_threshold"] = threshold
+        rows.append(row)
+    entire = {"name": "ENTIRE", "segments": sum(r["segments"] for r in rows)}
+    for metric in metrics:
+        entire[f"{metric}_f1"] = entire_f1([(r["segments"], r[f"{metric}_f1"]) for r in rows])
+    write_table([*rows, entire], ["name", "segments", *_metric_columns(metrics)],
                 outdir / "report.csv", outdir / "report.txt", prov)
-    notes = [f"note: {r.name} {m}_f1={getattr(r, f'{m}_f1'):.6f} {DEGENERATE}\n"
-             for r in report.rows for m in r.degenerate]
+    notes = [f"note: {r['name']} {m}_f1={r[f'{m}_f1']:.6f} {DEGENERATE}\n"
+             for r in rows for m in r["degenerate"]]
     with open(outdir / "report.txt", "a") as fh:
         fh.writelines(notes)
-    return report
+    return [*rows, entire]
 
 
 @dataclass
@@ -475,7 +447,7 @@ def run_compare(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> Compare
     for i in range(len(cfg.datasets)):
         data = materialize_dataset(cfg, i)
         for loss, label in zip(arms, labels):
-            results[(label, i)] = run_arm(cfg, i, loss, arm_label=label, data=data)
+            results[(label, i)] = run_arm(cfg, i, loss, data)
 
     per_arm_dataset = []
     for label in labels:
@@ -536,7 +508,7 @@ def run_ablate(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> list[dic
         row = {"trend": use_trend, "seasonality": use_sea, "shape": use_shape}
         arm_results = []
         for i, ds in enumerate(cfg.datasets):
-            r = run_arm(cfg, i, "strad", weights=weights, data=data[i])
+            r = run_arm(cfg, i, "strad", data[i], weights)
             arm_results.append(r)
             for metric in cfg.eval_metrics:
                 row[f"{metric}_f1_{ds.name}"] = r.f1[metric]

@@ -5,8 +5,7 @@ one true positive per segment containing at least one predicted point, one
 false negative per untouched segment. False positives are counted per maximal
 contiguous predicted run that overlaps no truth segment; a run that overlaps a
 segment is fully absorbed by that segment's true positive, with no residual
-false positive for the part hanging outside. A per-point false-positive
-alternative is available behind `fp_per_point` for comparison (default off).
+false positive for the part hanging outside.
 
 PA counting applies the classic point-adjustment first (a hit anywhere inside
 a truth segment marks the whole segment as predicted) and then counts points.
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,7 +83,7 @@ def pa_counts(preds, truth_labels) -> ConfusionCounts:
     return ConfusionCounts(tp=tp, fp=fp, fn=fn)
 
 
-def rpa_counts(preds, truth_segments: Sequence[Segment], fp_per_point: bool = False) -> ConfusionCounts:
+def rpa_counts(preds, truth_segments: Sequence[Segment]) -> ConfusionCounts:
     """Segment-as-sample confusion counts; see the module docstring for rules."""
     preds = _as_binary(preds)
     _check_segments(preds, truth_segments)
@@ -95,10 +94,7 @@ def rpa_counts(preds, truth_segments: Sequence[Segment], fp_per_point: bool = Fa
     tp = sum(1 for seg in truth_segments if preds[seg.start : seg.end + 1].any())
     fn = len(truth_segments) - tp
 
-    fp = 0
-    for run in segments_from_labels(preds):
-        if not truth_mask[run.start : run.end + 1].any():
-            fp += run.length if fp_per_point else 1
+    fp = sum(1 for run in segments_from_labels(preds) if not truth_mask[run.start : run.end + 1].any())
     return ConfusionCounts(tp=tp, fp=fp, fn=fn)
 
 
@@ -114,7 +110,7 @@ def _run_reduce(ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray, ends: n
     return ufunc.reduceat(np.append(values, 0), bounds)[::2]
 
 
-def sweep_counts(scores, truth_labels, metric: str, fp_per_point: bool = False):
+def sweep_counts(scores, truth_labels, metric: str):
     """Confusion counts of `scores >= theta` at every distinct score theta, in one pass.
 
     Returns (thresholds, tp, fp, fn): the distinct scores in descending order
@@ -150,25 +146,12 @@ def sweep_counts(scores, truth_labels, metric: str, fp_per_point: bool = False):
 
     tp = on(hit)
     gap_starts, gap_ends = _bounds(segments_from_labels(normal))
-    last = scores.size - 1
-    if fp_per_point:
-        # A normal point leaves the false positives once an all-on path links
-        # it to a truth neighbour: at the min level along that path.
-        joined = []
-        for s, e in zip(gap_starts, gap_ends):
-            never = np.full(e - s + 1, -1)
-            left = np.minimum.accumulate(inv[s - 1 : e + 1])[1:] if s > 0 else never
-            right = np.minimum.accumulate(inv[s : e + 2][::-1])[::-1][:-1] if e < last else never
-            joined.append(np.maximum(left, right))
-        joined = np.concatenate(joined) if joined else np.zeros(0, dtype=np.intp)
-        return levels[::-1], tp, fp - on(joined[joined >= 0]), len(segments) - tp
-
     # Runs of on normal points are on normal points minus on normal-normal
     # pairs. Those touching truth are the on (normal, truth) pairs, less the
     # gaps between two segments that are on end to end with both neighbours,
     # which touch truth twice.
     pair = np.minimum(inv[:-1], inv[1:])
-    closed = (gap_starts > 0) & (gap_ends < last)
+    closed = (gap_starts > 0) & (gap_ends < scores.size - 1)
     fp = (fp - on(pair[normal[:-1] & normal[1:]]) - on(pair[truth[:-1] != truth[1:]])
           + on(_run_reduce(np.minimum, inv, gap_starts[closed] - 1, gap_ends[closed] + 1)))
     return levels[::-1], tp, fp, len(segments) - tp
@@ -208,29 +191,3 @@ def air(f1_star: Sequence[float], f1_mse: Sequence[float]) -> float:
     if not pairs:
         raise DataError("all MSE baselines are zero; A.I.R. undefined")
     return float(np.mean([(s - m) / m for s, m in pairs]))
-
-
-@dataclass(frozen=True)
-class SubdatasetResult:
-    """Per-sub-dataset evaluation row; metrics not requested stay None."""
-
-    name: str
-    segment_count: int
-    rpa_f1: Optional[float] = None
-    pa_f1: Optional[float] = None
-    threshold_rpa: Optional[float] = None
-    threshold_pa: Optional[float] = None
-    degenerate: tuple[str, ...] = ()  # swept metrics the all-positive prediction already maxes
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Per-sub-dataset rows plus the segment-weighted entire-dataset F1s.
-
-    Comparison statistics against a baseline objective (Avg.Improved, A.I.R.)
-    are produced by the compare pipeline, which returns them per loss arm.
-    """
-
-    rows: tuple[SubdatasetResult, ...]
-    entire_rpa_f1: Optional[float] = None
-    entire_pa_f1: Optional[float] = None

@@ -30,7 +30,7 @@ def test_committed_config_in_sync():
     assert committed == generated
 
 
-def test_scripts_run():
+def test_scripts_run(tmp_path):
     result = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "run_pattern_benchmark.py"),
          "--seeds", "1", "--epochs", "1", "--length", "1000"],
@@ -41,8 +41,8 @@ def test_scripts_run():
 
     result = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "make_benchmark_data.py"),
-         "--out", "/tmp/strad_bench_test", "--length", "1000"],
+         "--out", str(tmp_path / "bench"), "--length", "1000"],
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    assert (Path("/tmp/strad_bench_test") / "manifest.json").exists()
+    assert (tmp_path / "bench" / "manifest.json").exists()

@@ -424,6 +424,19 @@ class TestCliCompare:
         assert float(strad_rpa["air"]) == air(by_arm["strad"], by_arm["mse"])
         assert float(strad_rpa["avg_improved"]) == avg_improved(by_arm["strad"], by_arm["mse"])
 
+    def test_unlabelled_csv_dataset_exits_2(self, tmp_path, capsys):
+        synth_out = tmp_path / "data"
+        assert main(["synth", "-c", write_config(tmp_path, small_config(synth_out))]) == 0
+        doc = small_config(tmp_path / "run")
+        doc["datasets"] = [{"name": "nolabels", "source": "csv", "csv": {
+            "train_path": str(synth_out / "demo_train.csv"),
+            "test_path": str(synth_out / "demo_test.csv"),
+            "label_column": None,
+        }}]
+        assert main(["compare", "-c", write_config(tmp_path, doc, name="csv_cfg.json")]) == 2
+        assert ("error: dataset nolabels: evaluation requires test labels\n"
+                in capsys.readouterr().err)
+
     def test_mse_required(self, tmp_path):
         doc = small_config(tmp_path / "out", compare={"losses": ["strad", "mse_plus_strad"]})
         cfgp = write_config(tmp_path, doc)
@@ -441,7 +454,7 @@ class TestCliAblate:
 
     def test_shape_only_row_equals_zeroed_weights_run(self, tmp_path):
         from strad.config import load_config as load
-        from strad.experiments import run_arm
+        from strad.experiments import materialize_dataset, run_arm
         from strad.losses import LossWeights
 
         out = tmp_path / "out"
@@ -454,7 +467,7 @@ class TestCliAblate:
         shape_only = next(r for r in rows
                           if (r["trend"], r["seasonality"], r["shape"]) == ("0", "0", "1"))
         cfg = load(cfgp)
-        manual = run_arm(cfg, 0, "strad",
+        manual = run_arm(cfg, 0, "strad", materialize_dataset(cfg, 0),
                          weights=LossWeights(lambda1=0.0, lambda2=0.0, lambda3=1.0,
                                              epsilon=1e-7, trend_variant="monotone"))
         assert float(shape_only["entire_rpa_f1"]) == manual.f1["rpa"]
@@ -537,6 +550,10 @@ class TestCliGradcheck:
         text = report.read_text()
         assert "combined" in text and "max rel err" in text
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["gradcheck", "--seed", "-1", "--windows", "1", "--models", "1"]) == 1
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
     def test_perturb_fails_naming_component(self, tmp_path, capsys):
         code = main(["gradcheck", "--windows", "4", "--models", "1",
                      "--perturb", "shape"])
@@ -558,6 +575,8 @@ class TestExitCodes:
         "window.length=64.9", "seed=1.5", "model.hidden=[3.5]",  # were truncated silently
         "train.epochs=true", "window.train_stride=2.5", 'eval.metrics=["rpa", 1]',
         'eval.metrics=["rpa", "rpa"]',  # was duplicate report columns
+        "seed=-1", 'datasets=[{"synth": {"seed": -1}}]',  # were ValueError tracebacks
+        'output_dir="a\\u0000b"',  # a NUL in a file name was a ValueError traceback
     ])
     def test_mistyped_value_is_usage_error(self, tmp_path, capsys, override):
         cfgp = write_config(tmp_path, small_config(tmp_path / "out"))
@@ -648,3 +667,14 @@ class TestInputOutputPaths:
         assert main(args) == 1
         assert "output directory" in capsys.readouterr().err
         assert blocker.read_text() == "not a directory\n"
+
+    def test_directory_as_gradcheck_output_exits_1(self, tmp_path, capsys):
+        assert main(["gradcheck", "--windows", "1", "--models", "1", "-o", str(tmp_path)]) == 1
+        assert f"error: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
+
+    def test_directory_in_the_way_of_output_file_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        assert main(["synth", "-c", write_config(tmp_path, small_config(out))]) == 1
+        assert "Is a directory" in capsys.readouterr().err
+        assert (out / "manifest.json").is_dir()

@@ -193,7 +193,7 @@ class TestScore:
             score(identity_model(16), sine_series(40), 16, 1, LossWeights(), "mse")
 
 
-def brute_best_f1(score_series, labels, metric="rpa", fp_per_point=False):
+def brute_best_f1(score_series, labels, metric="rpa"):
     """Reference sweep: recount F1 at every distinct score, highest first.
 
     The strict `>` keeps the higher threshold on ties; +inf (predict nothing)
@@ -204,13 +204,13 @@ def brute_best_f1(score_series, labels, metric="rpa", fp_per_point=False):
     segments = segments_from_labels(labels)
     best_threshold, best_f1 = np.inf, 0.0
     for threshold in np.unique(scores)[::-1]:
-        f1 = f1_at(scores, threshold, labels, segments, metric, fp_per_point)
+        f1 = f1_at(scores, threshold, labels, segments, metric)
         if f1 > best_f1:
             best_f1, best_threshold = f1, float(threshold)
     return best_threshold, best_f1
 
 
-SWEEPS = [("rpa", False), ("rpa", True), ("pa", False)]
+METRICS = ["rpa", "pa"]
 
 
 def as_series(scores):
@@ -231,14 +231,13 @@ def labelled_scores(draw):
 
 class TestThresholdBestF1:
     @settings(max_examples=300, deadline=None)
-    @given(labelled_scores(), st.sampled_from(SWEEPS))
-    def test_matches_brute_force_sweep(self, case, sweep):
+    @given(labelled_scores(), st.sampled_from(METRICS))
+    def test_matches_brute_force_sweep(self, case, metric):
         scores, labels = case
-        metric, fp_per_point = sweep
-        assert (threshold_best_f1(scores, labels, metric, fp_per_point)
-                == brute_best_f1(scores, labels, metric, fp_per_point))
+        assert threshold_best_f1(scores, labels, metric) == brute_best_f1(scores, labels, metric)
 
-    @pytest.mark.parametrize("sweep", SWEEPS)
+    # fixed ids, so that every case keeps its test name
+    @pytest.mark.parametrize("metric", METRICS, ids=["sweep0", "sweep2"])
     @pytest.mark.parametrize("scores,labels", [
         ([], []),  # M = 0
         ([1.0, 2.0, 3.0], [0, 0, 0]),  # no truth segment
@@ -246,24 +245,22 @@ class TestThresholdBestF1:
         ([3.0, 1.0, 2.0, 0.0, 3.0], [1, 0, 0, 0, 1]),  # truth at 0 and at M - 1
         ([2.0, 0.5, 0.5, 2.0, 1.0, 0.5], [1, 0, 1, 1, 0, 1]),  # ties across segments and gaps
     ])
-    def test_edge_cases_match_brute_force(self, scores, labels, sweep):
-        metric, fp_per_point = sweep
+    def test_edge_cases_match_brute_force(self, scores, labels, metric):
         series, labels = as_series(scores), np.array(labels, dtype=np.int64)
-        assert (threshold_best_f1(series, labels, metric, fp_per_point)
-                == brute_best_f1(series, labels, metric, fp_per_point))
+        assert threshold_best_f1(series, labels, metric) == brute_best_f1(series, labels, metric)
 
     def test_sweep_makes_no_per_threshold_recount(self, monkeypatch):
         rng = np.random.default_rng(3)
         series = as_series(rng.integers(0, 12, size=80))
         labels = (rng.uniform(size=80) < 0.3).astype(np.int64)
-        expected = [brute_best_f1(series, labels, *sweep) for sweep in SWEEPS]
+        expected = [brute_best_f1(series, labels, metric) for metric in METRICS]
 
         def recount(*args, **kwargs):
             raise AssertionError("threshold_best_f1 recounted at a single threshold")
 
         monkeypatch.setattr(strad.detector, "rpa_counts", recount)
         monkeypatch.setattr(strad.detector, "pa_counts", recount)
-        assert [threshold_best_f1(series, labels, *sweep) for sweep in SWEEPS] == expected
+        assert [threshold_best_f1(series, labels, metric) for metric in METRICS] == expected
 
     def test_single_spike(self):
         scores = ScoreSeries(scores=np.array([0.0, 0.0, 9.0, 0.0]),

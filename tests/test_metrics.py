@@ -46,7 +46,7 @@ def brute_pa(preds, labels):
     return tp, fp, fn
 
 
-def brute_rpa(preds, labels, fp_per_point=False):
+def brute_rpa(preds, labels):
     tp = fn = fp = 0
     for s, e in runs_of_ones(labels):
         if any(preds[k] for k in range(s, e + 1)):
@@ -55,7 +55,7 @@ def brute_rpa(preds, labels, fp_per_point=False):
             fn += 1
     for s, e in runs_of_ones(preds):
         if not any(labels[k] for k in range(s, e + 1)):
-            fp += (e - s + 1) if fp_per_point else 1
+            fp += 1
     return tp, fp, fn
 
 
@@ -130,11 +130,6 @@ class TestRpaCounts:
         counts = rpa_counts([0, 1, 1, 1, 1, 0], [Segment(2, 3)])
         assert (counts.tp, counts.fp, counts.fn) == (1, 0, 0)
 
-    def test_fp_per_point_flag(self):
-        preds = [1, 1, 1, 0, 0, 1]
-        counts = rpa_counts(preds, [Segment(5, 5)], fp_per_point=True)
-        assert (counts.tp, counts.fp, counts.fn) == (1, 3, 0)
-
     def test_widening_inside_one_segment_rpa_invariant_pa_not(self):
         labels = [0, 0, 1, 1, 1, 1, 1, 0, 0, 0]
         segments = segments_from_labels(labels)
@@ -161,8 +156,6 @@ class TestBruteForceEquivalence:
         segments = segments_from_labels(labels)
         got = rpa_counts(preds, segments)
         assert (got.tp, got.fp, got.fn) == brute_rpa(preds, labels)
-        got_pp = rpa_counts(preds, segments, fp_per_point=True)
-        assert (got_pp.tp, got_pp.fp, got_pp.fn) == brute_rpa(preds, labels, fp_per_point=True)
         got_pa = pa_counts(preds, labels)
         assert (got_pa.tp, got_pa.fp, got_pa.fn) == brute_pa(preds, labels)
 
