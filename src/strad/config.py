@@ -250,6 +250,9 @@ def build(resolved: dict) -> ExperimentConfig:
     _require(train_stride >= 1, "window.train_stride must be >= 1")
     score_stride = window["score_stride"]
     _require(score_stride >= 1, "window.score_stride must be >= 1")
+    # a longer stride would leave points between windows that no window scores
+    _require(score_stride <= length,
+             f"window.score_stride ({score_stride}) must not exceed window.length ({length})")
 
     hidden = tuple(resolved["model"]["hidden"])
     _require(all(h >= 1 for h in hidden) and hidden, "model.hidden must be positive sizes")
@@ -287,6 +290,9 @@ def build(resolved: dict) -> ExperimentConfig:
     datasets = []
     _require(bool(resolved["datasets"]), "at least one dataset is required")
     for i, ds in enumerate(resolved["datasets"]):
+        # the name becomes the stem of every file written for the dataset
+        _require(ds["name"] not in ("", ".", "..") and not any(c in ds["name"] for c in "/\\"),
+                 f"datasets.{i}.name must be a plain file-name stem, got {ds['name']!r}")
         _require(ds["source"] in ("synth", "csv"), f"datasets.{i}.source must be synth or csv")
         synth_cfg = ds["synth"]
         _require(synth_cfg["seed"] is None or synth_cfg["seed"] >= 0,
@@ -305,6 +311,10 @@ def build(resolved: dict) -> ExperimentConfig:
                     f"({spec['start']}, {end}) outside test region "
                     f"[0, {synth_cfg['length']})",
                 )
+                channels = len(synth_cfg["channels"])
+                _require(spec["channel"] is None or 0 <= spec["channel"] < channels,
+                         f"datasets.{i}: anomaly {spec['kind']} channel {spec['channel']} "
+                         f"outside [0, {channels})")
         datasets.append(DatasetConfig(
             name=ds["name"],
             source=ds["source"],

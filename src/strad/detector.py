@@ -135,7 +135,7 @@ def score(
     stride: int = 1,
     weights: Optional[LossWeights] = None,
     mode: str = "shape_only",
-    chunk: int = 1024,
+    chunk: int = 128,
 ) -> ScoreSeries:
     """Per-point anomaly scores from sliding-window reconstruction error.
 
@@ -144,34 +144,39 @@ def score(
     the window-level trend (monotone variant, regardless of the training
     variant, so scores never reward mismatch) and seasonality terms are
     additionally spread uniformly over the window's points. A point covered by
-    several windows gets the average of its contributions; uncovered points
-    (possible only at the tail with stride > 1) score 0.
+    several windows gets the average of its contributions. Points left
+    uncovered score 0; with stride <= length that is possible only in the tail
+    after the last window.
+
+    Windows are reconstructed `chunk` at a time: at the default 128, a block's
+    activations stay small enough to be reused from the heap call after call.
     """
     if mode not in SCORE_MODES:
         raise ConfigError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
     weights = weights or LossWeights()
     data = sliding_windows(series, length, stride)  # (N, t, d)
-    t, d = data.shape[1:]
+    n, t, d = data.shape
     if t * d != model.input_size:
         raise ShapeMismatchError(f"windows flatten to {t * d}, model expects {model.input_size}")
-    sums = np.zeros(series.length)
-    coverage = np.zeros(series.length, dtype=np.int64)
-    for lo in range(0, len(data), chunk):
+    contrib = np.empty((n, t))  # window i's contribution to each of its points
+    for lo in range(0, n, chunk):
         X = data[lo : lo + chunk]
         count = len(X)
         XR = forward_batch(model, X.reshape(count, -1))[-1].reshape(X.shape)
-        contrib = weights.lambda3 * np.sum(np.abs(X - XR), axis=2)  # (count, t)
+        part = contrib[lo : lo + count]
+        part[...] = weights.lambda3 * np.sum(np.abs(X - XR), axis=2)
         if mode == "strad_broadcast":
             sea, _ = seasonality_batch(X, XR)
             tre, _ = trend_batch(X, XR, weights.epsilon, "monotone")
-            contrib = contrib + ((weights.lambda1 * tre + weights.lambda2 * sea) / t)[:, None]
-        # Window i adds contrib[i, j] at point lo*stride + i*stride + j. Offsets
-        # run from t-1 down so every point sums its windows in start order.
-        first = lo * stride
-        for j in range(t - 1, -1, -1):
-            points = slice(first + j, first + j + count * stride, stride)
-            sums[points] += contrib[:, j]
-            coverage[points] += 1
+            part += ((weights.lambda1 * tre + weights.lambda2 * sea) / t)[:, None]
+    # Window i adds contrib[i, j] at point i*stride + j. Offsets run from t-1
+    # down so every point sums its windows in start order.
+    sums = np.zeros(series.length)
+    coverage = np.zeros(series.length, dtype=np.int64)
+    for j in range(t - 1, -1, -1):
+        points = slice(j, j + n * stride, stride)
+        sums[points] += contrib[:, j]
+        coverage[points] += 1
     scores = np.divide(sums, coverage, out=np.zeros_like(sums), where=coverage > 0)
     return ScoreSeries(scores=scores, coverage=coverage)
 

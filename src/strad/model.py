@@ -94,8 +94,11 @@ def forward_batch(model: DenseAutoencoder, X: np.ndarray) -> list[np.ndarray]:
     acts = [X]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[-1] @ w.T + b
-        acts.append(z if i == last else np.tanh(z))
+        z = acts[-1] @ w.T  # the layer's one new array: bias and tanh work in place
+        z += b
+        if i != last:
+            np.tanh(z, out=z)
+        acts.append(z)
     return acts
 
 

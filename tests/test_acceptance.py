@@ -20,9 +20,10 @@ from strad.gradcheck import run_all
 from strad.losses import seasonality_batch, shape_batch, trend_batch
 from strad.metrics import air, avg_improved, entire_f1, pa_counts, rpa_counts
 from strad.series import segments_from_labels
-from strad.spectral import _transform, dft_naive
+from strad.spectral import _pair_weights, _transform, dft_naive
 
 from test_metrics import brute_pa, brute_rpa
+from test_spectral import full_spectrum
 
 
 def report(number, name, passed, detail=""):
@@ -48,16 +49,17 @@ def test_criterion_2_spectral_oracle():
     for _ in range(200):
         n = int(rng.integers(1, 65))
         x = rng.uniform(-1, 1, size=n)
-        delta = np.abs(_transform(x) - dft_naive(x))
+        # all n bins of the oracle: the upper ones as conjugates of the half spectrum's
+        delta = np.abs(full_spectrum(_transform(x), n) - dft_naive(x))
         worst_fft = max(worst_fft, float(delta.max()))
     worst_rt = 0.0
     worst_parseval = 0.0
     for n in list(range(1, 65)) + [100, 128, 200, 255, 256]:
         x = rng.uniform(-1, 1, size=n)
         spec = _transform(x)
-        worst_rt = max(worst_rt, float(np.abs(np.fft.ifft(spec).real - x).max()))
-        worst_parseval = max(
-            worst_parseval, abs(float(np.sum(x * x)) - float(np.sum(np.abs(spec) ** 2)) / n))
+        worst_rt = max(worst_rt, float(np.abs(np.fft.irfft(spec, n) - x).max()))
+        energy = float(np.sum(_pair_weights(n) * np.abs(spec) ** 2)) / n
+        worst_parseval = max(worst_parseval, abs(float(np.sum(x * x)) - energy))
     ok = worst_fft < 1e-8 and worst_rt < 1e-9 and worst_parseval < 1e-8
     report(2, "spectral oracle", ok,
            f"fft {worst_fft:.1e}, roundtrip {worst_rt:.1e}, parseval {worst_parseval:.1e}")

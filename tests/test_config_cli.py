@@ -165,6 +165,21 @@ class TestCliSynth:
         cfgp = write_config(tmp_path, doc)
         assert main(["synth", "-c", cfgp]) == 1
 
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "..", ".", ""])
+    def test_name_that_is_not_a_file_stem_is_usage_error(self, tmp_path, name):
+        # the name is the stem of the dataset's files: it must not leave the output directory
+        doc = small_config(tmp_path / "esc" / "out")
+        doc["datasets"][0]["name"] = name
+        assert main(["synth", "-c", write_config(tmp_path, doc)]) == 1
+        assert not (tmp_path / "esc").exists()
+
+    @pytest.mark.parametrize("channel", [1, -1])
+    def test_anomaly_channel_outside_channels_is_usage_error(self, tmp_path, capsys, channel):
+        doc = small_config(tmp_path / "out")
+        doc["datasets"][0]["synth"]["anomalies"][0]["channel"] = channel
+        assert main(["synth", "-c", write_config(tmp_path, doc)]) == 1
+        assert "outside [0, 1)" in capsys.readouterr().err
+
 
 class TestCliTrain:
     def test_history_rows_equal_epochs(self, tmp_path):
@@ -392,6 +407,14 @@ class TestCliCompare:
         for row in second:
             assert float(row["avg_improved"]) == 0.0
             assert float(row["air"]) == 0.0
+
+    def test_score_stride_beyond_window_is_usage_error(self, tmp_path):
+        # a stride of 100 over windows of 8 would leave 92 of every 100 points unscored
+        doc = small_config(tmp_path / "out", window={"length": 8, "score_stride": 100})
+        assert main(["compare", "-c", write_config(tmp_path, doc)]) == 1
+        assert not (tmp_path / "out").exists()
+        doc["window"]["score_stride"] = 8  # windows that touch end to end leave no gap
+        assert load_config(write_config(tmp_path, doc)).score_stride == 8
 
     def test_table_row_count(self, tmp_path):
         out = tmp_path / "out"

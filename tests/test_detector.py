@@ -49,7 +49,7 @@ def naive_score(model, series, t, stride, weights, mode):
             per_point = per_point + (weights.lambda1 * tre + weights.lambda2 * sea) / t
         sums[s : s + t] += per_point
         cov[s : s + t] += 1
-    return np.divide(sums, cov, out=np.zeros_like(sums), where=cov > 0)
+    return np.divide(sums, cov, out=np.zeros_like(sums), where=cov > 0), cov
 
 
 class TestTrainConfig:
@@ -180,9 +180,12 @@ class TestScore:
         ts = sine_series(90, seed=6, channels=2)
         model = init_model(default_layer_sizes(32, (8,)), seed=3)
         weights = LossWeights(lambda1=2.0, lambda2=5.0, lambda3=1.5)
-        got = score(model, ts, 16, stride, weights, mode, chunk=7)
-        expected = naive_score(model, ts, 16, stride, weights, mode)
-        assert np.abs(got.scores - expected).max() < 1e-9
+        expected, coverage = naive_score(model, ts, 16, stride, weights, mode)
+        windows = (90 - 16) // stride + 1
+        for chunk in (1, 7, 128, windows, windows + 1):  # windows: one block holds them all
+            got = score(model, ts, 16, stride, weights, mode, chunk=chunk)
+            assert np.abs(got.scores - expected).max() < 1e-9, chunk
+            assert np.array_equal(got.coverage, coverage), chunk
 
     def test_window_too_long(self):
         with pytest.raises(DataError):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strad.spectral
 from strad.errors import ShapeMismatchError
-from strad.spectral import _transform, dft_naive, seasonality_batch
+from strad.spectral import _pair_weights, _transform, dft_naive, seasonality_batch
 
 finite_signal = st.lists(st.floats(-100, 100), min_size=1, max_size=48)
 
@@ -19,6 +20,11 @@ def spectral_l1_grad(x, y):
     """Gradient of `spectral_l1` in `y`, from the (1, n, 1) stack kernel."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     return seasonality_batch(x[None, :, None], y[None, :, None], want_grad=True)[1][0, :, 0]
+
+
+def full_spectrum(half, n):
+    """All n bins from the half spectrum: bin n-k is the conjugate of bin k."""
+    return np.concatenate([half, np.conj(half[1 : n - half.size + 1][::-1])])
 
 
 def central_difference(fn, y, step=1e-5):
@@ -57,7 +63,7 @@ class TestFftForward:
         for trial in range(200):
             n = int(rng.integers(1, 65))
             x = rng.uniform(-1, 1, size=n)
-            a = _transform(x)
+            a = full_spectrum(_transform(x), n)
             b = dft_naive(x)
             worst = max(worst, float(np.abs(a - b).max()))
         assert worst < 1e-8
@@ -66,7 +72,7 @@ class TestFftForward:
         rng = np.random.default_rng(1)
         for n in (1, 2, 3, 8, 17, 64, 100, 128):
             x = rng.normal(size=n)
-            assert np.abs(_transform(x) - np.fft.fft(x)).max() < 1e-8
+            assert np.abs(full_spectrum(_transform(x), n) - np.fft.fft(x)).max() < 1e-8
 
     def test_length_one_identity(self):
         s = _transform(np.array([3.25]))
@@ -81,11 +87,17 @@ class TestFftForward:
                 assert np.abs(mods - 1.0).max() < 1e-12
 
     def test_conjugate_symmetry(self):
+        # the upper bins of the full DFT are the conjugates of the half spectrum's
         rng = np.random.default_rng(2)
         for n in (8, 15, 32):
-            s = _transform(rng.normal(size=n))
-            for k in range(1, n):
-                assert abs(s[k] - np.conj(s[n - k])) < 1e-9
+            x = rng.normal(size=n)
+            half = _transform(x)
+            full = np.fft.fft(x)
+            for k in range(half.size, n):
+                assert abs(full[k] - np.conj(half[n - k])) < 1e-9
+            assert abs(half[0].imag) < 1e-12
+            if n % 2 == 0:
+                assert abs(half[-1].imag) < 1e-12  # bin n/2 is its own conjugate
 
     @given(finite_signal, finite_signal, st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=50)
@@ -102,7 +114,8 @@ class TestFftForward:
         for n in (4, 9, 33, 256):
             x = rng.uniform(-1, 1, size=n)
             spec = _transform(x)
-            assert abs(np.sum(x * x) - np.sum(np.abs(spec) ** 2) / n) < 1e-8
+            energy = np.sum(_pair_weights(n) * np.abs(spec) ** 2) / n
+            assert abs(np.sum(x * x) - energy) < 1e-8
 
 
 class TestFftInverse:
@@ -110,14 +123,14 @@ class TestFftInverse:
         rng = np.random.default_rng(4)
         for n in list(range(1, 20)) + [64, 127, 256]:
             x = rng.uniform(-1, 1, size=n)
-            assert np.abs(np.fft.ifft(_transform(x)).real - x).max() < 1e-9
+            assert np.abs(np.fft.irfft(_transform(x), n) - x).max() < 1e-9
 
     def test_zero_spectrum(self):
-        assert np.all(np.fft.ifft(_transform(np.zeros(6))).real == 0)
+        assert np.all(np.fft.irfft(_transform(np.zeros(6)), 6) == 0)
 
     def test_constant_round_trip(self):
         x = np.full(10, 1.75)
-        assert np.abs(np.fft.ifft(_transform(x)).real - x).max() < 1e-12
+        assert np.abs(np.fft.irfft(_transform(x), 10) - x).max() < 1e-12
 
 
 class TestSpectralL1:
@@ -134,6 +147,29 @@ class TestSpectralL1:
             x, y = rng.normal(size=n), rng.normal(size=n)
             expected = float(np.abs(dft_naive(x) - dft_naive(y)).sum())
             assert abs(spectral_l1(x, y) - expected) < 1e-8
+
+    def test_matches_full_spectrum_every_length(self):
+        # the pair-weighted half spectrum sums the same moduli as all n bins
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for n in range(1, 66):
+            x, y = rng.normal(size=n), rng.normal(size=n)
+            expected = float(np.abs(dft_naive(y) - dft_naive(x)).sum())
+            worst = max(worst, abs(spectral_l1(x, y) - expected) / expected)
+        assert worst < 1e-12
+
+    def test_one_forward_transform_per_call(self, monkeypatch):
+        calls = []
+        original = strad.spectral._transform
+
+        def counting(z):
+            calls.append(z.shape)
+            return original(z)
+
+        monkeypatch.setattr(strad.spectral, "_transform", counting)
+        X = np.random.default_rng(12).normal(size=(5, 16, 3))
+        seasonality_batch(X, X + 0.1, want_grad=True)
+        assert calls == [(5, 3, 16)]
 
     def test_symmetric_nonnegative(self):
         rng = np.random.default_rng(7)
@@ -161,7 +197,7 @@ class TestSpectralL1Grad:
         x = np.random.default_rng(9).normal(size=8)
         assert np.all(spectral_l1_grad(x, x) == 0)
 
-    @pytest.mark.parametrize("n", [4, 7, 16, 32])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 9, 16, 32])
     def test_matches_finite_differences(self, n):
         rng = np.random.default_rng(n)
         x, y = rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
