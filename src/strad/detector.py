@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, ShapeMismatchError
 from .losses import LossWeights, mse_batch, seasonality_batch, strad_batch, trend_batch
 from .metrics import pa_counts, rpa_counts, sweep_counts
-from .model import DenseAutoencoder, backward_batch, forward_batch, init_adam, adam_step
+from .model import DenseAutoencoder, adam_step, backward_batch, forward_batch, init_adam
 from .series import Segment, TimeSeries, sliding_windows
 
 LOSS_KINDS = ("mse", "strad", "mse_plus_strad")
@@ -98,7 +98,11 @@ def train(model: DenseAutoencoder, windows: np.ndarray, cfg: TrainConfig) -> Tra
     n, t, d = windows.shape
     if t * d != model.input_size:
         raise ShapeMismatchError(f"windows flatten to {t * d}, model expects {model.input_size}")
+    if n == 0:
+        raise DataError("no windows to train on")
     rng = np.random.default_rng(cfg.seed)
+    # one copy, trained in place, so the caller's model keeps its parameters
+    model = DenseAutoencoder(layer_sizes=model.layer_sizes, params=model.params.copy())
     state = init_adam(model, lr=cfg.lr)
     history: list[EpochStats] = []
     steps = 0
@@ -119,9 +123,10 @@ def train(model: DenseAutoencoder, windows: np.ndarray, cfg: TrainConfig) -> Tra
             total_sum += float(values.sum())
             if components is not None:
                 comp_sums += [float(c.sum()) for c in components]
-            upstream = grads.reshape(len(idx), -1) / len(idx)  # mean over the batch
+            upstream = grads.reshape(len(idx), -1)
+            upstream /= len(idx)  # mean over the batch
             grad = backward_batch(model, acts, upstream)
-            model, state = adam_step(model, grad, state)
+            adam_step(model, grad, state)
             steps += 1
         components = comp_sums / n if track_components else (None, None, None)
         history.append(EpochStats(total_sum / n, *components))

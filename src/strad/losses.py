@@ -70,6 +70,8 @@ def _time_axis(t: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _slope_weights(t: int) -> tuple[np.ndarray, float]:
     """OLS slope functional w (slope = w . x per channel) and sum_j |tau_j|."""
+    if t < 2:
+        raise ShapeMismatchError("trend fitting needs window length >= 2")
     tau = _time_axis(t)
     w = tau / float(np.sum(tau * tau))
     w.setflags(write=False)
@@ -78,11 +80,8 @@ def _slope_weights(t: int) -> tuple[np.ndarray, float]:
 
 def slopes_batch(X: np.ndarray) -> np.ndarray:
     """Per-channel OLS slopes on the normalized time axis; (B, t, d) -> (B, d)."""
-    t = X.shape[1]
-    if t < 2:
-        raise ShapeMismatchError("trend fitting needs window length >= 2")
-    w, _ = _slope_weights(t)
-    return np.einsum("btd,t->bd", X, w)
+    w, _ = _slope_weights(X.shape[1])
+    return np.matmul(w, X)
 
 
 def trend_batch(X, XR, epsilon: float, variant: str, want_grad: bool = False):
@@ -152,5 +151,10 @@ def strad_batch(X, XR, weights: LossWeights, want_grad: bool = False):
     total = weights.lambda1 * tre + weights.lambda2 * sea + weights.lambda3 * shp
     if not want_grad:
         return tre, sea, shp, total, None
-    grads = weights.lambda1 * g1 + weights.lambda2 * g2 + weights.lambda3 * g3
-    return tre, sea, shp, total, grads
+    # each kernel returns a fresh gradient, so the weighted sum builds up in g1
+    g1 *= weights.lambda1
+    g2 *= weights.lambda2
+    g1 += g2
+    g3 *= weights.lambda3
+    g1 += g3
+    return tre, sea, shp, total, g1

@@ -4,11 +4,16 @@ The network is a stack of dense layers with tanh on hidden layers and an
 identity output layer. Gradients are chained explicitly (vector-Jacobian
 products), so every piece is finite-difference testable on its own; there is
 no autodiff engine underneath.
+
+Adam updates the parameter vector and its moments in place, with the bias
+corrections folded into one step size and one epsilon; its hyperparameters
+are the ADAM_* constants below and the configured learning rate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -120,41 +125,73 @@ def backward_batch(model: DenseAutoencoder, acts: list[np.ndarray], upstream: np
         delta.sum(axis=0, out=grad_biases[i])
         if i > 0:
             # tanh'(z) expressed through the cached activation a: 1 - a^2
-            delta = (delta @ model.weights[i]) * (1.0 - acts[i] ** 2)
+            deriv = np.square(acts[i])
+            np.subtract(1.0, deriv, out=deriv)
+            delta = delta @ model.weights[i]
+            delta *= deriv
     return grad
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, laid out like the model's `params`."""
+    """First/second moment accumulators, laid out like the model's `params`.
+
+    `work` holds two vectors of that size, allocated once here, that
+    `adam_step` computes into, so a step allocates no parameter-sized arrays.
+    """
 
     step: int
     m: np.ndarray
     v: np.ndarray
     lr: float = 1e-3
+    work: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.work = np.empty((2, *self.m.shape))
 
 
 def init_adam(model: DenseAutoencoder, lr: float = 1e-3) -> AdamState:
     return AdamState(step=0, m=np.zeros_like(model.params), v=np.zeros_like(model.params), lr=lr)
 
 
-def adam_step(
-    model: DenseAutoencoder, grad: np.ndarray, state: AdamState
-) -> tuple[DenseAutoencoder, AdamState]:
-    """One bias-corrected Adam update; returns a new model and state."""
+def adam_step(model: DenseAutoencoder, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of `model.params`, `state.m`, `state.v`, `state.step`, in place.
+
+    The bias corrections c1 = 1 - beta1^t and c2 = 1 - beta2^t are folded
+    into one step size and one epsilon (Kingma & Ba, section 2):
+    params -= (lr sqrt(c2) / c1) m / (sqrt(v) + eps sqrt(c2)), which equals
+    lr (m / c1) / (sqrt(v / c2) + eps) with one divide and one sqrt per entry.
+
+    A wrong-shaped or non-finite `grad` raises before anything is written.
+    Non-finite candidate parameters raise NumericError before they are written,
+    so `params` keep their values; the moments and `step` have then taken the
+    gradient.
+    """
     if grad.shape != model.params.shape:
         raise ShapeMismatchError(f"gradient shape {grad.shape} != parameter shape {model.params.shape}")
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient passed to adam_step")
-    step = state.step + 1
-    correct1 = 1.0 - ADAM_BETA1 ** step
-    correct2 = 1.0 - ADAM_BETA2 ** step
-    m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grad * grad
-    params = model.params - state.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
-    if not np.isfinite(params).all():
+    state.step += 1
+    sqrt_c2 = math.sqrt(1.0 - ADAM_BETA2 ** state.step)
+    step_size = state.lr * sqrt_c2 / (1.0 - ADAM_BETA1 ** state.step)
+    m, v, (scaled, update) = state.m, state.v, state.work
+    # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g g, term by term
+    m *= ADAM_BETA1
+    np.multiply(grad, 1 - ADAM_BETA1, out=scaled)
+    m += scaled
+    v *= ADAM_BETA2
+    np.multiply(grad, 1 - ADAM_BETA2, out=scaled)
+    scaled *= grad
+    v += scaled
+    np.sqrt(v, out=update)
+    update += ADAM_EPS * sqrt_c2
+    np.divide(m, update, out=update)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        update *= step_size
+        candidate = np.subtract(model.params, update, out=scaled)
+    if not np.isfinite(candidate).all():
         raise NumericError("model parameters became non-finite after an Adam step")
-    return DenseAutoencoder(layer_sizes=model.layer_sizes, params=params), replace(state, step=step, m=m, v=v)
+    model.params[...] = candidate
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,20 @@ class TestTrain:
         with pytest.raises(NumericError):
             train(model, windows, TrainConfig(epochs=1, batch_size=4, seed=0))
 
+    def test_leaves_the_callers_model_unchanged(self):
+        ts = sine_series(64)
+        windows = sliding_windows(ts, 16, 16)
+        model = init_model(default_layer_sizes(16, (8,)), seed=0)
+        before = model.params.copy()
+        result = train(model, windows, TrainConfig(epochs=2, batch_size=2, seed=0))
+        assert np.array_equal(model.params, before)
+        assert not np.array_equal(result.model.params, before)
+
+    def test_empty_window_stack_is_data_error(self):
+        model = init_model(default_layer_sizes(16, (8,)), seed=0)
+        with pytest.raises(DataError):
+            train(model, np.zeros((0, 16, 1)), TrainConfig(epochs=1, batch_size=4, seed=0))
+
     def test_shape_mismatch(self):
         ts = sine_series(64)
         windows = sliding_windows(ts, 8, 8)

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strad import gradcheck, spectral
+from strad import gradcheck, losses, spectral
 from strad.errors import ConfigError, ShapeMismatchError
 from strad.losses import (
     LossWeights,
@@ -69,6 +70,18 @@ class TestTrendFit:
     def test_needs_two_points(self):
         with pytest.raises(ShapeMismatchError):
             slope(col([1.0]))
+
+    def test_one_point_raises_before_building_the_axis(self):
+        # t = 1 used to divide by t - 1 = 0 and cache a NaN axis before raising
+        cached = losses._time_axis.cache_info().currsize
+        X = np.zeros((2, 1, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeMismatchError):
+                trend_batch(X, X, EPS, "monotone", want_grad=True)
+            with pytest.raises(ShapeMismatchError):
+                slopes_batch(X)
+        assert losses._time_axis.cache_info().currsize == cached
 
 
 class TestTrendLoss:

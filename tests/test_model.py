@@ -4,6 +4,9 @@ import pytest
 from strad.errors import CheckpointError, ConfigError, NumericError, ShapeMismatchError
 from strad.losses import mse_batch
 from strad.model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     adam_step,
     backward_batch,
     default_layer_sizes,
@@ -129,21 +132,33 @@ class TestParameterGradients:
             backward_batch(m, forward_batch(m, np.zeros((1, 6))), np.zeros((1, 3)))
 
 
+def textbook_adam(params, m, v, step, grad, lr):
+    """Kingma & Ba's Algorithm 1 as written: separate bias-corrected moments."""
+    step += 1
+    m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** step)
+    v_hat = v / (1.0 - ADAM_BETA2 ** step)
+    return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v, step
+
+
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         m = init_model([6, 3, 6], seed=1)
         state = init_adam(m)
-        updated, state2 = adam_step(m, np.zeros_like(m.params), state)
-        assert state2.step == 1
-        assert np.array_equal(m.params, updated.params)
+        before = m.params.copy()
+        assert adam_step(m, np.zeros_like(m.params), state) is None
+        assert state.step == 1
+        assert np.array_equal(before, m.params)
 
     def test_first_step_bounded_by_lr(self):
         m = init_model([6, 3, 6], seed=2)
         state = init_adam(m, lr=1e-3)
         rng = np.random.default_rng(0)
         grad = rng.normal(size=m.params.shape)
-        updated, _ = adam_step(m, grad, state)
-        delta = updated.params - m.params
+        before = m.params.copy()
+        adam_step(m, grad, state)
+        delta = m.params - before
         assert np.abs(delta).max() <= 1e-3 * (1 + 1e-6)
         moved = np.abs(grad) > 1e-12
         assert np.all(np.sign(delta[moved]) == -np.sign(grad[moved]))
@@ -154,11 +169,34 @@ class TestAdam:
             state = init_adam(m)
             rng = np.random.default_rng(1)
             for _ in range(2):
-                m, state = adam_step(m, rng.normal(size=m.params.shape), state)
+                adam_step(m, rng.normal(size=m.params.shape), state)
             return m
 
         a, b = run(), run()
         assert np.array_equal(a.params, b.params)
+
+    @pytest.mark.parametrize("sizes", [(6, 3, 6), (64, 64, 16, 64, 64)])
+    def test_folded_update_matches_textbook(self, sizes):
+        m = init_model(sizes, seed=5)
+        state = init_adam(m, lr=1e-2)
+        params, mom, vel, step = m.params.copy(), state.m.copy(), state.v.copy(), 0
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            grad = rng.normal(scale=rng.uniform(1e-3, 10.0), size=m.params.shape)
+            adam_step(m, grad, state)
+            params, mom, vel, step = textbook_adam(params, mom, vel, step, grad, state.lr)
+        assert state.step == step
+        assert np.array_equal(state.m, mom) and np.array_equal(state.v, vel)
+        np.testing.assert_allclose(m.params, params, rtol=1e-12, atol=0)
+
+    def test_overflowing_candidate_leaves_parameters(self):
+        m = init_model([6, 3, 6], seed=6)
+        m.params[:] = -np.finfo(np.float64).max
+        state = init_adam(m, lr=1e300)
+        before = m.params.copy()
+        with pytest.raises(NumericError):
+            adam_step(m, np.ones_like(m.params), state)
+        assert np.array_equal(before, m.params)
 
     def test_non_finite_gradient_rejected(self):
         m = init_model([6, 3, 6], seed=4)
