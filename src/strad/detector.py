@@ -137,9 +137,9 @@ def score(
     model: DenseAutoencoder,
     series: TimeSeries,
     length: int,
-    stride: int = 1,
-    weights: Optional[LossWeights] = None,
-    mode: str = "shape_only",
+    stride: int,
+    weights: LossWeights,
+    mode: str,
     chunk: int = 128,
 ) -> ScoreSeries:
     """Per-point anomaly scores from sliding-window reconstruction error.
@@ -158,7 +158,6 @@ def score(
     """
     if mode not in SCORE_MODES:
         raise ConfigError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
-    weights = weights or LossWeights()
     data = sliding_windows(series, length, stride)  # (N, t, d)
     n, t, d = data.shape
     if t * d != model.input_size:

@@ -29,8 +29,7 @@ LOSS_COMPONENTS = ("trend_negated_log", "trend_monotone", "seasonality", "shape"
 MODEL_COMPONENTS = ("model_mse", "model_combined")
 ALL_COMPONENTS = LOSS_COMPONENTS + MODEL_COMPONENTS
 
-_WEIGHTS = LossWeights(lambda1=1.5, lambda2=10.0, lambda3=1.0, epsilon=1e-7,
-                       trend_variant="monotone")
+_WEIGHTS = LossWeights()
 
 
 @dataclass
@@ -48,8 +47,8 @@ class GradCheckResult:
 
 # Each component's batched kernel: (X, XR, want_grad) -> (values (B,), gradients (B, t, d) or None).
 _KERNELS = {
-    "trend_negated_log": lambda X, XR, g=False: losses.trend_batch(X, XR, 1e-7, "negated_log", g),
-    "trend_monotone": lambda X, XR, g=False: losses.trend_batch(X, XR, 1e-7, "monotone", g),
+    "trend_negated_log": lambda X, XR, g=False: losses.trend_batch(X, XR, _WEIGHTS.epsilon, "negated_log", g),
+    "trend_monotone": lambda X, XR, g=False: losses.trend_batch(X, XR, _WEIGHTS.epsilon, "monotone", g),
     "seasonality": losses.seasonality_batch,
     "shape": losses.shape_batch,
     "mse": losses.mse_batch,

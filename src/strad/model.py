@@ -12,6 +12,7 @@ are the ADAM_* constants below and the configured learning rate.
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericError, ShapeMismatchError
 
-CHECKPOINT_MAGIC = "strad-checkpoint v2"
+CHECKPOINT_MAGIC = "strad-checkpoint v3"
 
 # Adam's moment decay rates and denominator floor
 ADAM_BETA1 = 0.9
@@ -163,6 +164,11 @@ def adam_step(model: DenseAutoencoder, grad: np.ndarray, state: AdamState) -> No
     lr (m / c1) / (sqrt(v / c2) + eps) with one divide and one sqrt per entry.
 
     A wrong-shaped or non-finite `grad` raises before anything is written.
+    A second moment that overflows (a finite `grad` entry above about 1e154)
+    raises NumericError, where an inf in `v` would otherwise freeze that
+    parameter for good. `params`, `m` and `step` are then unchanged, and so is
+    `v` unless the overflow was in the sum beta2 v + (1 - beta2) g g; `v` then
+    holds that sum, inf where it overflowed.
     Non-finite candidate parameters raise NumericError before they are written,
     so `params` keep their values; the moments and `step` have then taken the
     gradient.
@@ -171,18 +177,22 @@ def adam_step(model: DenseAutoencoder, grad: np.ndarray, state: AdamState) -> No
         raise ShapeMismatchError(f"gradient shape {grad.shape} != parameter shape {model.params.shape}")
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient passed to adam_step")
-    state.step += 1
-    sqrt_c2 = math.sqrt(1.0 - ADAM_BETA2 ** state.step)
-    step_size = state.lr * sqrt_c2 / (1.0 - ADAM_BETA1 ** state.step)
     m, v, (scaled, update) = state.m, state.v, state.work
-    # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g g, term by term
+    # v = beta2 v + (1 - beta2) g g and m = beta1 m + (1 - beta1) g, term by term
+    try:
+        with np.errstate(over="raise"):
+            np.multiply(grad, 1 - ADAM_BETA2, out=scaled)
+            scaled *= grad
+            v *= ADAM_BETA2
+            v += scaled
+    except FloatingPointError:
+        raise NumericError("Adam's second moment overflowed: gradient too large") from None
     m *= ADAM_BETA1
     np.multiply(grad, 1 - ADAM_BETA1, out=scaled)
     m += scaled
-    v *= ADAM_BETA2
-    np.multiply(grad, 1 - ADAM_BETA2, out=scaled)
-    scaled *= grad
-    v += scaled
+    state.step += 1
+    sqrt_c2 = math.sqrt(1.0 - ADAM_BETA2 ** state.step)
+    step_size = state.lr * sqrt_c2 / (1.0 - ADAM_BETA1 ** state.step)
     np.sqrt(v, out=update)
     update += ADAM_EPS * sqrt_c2
     np.divide(m, update, out=update)
@@ -195,46 +205,26 @@ def adam_step(model: DenseAutoencoder, grad: np.ndarray, state: AdamState) -> No
 
 
 # ---------------------------------------------------------------------------
-# checkpoint file format (textual, versioned, portable)
+# checkpoint file format (ASCII text, versioned, portable)
 #
-#   strad-checkpoint v2
+#   strad-checkpoint v3
 #   # key=value provenance lines (zero or more)
 #   sizes <s0> <s1> ... <sk>
-#   W <i> <rows> <cols>
-#   <rows lines of cols %.17g numbers>
-#   b <i> <n>
-#   <one line of n %.17g numbers>
-#   ... repeated per layer, in order: the blocks are the `params` layout
+#   <one line: base64 of `params` as little-endian float64, in the params layout>
 #   end
 # ---------------------------------------------------------------------------
 
-
-def _fmt_rows(matrix: np.ndarray) -> list[str]:
-    """One line of %.17g numbers per row: one template applied to each row.
-
-    Rows go to Python floats one at a time, so a wide matrix never exists
-    as Python objects all at once.
-    """
-    row = " ".join(["%.17g"] * matrix.shape[1])
-    return [row % tuple(r.tolist()) for r in matrix]
-
-
-def _parse_row(line: str) -> np.ndarray:
-    """The numbers of one line, each parsed by `float` as written."""
-    return np.fromiter(map(float, line.split()), np.float64)
+_PARAM_DTYPE = "<f8"  # explicit byte order, so a file reads the same on every host
 
 
 def save_checkpoint(model: DenseAutoencoder, path, meta: Optional[dict] = None) -> None:
-    """Write the model as a flat textual dump; %.17g round-trips float64 exactly."""
+    """Write the model's layer sizes and the exact bytes of its parameter vector."""
     lines = [CHECKPOINT_MAGIC]
     for key, value in (meta or {}).items():
         lines.append(f"# {key}={value}")
     lines.append("sizes " + " ".join(str(s) for s in model.layer_sizes))
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        lines.append(f"W {i} {w.shape[0]} {w.shape[1]}")
-        lines.extend(_fmt_rows(w))
-        lines.append(f"b {i} {b.shape[0]}")
-        lines.extend(_fmt_rows(b[None]))
+    raw = model.params.astype(_PARAM_DTYPE, copy=False).tobytes()
+    lines.append(base64.b64encode(raw).decode("ascii"))
     lines.append("end")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -259,36 +249,21 @@ def load_checkpoint(path) -> tuple[DenseAutoencoder, dict]:
         pos += 1
     if pos >= len(lines) or not lines[pos].startswith("sizes "):
         raise CheckpointError(f"{path}: missing sizes line")
-    blocks = []
+    # the parameter line and then `end`, last: a file cut anywhere fails to load
+    if len(lines) != pos + 3 or lines[-1] != "end":
+        raise CheckpointError(f"{path}: expected one parameter line and then an end line")
     try:
         sizes = tuple(int(s) for s in lines[pos].split()[1:])
-        if len(sizes) < 2 or min(sizes) < 1:
-            raise CheckpointError(f"{path}: invalid layer sizes {sizes}")
-        pos += 1
-        for i in range(len(sizes) - 1):
-            rows, cols = sizes[i + 1], sizes[i]
-            if lines[pos].split() != ["W", str(i), str(rows), str(cols)]:
-                raise CheckpointError(f"{path}: expected weight block {i} of shape {(rows, cols)}")
-            # row by row, so only one row's strings are alive at a time
-            w = [_parse_row(lines[pos + 1 + r]) for r in range(rows)]
-            pos += 1 + rows
-            if lines[pos].split() != ["b", str(i), str(rows)]:
-                raise CheckpointError(f"{path}: expected bias block {i}")
-            b = _parse_row(lines[pos + 1])
-            pos += 2
-            if any(r.shape != (cols,) for r in w) or b.shape != (rows,):
-                raise CheckpointError(f"{path}: block {i} has the wrong number of values")
-            blocks.append((w, b))
-        if lines[pos:] != ["end"]:  # so a file cut inside its last number fails to load
-            raise CheckpointError(f"{path}: missing end line, or content after it")
-    except (IndexError, ValueError) as exc:
-        raise CheckpointError(f"{path}: truncated or malformed checkpoint: {exc}") from None
-    # allocate only after every block parsed, so the file bounds the model's size
-    model = DenseAutoencoder(layer_sizes=sizes, params=np.zeros(_param_count(sizes)))
-    for w, b, (w_rows, b_block) in zip(model.weights, model.biases, blocks):
-        for dst, src in zip(w, w_rows):
-            dst[...] = src
-        b[...] = b_block
-    if not np.isfinite(model.params).all():
+        raw = base64.b64decode(lines[pos + 1], validate=True)
+    except ValueError as exc:  # a bad integer, or a non-base64 or non-ASCII character
+        raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from None
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise CheckpointError(f"{path}: invalid layer sizes {sizes}")
+    count = _param_count(sizes)
+    # checked before the model is allocated, so the file bounds the model's size
+    if len(raw) != 8 * count:
+        raise CheckpointError(f"{path}: {len(raw)} parameter bytes, expected {8 * count} for sizes {sizes}")
+    params = np.frombuffer(raw, dtype=_PARAM_DTYPE).astype(np.float64)  # a writable copy
+    if not np.isfinite(params).all():
         raise CheckpointError(f"{path}: checkpoint contains non-finite parameters")
-    return model, meta
+    return DenseAutoencoder(layer_sizes=sizes, params=params), meta

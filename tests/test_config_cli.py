@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from strad.cli import _load, build_parser, main
 from strad.config import config_hash, load_config, resolve
 from strad.errors import ConfigError
 from strad.experiments import read_scores_csv
+from strad.model import load_checkpoint
 from strad.series import load_csv, segments_from_labels
 
 
@@ -247,8 +249,30 @@ class TestCliDetect:
     def test_truncated_checkpoint_exits_2(self, tmp_path):
         out = self.run_train_detect(tmp_path)
         ckpt = out / "demo_model.ckpt"
-        ckpt.write_text("\n".join(ckpt.read_text().splitlines()[:10]) + "\n")
-        assert main(["detect", "-c", str(tmp_path / "out.json"), "--checkpoint", str(ckpt)]) == 2
+        text = ckpt.read_text()
+        encoded = text.splitlines()[-2]  # the parameter line
+        start = text.index(encoded)
+        for cut in (start + 4, start + len(encoded) // 2, start + len(encoded)):
+            ckpt.write_text(text[:cut])
+            assert main(["detect", "-c", str(tmp_path / "out.json"), "--checkpoint", str(ckpt)]) == 2
+
+    def test_corrupt_checkpoint_exits_2(self, tmp_path):
+        out = self.run_train_detect(tmp_path)
+        ckpt = out / "demo_model.ckpt"
+        lines = ckpt.read_text().splitlines()
+        encoded = lines[-2]
+        params = load_checkpoint(ckpt)[0].params
+        nan = base64.b64encode(np.full_like(params, np.nan).tobytes()).decode("ascii")
+        for spoil in (
+            lines + ["end"],  # content after end
+            lines[:-2] + ["!" + encoded[1:], "end"],
+            lines[:-2] + ["\u00e9" + encoded[1:], "end"],
+            lines[:-2] + [encoded[:-12], "end"],  # valid base64, 9 bytes short
+            ["strad-checkpoint v2"] + lines[1:],
+            lines[:-2] + [nan, "end"],
+        ):
+            ckpt.write_text("\n".join(spoil) + "\n", encoding="utf-8")
+            assert main(["detect", "-c", str(tmp_path / "out.json"), "--checkpoint", str(ckpt)]) == 2
 
     def test_directory_checkpoint_exits_2(self, tmp_path):
         out = self.run_train_detect(tmp_path)

@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,23 @@ class TestAdam:
             adam_step(m, np.ones_like(m.params), state)
         assert np.array_equal(before, m.params)
 
+    def test_overflowing_second_moment_is_numeric_error(self):
+        # (1 - beta2) g g overflows for g = 1e200; an inf v would freeze params[0] for good
+        m = init_model([6, 3, 6], seed=6)
+        state = init_adam(m)
+        adam_step(m, np.ones_like(m.params), state)
+        grad = np.zeros_like(m.params)
+        grad[0] = 1e200
+        params, moment1, moment2 = m.params.copy(), state.m.copy(), state.v.copy()
+        with pytest.raises(NumericError):
+            adam_step(m, grad, state)
+        assert state.step == 1
+        assert np.array_equal(params, m.params)
+        assert np.array_equal(moment1, state.m) and np.array_equal(moment2, state.v)
+        grad[0] = -1.0
+        adam_step(m, grad, state)
+        assert m.params[0] > params[0]
+
     def test_non_finite_gradient_rejected(self):
         m = init_model([6, 3, 6], seed=4)
         state = init_adam(m)
@@ -255,18 +274,44 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_model([6, 3, 6], seed=2), path)
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(["strad-checkpoint v1"] + lines[1:-1]) + "\n")
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+        for magic in ("strad-checkpoint v1", "strad-checkpoint v2"):
+            path.write_text("\n".join([magic] + lines[1:]) + "\n")
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
 
     def test_malformed_number_is_checkpoint_error(self, tmp_path):
+        # a non-base64 or non-ASCII character anywhere in the parameter line
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_model([6, 3, 6], seed=2), path)
         lines = path.read_text().splitlines()
-        lines[3] = lines[3].replace(" ", " x", 1)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+        encoded = lines[2]
+        for bad in ("!", " ", "\u00e9", "-", "="):
+            for at in (0, len(encoded) // 2, len(encoded) - 1):
+                lines[2] = encoded[:at] + bad + encoded[at + 1 :]
+                path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+                with pytest.raises(CheckpointError):
+                    load_checkpoint(path)
+
+    def test_wrong_byte_count_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        m = init_model([6, 3, 6], seed=2)
+        save_checkpoint(m, path)
+        lines = path.read_text().splitlines()
+        raw = m.params.astype("<f8").tobytes()
+        for wrong in (raw[:-8], raw[:-1], raw + raw[:8], b""):
+            lines[2] = base64.b64encode(wrong).decode("ascii")
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(CheckpointError, match="parameter"):
+                load_checkpoint(path)
+
+    def test_non_finite_value_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        for value in (np.nan, np.inf, -np.inf):
+            m = init_model([6, 3, 6], seed=2)
+            m.params[4] = value
+            save_checkpoint(m, path)
+            with pytest.raises(CheckpointError, match="non-finite"):
+                load_checkpoint(path)
 
     def test_directory_is_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError):
@@ -285,18 +330,9 @@ class TestCheckpoint:
         save_checkpoint(loaded, second, meta=meta)
         assert first.read_bytes() == second.read_bytes()
         assert loaded.params.tobytes() == m.params.tobytes()
-        assert first.read_text().splitlines()[4].split() == [f"{v:.17g}" for v in m.weights[0][0]]
-
-    def test_row_of_wrong_width_is_checkpoint_error(self, tmp_path):
-        # one number moved from the first row to the second keeps the block's count
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(init_model([6, 3, 6], seed=2), path)
-        lines = path.read_text().splitlines()
-        first = lines[3].split()
-        lines[3], lines[4] = " ".join(first[:-1]), lines[4] + " " + first[-1]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointError, match="wrong number of values"):
-            load_checkpoint(path)
+        encoded = base64.b64encode(m.params.astype("<f8").tobytes()).decode("ascii")
+        assert first.read_text().splitlines() == [
+            "strad-checkpoint v3", "# seed=9", "sizes 8 4 2 4 8", encoded, "end"]
 
     def test_save_is_deterministic(self, tmp_path):
         m = init_model([6, 3, 6], seed=11)
