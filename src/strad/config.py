@@ -11,17 +11,19 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
 
-from .detector import LOSS_KINDS, THRESHOLD_METRICS, TrainConfig
-from .errors import ConfigError
-from .losses import TREND_VARIANTS, LossWeights
+from .detector import SCORE_MODES, THRESHOLD_METRICS, TrainConfig
+from .errors import ConfigError, DataError
+from .losses import LossWeights
 from .series import read_text
-from .synth import ANOMALY_KINDS, SHAPELETS
+from .synth import (AnomalySpec, ChannelSpec, GeneratorConfig, check_channel, check_frequency,
+                    check_range, train_length)
 
-SCORE_MODE_CHOICES = ("auto", "shape_only", "strad_broadcast")
+SCORE_MODE_CHOICES = ("auto", *SCORE_MODES)
 THRESHOLD_MODE_CHOICES = ("quantile", "best_f1")
 
 _CHANNEL_DEFAULTS = {
@@ -171,12 +173,13 @@ def apply_override(raw: dict, path: list[str], value: Any) -> None:
 
 @dataclass(frozen=True)
 class SynthDatasetConfig:
-    length: int
-    noise_sigma: float
-    seed: Optional[int]
+    generator: GeneratorConfig  # what runs, with the seed resolved
     train_fraction: float
-    channels: tuple[dict, ...]
-    anomalies: tuple[dict, ...]
+    anomalies: tuple[AnomalySpec, ...]
+
+    @property
+    def length(self) -> int:
+        return self.generator.length
 
 
 @dataclass(frozen=True)
@@ -205,12 +208,7 @@ class ExperimentConfig:
     train_stride: int
     score_stride: int
     model_hidden: tuple[int, ...]
-    train_epochs: int
-    train_batch_size: int
-    train_loss: str
-    train_mix: float
-    train_lr: float
-    loss_weights: LossWeights
+    train: TrainConfig  # the configured run; `fit` varies its loss_kind and weights per arm
     score_mode: str
     threshold_mode: str
     threshold_q: float
@@ -221,22 +219,31 @@ class ExperimentConfig:
     resolved: dict = field(repr=False)
     hash: str = ""
 
-    def train_config(self, loss_kind: Optional[str] = None,
-                     weights: Optional[LossWeights] = None) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.train_epochs,
-            batch_size=self.train_batch_size,
-            seed=self.seed,
-            loss_kind=loss_kind or self.train_loss,
-            weights=weights or self.loss_weights,
-            mix=self.train_mix,
-            lr=self.train_lr,
-        )
+    @property
+    def loss_weights(self) -> LossWeights:
+        return self.train.weights
+
+    @property
+    def train_loss(self) -> str:
+        return self.train.loss_kind
+
+    @property
+    def train_epochs(self) -> int:
+        return self.train.epochs
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+@contextmanager
+def _at(path: str):
+    """Re-raise a typed spec's or a synth check's error under the key path of its value."""
+    try:
+        yield
+    except (ConfigError, DataError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def build(resolved: dict) -> ExperimentConfig:
@@ -257,18 +264,20 @@ def build(resolved: dict) -> ExperimentConfig:
     hidden = tuple(resolved["model"]["hidden"])
     _require(all(h >= 1 for h in hidden) and hidden, "model.hidden must be positive sizes")
 
-    train = resolved["train"]
-
     lw = resolved["loss_weights"]
-    _require(lw["trend_variant"] in TREND_VARIANTS,
-             f"loss_weights.trend_variant must be one of {TREND_VARIANTS}")
-    weights = LossWeights(
-        lambda1=float(lw["lambda1"]),
-        lambda2=float(lw["lambda2"]),
-        lambda3=float(lw["lambda3"]),
-        epsilon=float(lw["epsilon"]),
-        trend_variant=lw["trend_variant"],
-    )
+    with _at("loss_weights"):
+        weights = LossWeights(
+            lambda1=float(lw["lambda1"]),
+            lambda2=float(lw["lambda2"]),
+            lambda3=float(lw["lambda3"]),
+            epsilon=float(lw["epsilon"]),
+            trend_variant=lw["trend_variant"],
+        )
+    train = resolved["train"]
+    with _at("train"):
+        train_cfg = TrainConfig(epochs=train["epochs"], batch_size=train["batch_size"],
+                                seed=resolved["seed"], loss_kind=train["loss"], weights=weights,
+                                mix=float(train["mix"]), lr=float(train["lr"]))
 
     _require(resolved["score"]["mode"] in SCORE_MODE_CHOICES,
              f"score.mode must be one of {SCORE_MODE_CHOICES}")
@@ -284,8 +293,6 @@ def build(resolved: dict) -> ExperimentConfig:
              f"eval.metrics entries must be among {THRESHOLD_METRICS}")
     _require(len(set(metrics)) == len(metrics), f"eval.metrics repeats a metric: {list(metrics)}")
     losses = tuple(resolved["compare"]["losses"])
-    _require(all(l in LOSS_KINDS for l in losses),
-             f"compare.losses entries must be among {LOSS_KINDS}")
 
     datasets = []
     _require(bool(resolved["datasets"]), "at least one dataset is required")
@@ -294,38 +301,31 @@ def build(resolved: dict) -> ExperimentConfig:
         _require(ds["name"] not in ("", ".", "..") and not any(c in ds["name"] for c in "/\\"),
                  f"datasets.{i}.name must be a plain file-name stem, got {ds['name']!r}")
         _require(ds["source"] in ("synth", "csv"), f"datasets.{i}.source must be synth or csv")
-        synth_cfg = ds["synth"]
-        _require(synth_cfg["seed"] is None or synth_cfg["seed"] >= 0,
-                 f"datasets.{i}.synth.seed must be >= 0")
-        for ch in synth_cfg["channels"]:
-            _require(ch["shapelet"] in SHAPELETS,
-                     f"datasets.{i}: shapelet must be one of {SHAPELETS}")
-        for spec in synth_cfg["anomalies"]:
-            _require(spec["kind"] in ANOMALY_KINDS,
-                     f"datasets.{i}: anomaly kind must be one of {ANOMALY_KINDS}")
-            if ds["source"] == "synth":
-                end = spec["start"] + spec["length"] - 1
-                _require(
-                    0 <= spec["start"] and end < synth_cfg["length"],
-                    f"datasets.{i}: anomaly {spec['kind']} range "
-                    f"({spec['start']}, {end}) outside test region "
-                    f"[0, {synth_cfg['length']})",
-                )
-                channels = len(synth_cfg["channels"])
-                _require(spec["channel"] is None or 0 <= spec["channel"] < channels,
-                         f"datasets.{i}: anomaly {spec['kind']} channel {spec['channel']} "
-                         f"outside [0, {channels})")
+        synth_cfg, key = ds["synth"], f"datasets.{i}.synth"
+        channels = []
+        for c, ch in enumerate(synth_cfg["channels"]):
+            with _at(f"{key}.channels.{c}"):
+                channels.append(ChannelSpec(**ch))
+        with _at(key):
+            # derived seeds are spaced by 10 so the +1 test-split offset never collides
+            seed = resolved["seed"] * 1000 + 10 * i if synth_cfg["seed"] is None else synth_cfg["seed"]
+            generator = GeneratorConfig(length=synth_cfg["length"], channels=tuple(channels),
+                                        noise_sigma=float(synth_cfg["noise_sigma"]), seed=seed,
+                                        name=ds["name"])
+            train_fraction = float(synth_cfg["train_fraction"])
+            train_length(generator, train_fraction)
+        anomalies = []
+        for a, raw in enumerate(synth_cfg["anomalies"]):
+            with _at(f"{key}.anomalies.{a}"):
+                spec = AnomalySpec(**raw)
+                check_range(spec, generator)
+                check_channel(spec, generator)
+                check_frequency(spec, generator)
+            anomalies.append(spec)
         datasets.append(DatasetConfig(
             name=ds["name"],
             source=ds["source"],
-            synth=SynthDatasetConfig(
-                length=synth_cfg["length"],
-                noise_sigma=float(synth_cfg["noise_sigma"]),
-                seed=synth_cfg["seed"],
-                train_fraction=float(synth_cfg["train_fraction"]),
-                channels=tuple(synth_cfg["channels"]),
-                anomalies=tuple(synth_cfg["anomalies"]),
-            ),
+            synth=SynthDatasetConfig(generator, train_fraction, tuple(anomalies)),
             csv=CsvDatasetConfig(
                 train_path=ds["csv"]["train_path"],
                 test_path=ds["csv"]["test_path"],
@@ -343,12 +343,7 @@ def build(resolved: dict) -> ExperimentConfig:
         train_stride=train_stride,
         score_stride=score_stride,
         model_hidden=hidden,
-        train_epochs=train["epochs"],
-        train_batch_size=train["batch_size"],
-        train_loss=train["loss"],
-        train_mix=float(train["mix"]),
-        train_lr=float(train["lr"]),
-        loss_weights=weights,
+        train=train_cfg,
         score_mode=resolved["score"]["mode"],
         threshold_mode=threshold["mode"],
         threshold_q=float(threshold["q"]),
@@ -359,7 +354,9 @@ def build(resolved: dict) -> ExperimentConfig:
         resolved=resolved,
         hash=config_hash(resolved),
     )
-    config.train_config()  # TrainConfig rejects bad epochs, batch_size, loss, mix and lr
+    for j, loss in enumerate(losses):  # every arm's TrainConfig must build
+        with _at(f"compare.losses.{j}"):
+            replace(train_cfg, loss_kind=loss)
     return config
 
 

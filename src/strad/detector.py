@@ -34,7 +34,7 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.loss_kind not in LOSS_KINDS:
-            raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
+            raise ConfigError(f"loss must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
         if not 0.0 <= self.mix <= 1.0:
             raise ConfigError(f"mix must lie in [0, 1], got {self.mix}")
         if not (np.isfinite(self.lr) and self.lr > 0):

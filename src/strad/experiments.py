@@ -9,7 +9,7 @@ are reproducible byte for byte and parse back exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -44,7 +44,7 @@ from .series import (
     segments_from_labels,
     sliding_windows,
 )
-from .synth import AnomalySpec, ChannelSpec, GeneratorConfig, make_benchmark
+from .synth import make_benchmark
 
 
 # Marks a swept best F1 that the all-positive prediction (threshold at the
@@ -75,15 +75,6 @@ def provenance(cfg: ExperimentConfig, **extra) -> str:
 # ---------------------------------------------------------------------------
 
 
-def dataset_seed(cfg: ExperimentConfig, index: int) -> int:
-    """Seed that generates synthetic dataset `index` and that the manifest records.
-
-    Derived seeds are spaced by 10 so the +1 test-split offset never collides.
-    """
-    own = cfg.datasets[index].synth.seed
-    return own if own is not None else cfg.seed * 1000 + 10 * index
-
-
 def materialize_dataset(cfg: ExperimentConfig, index: int) -> tuple[TimeSeries, TimeSeries]:
     """Build (train, test) series for one configured dataset."""
     ds = cfg.datasets[index]
@@ -93,15 +84,7 @@ def materialize_dataset(cfg: ExperimentConfig, index: int) -> tuple[TimeSeries, 
         test_ts = load_csv(ds.csv.test_path, ds.csv.value_columns, ds.csv.label_column,
                            name=f"{ds.name}_test")
         return train_ts, test_ts
-    gen = GeneratorConfig(
-        length=ds.synth.length,
-        channels=tuple(ChannelSpec(**ch) for ch in ds.synth.channels),
-        noise_sigma=ds.synth.noise_sigma,
-        seed=dataset_seed(cfg, index),
-        name=ds.name,
-    )
-    specs = [AnomalySpec(**spec) for spec in ds.synth.anomalies]
-    return make_benchmark(gen, specs, ds.synth.train_fraction)
+    return make_benchmark(ds.synth.generator, ds.synth.anomalies, ds.synth.train_fraction)
 
 
 def resolve_score_mode(configured: str, loss_kind: str) -> str:
@@ -128,7 +111,8 @@ def fit(
     windows = sliding_windows(train_norm, t, cfg.train_stride)
     model = init_model(default_layer_sizes(t * train_norm.channels, cfg.model_hidden),
                        seed=cfg.seed)
-    return train(model, windows, cfg.train_config(loss_kind=loss_kind, weights=weights))
+    return train(model, windows, replace(cfg.train, loss_kind=loss_kind or cfg.train_loss,
+                                         weights=weights or cfg.loss_weights))
 
 
 def detect(
@@ -286,12 +270,12 @@ def _pretty(value) -> str:
 
 def run_synth(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     """Write train/test CSVs per synthetic dataset plus one manifest."""
-    _make_outdir(outdir)
-    written = []
-    manifest = {"config_hash": cfg.hash, "seed": cfg.seed, "datasets": []}
     indices = [i for i, d in enumerate(cfg.datasets) if d.source == "synth"]
     if not indices:
         raise ConfigError("cmd synth needs at least one dataset with source 'synth'")
+    _make_outdir(outdir)
+    written = []
+    manifest = {"config_hash": cfg.hash, "seed": cfg.seed, "datasets": []}
     for i in indices:
         ds = cfg.datasets[i]
         train_ts, test_ts = materialize_dataset(cfg, i)
@@ -301,13 +285,9 @@ def run_synth(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         write_series_csv(test_ts, test_path, provenance(cfg, dataset=ds.name, split="test"))
         written += [train_path, test_path]
         manifest["datasets"].append({
-            "name": ds.name,
-            "seed": dataset_seed(cfg, i),
-            "length": ds.synth.length,
-            "noise_sigma": ds.synth.noise_sigma,
+            **asdict(ds.synth.generator),  # name, seed, length, noise_sigma, channels
             "train_fraction": ds.synth.train_fraction,
-            "channels": list(ds.synth.channels),
-            "anomalies": list(ds.synth.anomalies),
+            "anomalies": [asdict(spec) for spec in ds.synth.anomalies],
             "train_csv": train_path.name,
             "test_csv": test_path.name,
         })
@@ -382,11 +362,11 @@ def run_eval_cmd(
     last; each sub-dataset row also lists under "degenerate" the swept
     metrics whose best F1 the all-positive prediction already reaches.
     """
-    _make_outdir(outdir)
     if thresholds is not None and len(thresholds) == 1:
         thresholds = thresholds * len(pairs)
     if thresholds is not None and len(thresholds) != len(pairs):
         raise ConfigError("need one threshold per scores/data pair (or a single value)")
+    _make_outdir(outdir)
     rows = []
     for i, (scores_path, data_path) in enumerate(pairs):
         scores = read_scores_csv(scores_path)
@@ -498,13 +478,9 @@ def run_ablate(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> list[dic
     rows = []
     data = [materialize_dataset(cfg, i) for i in range(len(cfg.datasets))]
     for use_trend, use_sea, use_shape in ABLATION_SUBSETS:
-        weights = LossWeights(
-            lambda1=base.lambda1 if use_trend else 0.0,
-            lambda2=base.lambda2 if use_sea else 0.0,
-            lambda3=base.lambda3 if use_shape else 0.0,
-            epsilon=base.epsilon,
-            trend_variant=base.trend_variant,
-        )
+        weights = replace(base, lambda1=base.lambda1 if use_trend else 0.0,
+                          lambda2=base.lambda2 if use_sea else 0.0,
+                          lambda3=base.lambda3 if use_shape else 0.0)
         row = {"trend": use_trend, "seasonality": use_sea, "shape": use_shape}
         arm_results = []
         for i, ds in enumerate(cfg.datasets):

@@ -256,8 +256,12 @@ def _parse_rows(path: Path, text: str, value_columns: Sequence[str],
 
 def fit_normalization(series: TimeSeries) -> NormalizationStats:
     """Per-channel mean and population standard deviation (divide by M)."""
-    mean = series.values.mean(axis=0)
-    std = series.values.std(axis=0)  # population formula
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        mean = series.values.mean(axis=0)
+        std = series.values.std(axis=0)  # population formula
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        raise DataError(f"{series.name}: channel {bad[0]} has a mean or std that overflows")
     std = np.maximum(std, STD_FLOOR)
     return NormalizationStats(mean=mean, std=std)
 

@@ -68,8 +68,10 @@ class GeneratorConfig:
             raise ConfigError(f"length must be >= 1, got {self.length}")
         if not self.channels:
             raise ConfigError("need at least one channel")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,41 @@ def generate_base(cfg: GeneratorConfig) -> TimeSeries:
     return TimeSeries(values=values, labels=np.zeros(cfg.length, dtype=np.int64), name=cfg.name)
 
 
+def check_range(spec: AnomalySpec, cfg: GeneratorConfig) -> None:
+    """An anomaly must end inside the series generated by `cfg`."""
+    if spec.end >= cfg.length:
+        raise DataError(f"anomaly {spec.kind} range ({spec.start}, {spec.end}) "
+                        f"outside test region [0, {cfg.length})")
+
+
+def check_channel(spec: AnomalySpec, cfg: GeneratorConfig) -> Sequence[int]:
+    """The channels `spec` rewrites: its own, which `cfg` must have, or all of them."""
+    count = len(cfg.channels)
+    if spec.channel is not None and not 0 <= spec.channel < count:
+        raise DataError(f"anomaly {spec.kind} channel {spec.channel} outside [0, {count})")
+    return range(count) if spec.channel is None else (spec.channel,)
+
+
+def check_frequency(spec: AnomalySpec, cfg: GeneratorConfig) -> None:
+    """A seasonal_pattern runs each of its channels at magnitude * omega, below Nyquist."""
+    if spec.kind != "seasonal_pattern":
+        return
+    for c in check_channel(spec, cfg):
+        omega = spec.magnitude * cfg.channels[c].omega
+        if not 0.0 < omega < 0.5:
+            raise DataError(f"scaled frequency {omega} (magnitude * omega) leaves (0, 0.5)")
+
+
+def train_length(cfg: GeneratorConfig, train_fraction: float) -> int:
+    """Length of the train split: the first `train_fraction` of a generation, not empty."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+    length = int(math.floor(train_fraction * cfg.length))
+    if length < 1:
+        raise ConfigError("train split is empty")
+    return length
+
+
 def inject(series: TimeSeries, spec: AnomalySpec, cfg: GeneratorConfig) -> TimeSeries:
     """Apply one anomaly; labels become 1 exactly on the injected range.
 
@@ -143,13 +180,9 @@ def inject(series: TimeSeries, spec: AnomalySpec, cfg: GeneratorConfig) -> TimeS
     """
     if series.length != cfg.length or series.channels != len(cfg.channels):
         raise DataError("series does not match the generator configuration")
-    if spec.end >= series.length:
-        raise DataError(
-            f"anomaly {spec.kind} range ({spec.start}, {spec.end}) exceeds series length {series.length}"
-        )
-    if spec.channel is not None and not 0 <= spec.channel < series.channels:
-        raise DataError(f"channel {spec.channel} out of range")
-    channels = range(series.channels) if spec.channel is None else (spec.channel,)
+    check_range(spec, cfg)
+    channels = check_channel(spec, cfg)
+    check_frequency(spec, cfg)
 
     values = series.values.copy()
     lo, hi = spec.start, spec.end + 1
@@ -173,9 +206,6 @@ def inject(series: TimeSeries, spec: AnomalySpec, cfg: GeneratorConfig) -> TimeS
                 theta = 2.0 * np.pi * ch.omega * j + ch.phase
                 wave = spec.magnitude * ch.amplitude * _waveform(_NEXT_SHAPELET[ch.shapelet], theta)
             elif spec.kind == "seasonal_pattern":
-                omega = spec.magnitude * ch.omega
-                if not 0.0 < omega < 0.5:
-                    raise DataError(f"scaled frequency {omega} leaves (0, 0.5)")
                 # phase-continuous at the left edge; written so magnitude 1
                 # reproduces the base expression bit for bit
                 effective_j = spec.magnitude * (j - spec.start) + spec.start
@@ -203,11 +233,7 @@ def make_benchmark(
     test series is a full-length fresh generation (seed offset by 1) with all
     injections applied. Specs must fall inside the test series bounds.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"train_fraction must lie in (0, 1), got {train_fraction}")
-    train_len = int(math.floor(train_fraction * cfg.length))
-    if train_len < 1:
-        raise ConfigError("train split is empty")
+    train_len = train_length(cfg, train_fraction)
     base = generate_base(cfg)
     train = TimeSeries(
         values=base.values[:train_len],
@@ -217,10 +243,5 @@ def make_benchmark(
     test_cfg = replace(cfg, seed=cfg.seed + 1, name=f"{cfg.name}_test")
     test = generate_base(test_cfg)
     for spec in specs:
-        if spec.end >= test.length:
-            raise DataError(
-                f"anomaly {spec.kind} range ({spec.start}, {spec.end}) outside test region "
-                f"[0, {test.length})"
-            )
         test = inject(test, spec, test_cfg)
     return train, test

@@ -1,5 +1,7 @@
 import base64
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -182,8 +184,25 @@ class TestCliSynth:
         assert main(["synth", "-c", write_config(tmp_path, doc)]) == 1
         assert "outside [0, 1)" in capsys.readouterr().err
 
+    def test_no_synth_dataset_is_usage_error_before_output(self, tmp_path, capsys):
+        doc = small_config(tmp_path / "out")
+        doc["datasets"][0]["source"] = "csv"
+        assert main(["synth", "-c", write_config(tmp_path, doc)]) == 1
+        assert "needs at least one dataset with source 'synth'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCliTrain:
+    def test_overflowing_series_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        rows = [f"{1e300 * math.sin(i)!r},0" for i in range(600)]
+        data.write_text("v0,label\n" + "\n".join(rows) + "\n")
+        doc = small_config(tmp_path / "out")
+        doc["datasets"] = [{"name": "huge", "source": "csv",
+                            "csv": {"train_path": str(data), "test_path": str(data)}}]
+        assert main(["train", "-c", write_config(tmp_path, doc)]) == 2
+        assert "huge_train: channel 0 has a mean or std that overflows" in capsys.readouterr().err
+
     def test_history_rows_equal_epochs(self, tmp_path):
         out = tmp_path / "out"
         cfgp = write_config(tmp_path, small_config(out))
@@ -410,6 +429,14 @@ class TestCliEval:
                      f"--threshold={value}", "-o", str(outs[1])]) == 0
         assert (outs[0] / "report.csv").read_bytes() == (outs[1] / "report.csv").read_bytes()
 
+    def test_threshold_count_mismatch_is_usage_error_before_output(self, tmp_path, capsys):
+        sc, data = write_eval_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
+        out = tmp_path / "rep"
+        assert main(["eval", "--scores", str(sc), "--data", str(data),
+                     "--threshold", "1", "--threshold", "2", "-o", str(out)]) == 1
+        assert "need one threshold per scores/data pair" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_misaligned_inputs(self, tmp_path):
         sc, _ = write_eval_pair(tmp_path, "x", [0, 1, 0], [0, 7, 0])
         _, data = write_eval_pair(tmp_path, "y", [0, 1], [0, 7])
@@ -483,6 +510,23 @@ class TestCliCompare:
         assert main(["compare", "-c", write_config(tmp_path, doc, name="csv_cfg.json")]) == 2
         assert ("error: dataset nolabels: evaluation requires test labels\n"
                 in capsys.readouterr().err)
+
+    def test_bad_second_dataset_fails_before_any_training(self, tmp_path, capsys, monkeypatch):
+        import strad.experiments
+
+        calls = []
+        trainer = strad.experiments.train
+        monkeypatch.setattr(strad.experiments, "train",
+                            lambda *args: calls.append(args) or trainer(*args))
+        doc = small_config(tmp_path / "out")
+        second = copy.deepcopy(doc["datasets"][0])
+        second["name"] = "second"
+        second["synth"]["anomalies"][0]["magnitude"] = 40.0
+        doc["datasets"].append(second)
+        assert main(["compare", "-c", write_config(tmp_path, doc)]) == 1
+        assert "datasets.1.synth.anomalies.0: scaled frequency" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
     def test_mse_required(self, tmp_path):
         doc = small_config(tmp_path / "out", compare={"losses": ["strad", "mse_plus_strad"]})
@@ -641,6 +685,33 @@ class TestExitCodes:
         # rejected before any work, even by a command that does not train
         cfgp = write_config(tmp_path, small_config(tmp_path / "out"))
         assert main(["synth", "-c", cfgp, "--set", override]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("expected, edit", [
+        ("datasets.0.synth.anomalies.0: scaled frequency 2.5",
+         lambda s: s["anomalies"][0].update(magnitude=40.0)),
+        ("datasets.0.synth: length must be >= 1", lambda s: s.update(length=0, anomalies=[])),
+        ("datasets.0.synth: noise_sigma must be", lambda s: s.update(noise_sigma=-1.0)),
+        ("datasets.0.synth: train_fraction must lie in (0, 1)",
+         lambda s: s.update(train_fraction=1.5)),
+        ("datasets.0.synth: train split is empty", lambda s: s.update(train_fraction=0.001)),
+        ("datasets.0.synth.channels.0: omega must lie in (0, 0.5)",
+         lambda s: s["channels"][0].update(omega=0.5)),
+        ("datasets.0.synth: need at least one channel", lambda s: s.update(channels=[])),
+        ("datasets.0.synth.anomalies.1: global_point must have length 1",
+         lambda s: s["anomalies"][1].update(length=3)),
+        ("datasets.0.synth.anomalies.1: anomaly global_point range (600, 600) outside test region",
+         lambda s: s["anomalies"][1].update(start=600)),
+        ("datasets.0.synth.anomalies.1: anomaly global_point channel 1 outside [0, 1)",
+         lambda s: s["anomalies"][1].update(channel=1)),
+    ], ids=["frequency", "length", "noise", "fraction", "empty-split", "omega", "no-channels",
+            "point-length", "range", "channel"])
+    def test_synth_value_fails_at_load_naming_its_key(self, tmp_path, capsys, expected, edit):
+        # every value is checked before any output directory exists
+        doc = small_config(tmp_path / "out")
+        edit(doc["datasets"][0]["synth"])
+        assert main(["synth", "-c", write_config(tmp_path, doc)]) == 1
+        assert expected in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_parser_built_once_without_leaking_values(self):

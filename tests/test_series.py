@@ -290,6 +290,15 @@ class TestNormalization:
         with pytest.raises(ShapeMismatchError):
             apply_normalization(TimeSeries(values=np.ones((4, 3))), stats)
 
+    @pytest.mark.parametrize("channel", [0, 1])
+    def test_overflowing_channel_is_data_error(self, channel):
+        # squares of 1e300 leave the float range: the std would be inf and the
+        # channel would normalize to all zeros
+        values = np.ones((100, 2))
+        values[:, channel] = 1e300 * np.sin(np.arange(100.0))
+        with pytest.raises(DataError, match=f"channel {channel} "):
+            fit_normalization(TimeSeries(values=values))
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
     def test_round_trip_inverse(self, values):
         ts = TimeSeries(values=np.array(values))
