@@ -95,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", type=int, default=10, help="random models per end-to-end check")
     p.add_argument("--sizes", type=int, nargs="+", default=[4, 3, 2, 3, 4],
                    help="layer sizes of the end-to-end check model")
-    p.add_argument("--perturb", choices=gradcheck_mod.ALL_COMPONENTS, default=None,
-                   help="test hook: corrupt one analytic gradient to force a failure")
     p.add_argument("--output", "-o", default=None, help="also write the report to a file")
     return parser
 
@@ -185,7 +183,6 @@ def _cmd_gradcheck(args) -> int:
         n_windows=args.windows,
         n_models=args.models,
         layer_sizes=tuple(args.sizes),
-        perturb=args.perturb,
     )
     report = gradcheck_mod.format_report(results)
     print(report)

@@ -11,8 +11,9 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -26,13 +27,7 @@ from .synth import (AnomalySpec, ChannelSpec, GeneratorConfig, check_channel, ch
 SCORE_MODE_CHOICES = ("auto", *SCORE_MODES)
 THRESHOLD_MODE_CHOICES = ("quantile", "best_f1")
 
-_CHANNEL_DEFAULTS = {
-    "shapelet": "sine",
-    "omega": 1.0 / 32.0,
-    "amplitude": 1.0,
-    "phase": 0.0,
-    "slope": 0.0,
-}
+_CHANNEL_DEFAULTS = asdict(ChannelSpec())
 
 _ANOMALY_DEFAULTS = {
     "kind": "shapelet_pattern",
@@ -71,13 +66,7 @@ DEFAULTS: dict[str, Any] = {
     "window": {"length": 64, "train_stride": None, "score_stride": 1},
     "model": {"hidden": [64, 16]},
     "train": {"epochs": 50, "batch_size": 32, "loss": "strad", "mix": 0.5, "lr": 1e-3},
-    "loss_weights": {
-        "lambda1": 1.5,
-        "lambda2": 10.0,
-        "lambda3": 1.0,
-        "epsilon": 1e-7,
-        "trend_variant": "monotone",
-    },
+    "loss_weights": asdict(LossWeights()),
     "score": {"mode": "auto"},
     "threshold": {"mode": "quantile", "q": 0.99, "metric": "rpa"},
     "eval": {"metrics": ["rpa", "pa"]},
@@ -95,15 +84,17 @@ _LIST_DEFAULTS = {
 
 
 def _scalar_ok(default: Any, given: Any, key: str) -> bool:
-    """An int default takes an int, a float default an int or a float, a str
-    default a str; null only where the default is null, and for csv.label_column
-    (no label column). A null default otherwise takes an int. Bools match none."""
+    """An int default takes an int, a float default a float or an int within
+    float range, a str default a str; null only where the default is null, and
+    for csv.label_column (no label column). A null default otherwise takes an
+    int. Bools match none."""
     if given is None:
         return default is None or key == "label_column"
     if isinstance(given, bool):
         return False
     if isinstance(default, float):
-        return isinstance(given, (int, float))
+        return isinstance(given, float) or (isinstance(given, int)
+                                            and abs(given) <= sys.float_info.max)
     return isinstance(given, str if isinstance(default, str) else int)
 
 
@@ -242,7 +233,7 @@ def _at(path: str):
     """Re-raise a typed spec's or a synth check's error under the key path of its value."""
     try:
         yield
-    except (ConfigError, DataError) as exc:
+    except (ConfigError, DataError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 

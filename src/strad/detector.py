@@ -60,10 +60,9 @@ class TrainResult:
 
 @dataclass(frozen=True)
 class ScoreSeries:
-    """Per-point anomaly scores and the number of windows covering each point."""
+    """Per-point anomaly scores."""
 
     scores: np.ndarray  # (M,)
-    coverage: np.ndarray  # (M,) ints
 
     def __post_init__(self):
         if not np.isfinite(self.scores).all():
@@ -182,7 +181,7 @@ def score(
         sums[points] += contrib[:, j]
         coverage[points] += 1
     scores = np.divide(sums, coverage, out=np.zeros_like(sums), where=coverage > 0)
-    return ScoreSeries(scores=scores, coverage=coverage)
+    return ScoreSeries(scores)
 
 
 def f1_at(scores: np.ndarray, threshold: float, labels: np.ndarray, segments: list[Segment],

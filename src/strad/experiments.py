@@ -128,7 +128,8 @@ def detect(
 
     Both splits are normalized with the train split's statistics. "quantile"
     mode gives every metric the q-quantile of the train-split scores;
-    "best_f1" mode sweeps the labeled test scores once per metric.
+    "best_f1" mode gives every metric None, for `evaluate` to sweep on the
+    labeled test scores.
     """
     stats = fit_normalization(train_raw)
 
@@ -142,17 +143,29 @@ def detect(
         return test_scores, {metric: threshold for metric in metrics}
     if test_raw.labels is None:
         raise DataError(f"{test_raw.name}: best_f1 thresholding requires test labels")
-    return test_scores, {metric: threshold_best_f1(test_scores, test_raw.labels, metric)[0]
-                         for metric in metrics}
+    return test_scores, dict.fromkeys(metrics)
 
 
-@dataclass
-class ArmResult:
-    """Outcome of training and evaluating one objective on one dataset."""
+def evaluate(scores: ScoreSeries, labels: np.ndarray, thresholds: dict) -> dict:
+    """The report row of one labeled series: segments, then per metric its F1 and threshold.
 
-    segment_count: int
-    f1: dict  # metric -> F1
-    thresholds: dict  # metric -> threshold
+    `thresholds` maps each metric to a fixed threshold, or to None for a
+    best-F1 sweep. The row's "degenerate" lists the swept metrics whose best
+    F1 the all-positive prediction (threshold at the minimum score) already
+    reaches.
+    """
+    segments = segments_from_labels(labels)
+    row = {"segments": len(segments), "degenerate": ()}
+    for metric, threshold in thresholds.items():
+        if threshold is None:
+            threshold, f1 = threshold_best_f1(scores, labels, metric)
+            if f1_at(scores.scores, scores.scores.min(), labels, segments, metric) >= f1:
+                row["degenerate"] += (metric,)
+        else:
+            f1 = f1_at(scores.scores, threshold, labels, segments, metric)
+        row[f"{metric}_f1"] = f1
+        row[f"{metric}_threshold"] = threshold
+    return row
 
 
 def run_arm(
@@ -161,20 +174,17 @@ def run_arm(
     loss_kind: str,
     data: tuple[TimeSeries, TimeSeries],
     weights: Optional[LossWeights] = None,
-) -> ArmResult:
-    """Train one model on `data`'s train split and evaluate it on its test split."""
+) -> dict:
+    """Train one model on `data`'s train split; the `evaluate` row of its test split."""
     weights = weights or cfg.loss_weights
     train_raw, test_raw = data
-    labels = test_raw.labels
-    if labels is None:
+    if test_raw.labels is None:
         raise DataError(f"dataset {cfg.datasets[dataset_index].name}: evaluation requires test labels")
     result = fit(cfg, train_raw, loss_kind, weights)
     mode = resolve_score_mode(cfg.score_mode, loss_kind)
     test_scores, thresholds = detect(cfg, result.model, train_raw, test_raw, mode, weights,
                                      cfg.eval_metrics)
-    segments = segments_from_labels(labels)
-    f1 = {m: f1_at(test_scores.scores, thresholds[m], labels, segments, m) for m in cfg.eval_metrics}
-    return ArmResult(segment_count=len(segments), f1=f1, thresholds=thresholds)
+    return evaluate(test_scores, test_raw.labels, thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +308,10 @@ def run_synth(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 
 def run_train_cmd(cfg: ExperimentConfig, outdir: Path) -> tuple[Path, Path]:
     """Train on the first configured dataset; emit checkpoint and history."""
-    _make_outdir(outdir)
     ds = cfg.datasets[0]
     train_raw, _ = materialize_dataset(cfg, 0)
     result = fit(cfg, train_raw)
+    _make_outdir(outdir)
     ckpt_path = outdir / f"{ds.name}_model.ckpt"
     save_checkpoint(result.model, ckpt_path, meta={"config": cfg.hash, "seed": str(cfg.seed)})
     hist_path = outdir / f"{ds.name}_history.csv"
@@ -311,7 +321,6 @@ def run_train_cmd(cfg: ExperimentConfig, outdir: Path) -> tuple[Path, Path]:
 
 def run_detect_cmd(cfg: ExperimentConfig, checkpoint: Path, outdir: Path) -> dict:
     """Score the first dataset's test split and threshold it."""
-    _make_outdir(outdir)
     ds = cfg.datasets[0]
     model, _ = load_checkpoint(checkpoint)
     train_raw, test_raw = materialize_dataset(cfg, 0)
@@ -325,8 +334,12 @@ def run_detect_cmd(cfg: ExperimentConfig, checkpoint: Path, outdir: Path) -> dic
     test_scores, thresholds = detect(cfg, model, train_raw, test_raw, mode, cfg.loss_weights,
                                      (cfg.threshold_metric,))
     threshold = thresholds[cfg.threshold_metric]
+    if threshold is None:  # best_f1 mode
+        threshold = evaluate(test_scores, test_raw.labels,
+                             thresholds)[f"{cfg.threshold_metric}_threshold"]
     predicted_segments = segments_from_labels((test_scores.scores >= threshold).astype(np.int64))
 
+    _make_outdir(outdir)
     scores_path = outdir / f"{ds.name}_scores.csv"
     write_scores_csv(test_scores, scores_path, provenance(cfg, dataset=ds.name, mode=mode))
     segments_path = outdir / f"{ds.name}_segments.csv"
@@ -358,38 +371,26 @@ def run_eval_cmd(
 
     With explicit `thresholds` (one per pair, or a single broadcast value)
     each metric is evaluated at that fixed threshold; otherwise a best-F1
-    sweep runs per metric. Returns the rows of `report.csv`, the ENTIRE row
-    last; each sub-dataset row also lists under "degenerate" the swept
-    metrics whose best F1 the all-positive prediction already reaches.
+    sweep runs per metric. Returns the rows of `report.csv`: one `evaluate`
+    row per sub-dataset, named after its data file, and the ENTIRE row last.
     """
     if thresholds is not None and len(thresholds) == 1:
         thresholds = thresholds * len(pairs)
     if thresholds is not None and len(thresholds) != len(pairs):
         raise ConfigError("need one threshold per scores/data pair (or a single value)")
-    _make_outdir(outdir)
     rows = []
     for i, (scores_path, data_path) in enumerate(pairs):
         scores = read_scores_csv(scores_path)
         labels = read_labels_csv(data_path, label_column)
         if labels.shape[0] != scores.shape[0]:
             raise DataError(f"{data_path}: labels misaligned with {scores_path}")
-        score_series = ScoreSeries(scores=scores, coverage=np.ones(len(scores), dtype=np.int64))
-        segments = segments_from_labels(labels)
-        row = {"name": Path(data_path).stem, "segments": len(segments), "degenerate": ()}
-        for metric in metrics:
-            if thresholds is None:
-                threshold, f1 = threshold_best_f1(score_series, labels, metric)
-                if f1_at(scores, scores.min(), labels, segments, metric) >= f1:
-                    row["degenerate"] += (metric,)
-            else:
-                threshold = thresholds[i]
-                f1 = f1_at(scores, threshold, labels, segments, metric)
-            row[f"{metric}_f1"] = f1
-            row[f"{metric}_threshold"] = threshold
-        rows.append(row)
+        threshold = None if thresholds is None else thresholds[i]
+        rows.append({"name": Path(data_path).stem,
+                     **evaluate(ScoreSeries(scores), labels, dict.fromkeys(metrics, threshold))})
     entire = {"name": "ENTIRE", "segments": sum(r["segments"] for r in rows)}
     for metric in metrics:
         entire[f"{metric}_f1"] = entire_f1([(r["segments"], r[f"{metric}_f1"]) for r in rows])
+    _make_outdir(outdir)
     write_table([*rows, entire], ["name", "segments", *_metric_columns(metrics)],
                 outdir / "report.csv", outdir / "report.txt", prov)
     notes = [f"note: {r['name']} {m}_f1={r[f'{m}_f1']:.6f} {DEGENERATE}\n"
@@ -423,29 +424,21 @@ def run_compare(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> Compare
         labels.append(loss if seen[loss] == 1 else f"{loss}#{seen[loss]}")
     baseline_label = labels[arms.index("mse")]
 
-    results: dict = {}
-    for i in range(len(cfg.datasets)):
+    rows: dict = {}  # label -> one row per dataset
+    for i, ds in enumerate(cfg.datasets):
         data = materialize_dataset(cfg, i)
         for loss, label in zip(arms, labels):
-            results[(label, i)] = run_arm(cfg, i, loss, data)
-
-    per_arm_dataset = []
-    for label in labels:
-        for i, ds in enumerate(cfg.datasets):
-            r = results[(label, i)]
-            row = {"arm": label, "dataset": ds.name, "segments": r.segment_count}
-            for metric in cfg.eval_metrics:
-                row[f"{metric}_f1"] = r.f1[metric]
-                row[f"{metric}_threshold"] = r.thresholds[metric]
-            per_arm_dataset.append(row)
+            rows.setdefault(label, []).append(
+                {"arm": label, "dataset": ds.name, **run_arm(cfg, i, loss, data)})
+    per_arm_dataset = [row for label in labels for row in rows[label]]
 
     summary = []
     for label in labels:
         for metric in cfg.eval_metrics:
-            f1s = [results[(label, i)].f1[metric] for i in range(len(cfg.datasets))]
-            base = [results[(baseline_label, i)].f1[metric] for i in range(len(cfg.datasets))]
-            weighted = entire_f1([(results[(label, i)].segment_count, f1s[i])
-                                  for i in range(len(cfg.datasets))])
+            key = f"{metric}_f1"
+            f1s = [r[key] for r in rows[label]]
+            base = [r[key] for r in rows[baseline_label]]
+            weighted = entire_f1([(r["segments"], r[key]) for r in rows[label]])
             row = {"arm": label, "metric": metric, "entire_f1": weighted}
             if label == baseline_label:
                 row["avg_improved"] = ""
@@ -482,15 +475,12 @@ def run_ablate(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> list[dic
                           lambda2=base.lambda2 if use_sea else 0.0,
                           lambda3=base.lambda3 if use_shape else 0.0)
         row = {"trend": use_trend, "seasonality": use_sea, "shape": use_shape}
-        arm_results = []
-        for i, ds in enumerate(cfg.datasets):
-            r = run_arm(cfg, i, "strad", data[i], weights)
-            arm_results.append(r)
-            for metric in cfg.eval_metrics:
-                row[f"{metric}_f1_{ds.name}"] = r.f1[metric]
+        arm_rows = [run_arm(cfg, i, "strad", data[i], weights) for i in range(len(cfg.datasets))]
         for metric in cfg.eval_metrics:
+            for ds, r in zip(cfg.datasets, arm_rows):
+                row[f"{metric}_f1_{ds.name}"] = r[f"{metric}_f1"]
             row[f"entire_{metric}_f1"] = entire_f1(
-                [(r.segment_count, r.f1[metric]) for r in arm_results])
+                [(r["segments"], r[f"{metric}_f1"]) for r in arm_rows])
         rows.append(row)
     if outdir is not None:
         _make_outdir(outdir)

@@ -11,7 +11,6 @@ crosses such a kink.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,7 +26,6 @@ MODEL_COMBINED_TOLERANCE = 1e-3
 
 LOSS_COMPONENTS = ("trend_negated_log", "trend_monotone", "seasonality", "shape", "mse", "combined")
 MODEL_COMPONENTS = ("model_mse", "model_combined")
-ALL_COMPONENTS = LOSS_COMPONENTS + MODEL_COMPONENTS
 
 _WEIGHTS = LossWeights()
 
@@ -122,13 +120,6 @@ def _fold(component: str, trials: list, tolerance: float) -> GradCheckResult:
                            max_rel_error=max_err, tolerance=tolerance)
 
 
-def _corrupt(grad: np.ndarray) -> np.ndarray:
-    """Test hook: a 1% relative plus small absolute error on one coordinate."""
-    grad = grad.copy()
-    grad.flat[0] = grad.flat[0] * 1.01 + 1e-3
-    return grad
-
-
 def check_loss_component(
     component: str,
     seed: int = 0,
@@ -136,7 +127,6 @@ def check_loss_component(
     lengths: tuple[int, ...] = (8, 16, 32),
     channels: tuple[int, ...] = (1, 3),
     step: float = FD_STEP,
-    perturb: bool = False,
 ) -> GradCheckResult:
     """Compare one component's analytic gradient with central differences."""
     kernel = _kernel(component)
@@ -148,8 +138,6 @@ def check_loss_component(
         x = rng.uniform(-1.0, 1.0, size=(t, d))
         y = rng.uniform(-1.0, 1.0, size=(t, d))
         analytic = kernel(x[None], y[None], True)[1][0]
-        if perturb:
-            analytic = _corrupt(analytic)
         fd = _fd_window_gradient(kernel, x, y, step)
         trials.append((analytic, fd, ~_exclusion_mask(component, x, y)))
     return _fold(component, trials, LOSS_TOLERANCE)
@@ -169,7 +157,6 @@ def check_model_component(
     n_models: int = 10,
     layer_sizes: tuple[int, ...] = (4, 3, 2, 3, 4),
     step: float = FD_STEP,
-    perturb: bool = False,
 ) -> GradCheckResult:
     """End-to-end parameter gradients (loss o forward) against central differences."""
     if component not in MODEL_COMPONENTS:
@@ -185,8 +172,6 @@ def check_model_component(
         acts = forward_batch(model, x.reshape(1, -1))
         upstream = kernel(x[None], acts[-1].reshape(1, t, d), True)[1].reshape(1, -1)
         analytic = backward_batch(model, acts, upstream)
-        if perturb:
-            analytic = _corrupt(analytic)
 
         def probe(k: int, value: float) -> tuple[float, tuple]:
             model.params[k] = value
@@ -214,19 +199,14 @@ def run_all(
     n_windows: int = 100,
     n_models: int = 10,
     layer_sizes: tuple[int, ...] = (4, 3, 2, 3, 4),
-    perturb: Optional[str] = None,
 ) -> list[GradCheckResult]:
-    """Run every gradient suite; `perturb` corrupts one component (test hook)."""
-    if perturb is not None and perturb not in ALL_COMPONENTS:
-        raise ValueError(f"unknown component {perturb!r}; choose from {ALL_COMPONENTS}")
+    """Run every gradient suite."""
     results = []
     for component in LOSS_COMPONENTS:
-        results.append(check_loss_component(
-            component, seed=seed, n_windows=n_windows, perturb=(perturb == component)))
+        results.append(check_loss_component(component, seed=seed, n_windows=n_windows))
     for component in MODEL_COMPONENTS:
         results.append(check_model_component(
-            component, seed=seed, n_models=n_models, layer_sizes=layer_sizes,
-            perturb=(perturb == component)))
+            component, seed=seed, n_models=n_models, layer_sizes=layer_sizes))
     return results
 
 

@@ -6,12 +6,17 @@ import math
 import numpy as np
 import pytest
 
+from strad import gradcheck
 from strad.cli import _load, build_parser, main
 from strad.config import config_hash, load_config, resolve
 from strad.errors import ConfigError
 from strad.experiments import read_scores_csv
 from strad.model import load_checkpoint
 from strad.series import load_csv, segments_from_labels
+
+
+# a JSON integer beyond float range
+HUGE = "1" + "0" * 400
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -203,6 +208,15 @@ class TestCliTrain:
         assert main(["train", "-c", write_config(tmp_path, doc)]) == 2
         assert "huge_train: channel 0 has a mean or std that overflows" in capsys.readouterr().err
 
+    def test_missing_csv_leaves_no_output_dir(self, tmp_path, capsys):
+        doc = small_config(tmp_path / "out")
+        doc["datasets"] = [{"name": "ext", "source": "csv",
+                            "csv": {"train_path": str(tmp_path / "missing.csv"),
+                                    "test_path": str(tmp_path / "missing.csv")}}]
+        assert main(["train", "-c", write_config(tmp_path, doc)]) == 1
+        assert "missing.csv" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_history_rows_equal_epochs(self, tmp_path):
         out = tmp_path / "out"
         cfgp = write_config(tmp_path, small_config(out))
@@ -235,6 +249,26 @@ class TestCliDetect:
         assert main(["train", "-c", cfgp]) == 0
         assert main(["detect", "-c", cfgp, "--checkpoint", str(out / "demo_model.ckpt")]) == 0
         return out
+
+    def test_missing_checkpoint_leaves_no_output_dir(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, small_config(tmp_path / "out"))
+        assert main(["detect", "-c", cfgp, "--checkpoint", str(tmp_path / "missing.ckpt")]) == 1
+        assert "missing.ckpt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_best_f1_threshold_equals_eval_sweep(self, tmp_path):
+        # detect's best_f1 threshold is the one a sweeping eval of its scores reports
+        out = self.run_train_detect(tmp_path, threshold={"mode": "best_f1", "metric": "pa"})
+        assert main(["synth", "-c", str(tmp_path / "out.json"), "-o", str(tmp_path / "data")]) == 0
+        assert main(["eval", "--scores", str(out / "demo_scores.csv"),
+                     "--data", str(tmp_path / "data" / "demo_test.csv"),
+                     "-o", str(tmp_path / "report")]) == 0
+        summary = json.loads((out / "demo_detect.json").read_text())
+        lines = [l for l in (tmp_path / "report" / "report.csv").read_text().splitlines()
+                 if l and not l.startswith("#")]
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert summary["threshold_mode"] == "best_f1"
+        assert float(row["pa_threshold"]) == summary["threshold"]
 
     def test_score_rows_equal_series_length(self, tmp_path):
         out = self.run_train_detect(tmp_path)
@@ -437,6 +471,12 @@ class TestCliEval:
         assert "need one threshold per scores/data pair" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_missing_scores_leave_no_output_dir(self, tmp_path):
+        _, data = write_eval_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
+        assert main(["eval", "--scores", str(tmp_path / "missing.csv"), "--data", str(data),
+                     "-o", str(tmp_path / "rep")]) == 1
+        assert not (tmp_path / "rep").exists()
+
     def test_misaligned_inputs(self, tmp_path):
         sc, _ = write_eval_pair(tmp_path, "x", [0, 1, 0], [0, 7, 0])
         _, data = write_eval_pair(tmp_path, "y", [0, 1], [0, 7])
@@ -561,8 +601,8 @@ class TestCliAblate:
         manual = run_arm(cfg, 0, "strad", materialize_dataset(cfg, 0),
                          weights=LossWeights(lambda1=0.0, lambda2=0.0, lambda3=1.0,
                                              epsilon=1e-7, trend_variant="monotone"))
-        assert float(shape_only["entire_rpa_f1"]) == manual.f1["rpa"]
-        assert float(shape_only["entire_pa_f1"]) == manual.f1["pa"]
+        assert float(shape_only["entire_rpa_f1"]) == manual["rpa_f1"]
+        assert float(shape_only["entire_pa_f1"]) == manual["pa_f1"]
 
 
 class TestMultichannel:
@@ -645,9 +685,19 @@ class TestCliGradcheck:
         assert main(["gradcheck", "--seed", "-1", "--windows", "1", "--models", "1"]) == 1
         assert "--seed must be >= 0" in capsys.readouterr().err
 
-    def test_perturb_fails_naming_component(self, tmp_path, capsys):
-        code = main(["gradcheck", "--windows", "4", "--models", "1",
-                     "--perturb", "shape"])
+    def test_perturb_fails_naming_component(self, tmp_path, capsys, monkeypatch):
+        shape = gradcheck._KERNELS["shape"]
+
+        def corrupted(X, XR, want_grad=False):
+            # a 1% relative plus small absolute error on one coordinate
+            values, grads = shape(X, XR, want_grad)
+            if grads is not None:
+                grads = grads.copy()
+                grads.flat[0] = grads.flat[0] * 1.01 + 1e-3
+            return values, grads
+
+        monkeypatch.setitem(gradcheck._KERNELS, "shape", corrupted)
+        code = main(["gradcheck", "--windows", "4", "--models", "1"])
         assert code == 3
         captured = capsys.readouterr()
         assert "shape" in captured.err
@@ -680,12 +730,17 @@ class TestExitCodes:
         "loss_weights.lambda1=NaN", "loss_weights.lambda2=NaN", "loss_weights.lambda3=NaN",
         "loss_weights.lambda1=Infinity", "loss_weights.epsilon=Infinity",
         "loss_weights.epsilon=NaN",
+        *(pytest.param(f"{key}={HUGE}", id=f"{key}=huge")  # were OverflowError tracebacks
+          for key in ("loss_weights.lambda1", "loss_weights.epsilon", "train.lr", "train.mix")),
     ])
-    def test_bad_training_value_fails_at_load(self, tmp_path, override):
+    def test_bad_training_value_fails_at_load(self, tmp_path, capsys, override):
         # rejected before any work, even by a command that does not train
         cfgp = write_config(tmp_path, small_config(tmp_path / "out"))
         assert main(["synth", "-c", cfgp, "--set", override]) == 1
         assert not (tmp_path / "out").exists()
+        key, _, value = override.partition("=")
+        if value == HUGE:
+            assert f"{key}: expected a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("expected, edit", [
         ("datasets.0.synth.anomalies.0: scaled frequency 2.5",
@@ -704,8 +759,24 @@ class TestExitCodes:
          lambda s: s["anomalies"][1].update(start=600)),
         ("datasets.0.synth.anomalies.1: anomaly global_point channel 1 outside [0, 1)",
          lambda s: s["anomalies"][1].update(channel=1)),
+        # a JSON integer beyond float range was an OverflowError traceback
+        ("datasets.0.synth.noise_sigma: expected a number",
+         lambda s: s.update(noise_sigma=int(HUGE))),
+        ("datasets.0.synth.train_fraction: expected a number",
+         lambda s: s.update(train_fraction=int(HUGE))),
+        ("datasets.0.synth: int too large to convert to float",
+         lambda s: s.update(length=int(HUGE), anomalies=[])),
+        ("datasets.0.synth.channels.0.amplitude: expected a number",
+         lambda s: s["channels"][0].update(amplitude=int(HUGE))),
+        ("datasets.0.synth.channels.0.phase: expected a number",
+         lambda s: s["channels"][0].update(phase=int(HUGE))),
+        ("datasets.0.synth.channels.0.slope: expected a number",
+         lambda s: s["channels"][0].update(slope=int(HUGE))),
+        ("datasets.0.synth.anomalies.0.magnitude: expected a number",
+         lambda s: s["anomalies"][0].update(magnitude=int(HUGE))),
     ], ids=["frequency", "length", "noise", "fraction", "empty-split", "omega", "no-channels",
-            "point-length", "range", "channel"])
+            "point-length", "range", "channel", "huge-noise", "huge-fraction", "huge-length",
+            "huge-amplitude", "huge-phase", "huge-slope", "huge-magnitude"])
     def test_synth_value_fails_at_load_naming_its_key(self, tmp_path, capsys, expected, edit):
         # every value is checked before any output directory exists
         doc = small_config(tmp_path / "out")

@@ -159,19 +159,27 @@ class TestScore:
         assert np.all(result.scores == 0)
 
     def test_coverage_stride_one(self):
+        # the naive oracle averages each point over the windows it counts
         ts = sine_series(100)
-        result = score(identity_model(16), ts, 16, 1, LossWeights(), "shape_only")
-        assert result.coverage[0] == 1
-        assert result.coverage[15] == 16
-        assert result.coverage[50] == 16  # interior point: t covering windows
-        assert result.coverage[-1] == 1
+        model = init_model(default_layer_sizes(16, (4,)), seed=1)
+        expected, coverage = naive_score(model, ts, 16, 1, LossWeights(), "shape_only")
+        assert coverage[0] == 1
+        assert coverage[15] == 16
+        assert coverage[50] == 16  # interior point: t covering windows
+        assert coverage[-1] == 1
+        result = score(model, ts, 16, 1, LossWeights(), "shape_only")
+        assert np.abs(result.scores - expected).max() < 1e-9
 
     def test_uncovered_tail_with_large_stride(self):
         # windows start at 0, 3, 6 and cover indices up to 9; index 10 is bare
         ts = TimeSeries(values=np.arange(11.0))
-        result = score(identity_model(4), ts, 4, 3, LossWeights(), "shape_only")
-        assert result.coverage[10] == 0 and result.scores[10] == 0.0
-        assert result.coverage[9] == 1
+        zero = init_model((4, 4))
+        zero.weights[0][...] = 0.0  # reconstructs 0, so a covered point scores |x|
+        expected, coverage = naive_score(zero, ts, 4, 3, LossWeights(), "shape_only")
+        assert coverage[10] == 0 and coverage[9] == 1
+        result = score(zero, ts, 4, 3, LossWeights(), "shape_only")
+        assert result.scores[10] == 0.0 and result.scores[9] == 9.0
+        assert np.array_equal(result.scores, expected)
 
     def test_single_window_shape_only_value(self):
         # one covering window, x=1, x'=0, lambda3=1, d=1 -> score 1 per point
@@ -194,12 +202,13 @@ class TestScore:
         ts = sine_series(90, seed=6, channels=2)
         model = init_model(default_layer_sizes(32, (8,)), seed=3)
         weights = LossWeights(lambda1=2.0, lambda2=5.0, lambda3=1.5)
-        expected, coverage = naive_score(model, ts, 16, stride, weights, mode)
+        # the oracle divides by its own window count per point, so matching
+        # scores check the coverage too
+        expected, _ = naive_score(model, ts, 16, stride, weights, mode)
         windows = (90 - 16) // stride + 1
         for chunk in (1, 7, 128, windows, windows + 1):  # windows: one block holds them all
             got = score(model, ts, 16, stride, weights, mode, chunk=chunk)
             assert np.abs(got.scores - expected).max() < 1e-9, chunk
-            assert np.array_equal(got.coverage, coverage), chunk
 
     def test_window_too_long(self):
         with pytest.raises(DataError):
@@ -232,7 +241,7 @@ METRICS = ["rpa", "pa"]
 
 def as_series(scores):
     scores = np.asarray(scores, dtype=float)
-    return ScoreSeries(scores=scores, coverage=np.ones(scores.size, dtype=int))
+    return ScoreSeries(scores)
 
 
 @st.composite
@@ -280,8 +289,7 @@ class TestThresholdBestF1:
         assert [threshold_best_f1(series, labels, metric) for metric in METRICS] == expected
 
     def test_single_spike(self):
-        scores = ScoreSeries(scores=np.array([0.0, 0.0, 9.0, 0.0]),
-                             coverage=np.ones(4, dtype=int))
+        scores = ScoreSeries(np.array([0.0, 0.0, 9.0, 0.0]))
         labels = np.array([0, 0, 1, 0])
         threshold, f1 = threshold_best_f1(scores, labels, "rpa")
         assert 0.0 < threshold <= 9.0
@@ -292,20 +300,18 @@ class TestThresholdBestF1:
         # one run that overlaps the truth segment, so it scores F1=1 and wins
         # the sweep. (A faithful enumeration; the quantile mode exists because
         # of exactly this degeneracy.)
-        scores = ScoreSeries(scores=np.zeros(4), coverage=np.ones(4, dtype=int))
+        scores = ScoreSeries(np.zeros(4))
         labels = np.array([0, 1, 1, 0])
         threshold, f1 = threshold_best_f1(scores, labels, "rpa")
         assert threshold == 0.0 and f1 == 1.0
 
     def test_empty_truth_yields_zero(self):
-        scores = ScoreSeries(scores=np.array([0.0, 1.0, 2.0]),
-                             coverage=np.ones(3, dtype=int))
+        scores = ScoreSeries(np.array([0.0, 1.0, 2.0]))
         threshold, f1 = threshold_best_f1(scores, np.zeros(3, dtype=int), "rpa")
         assert f1 == 0.0 and threshold == np.inf
 
     def test_tie_breaks_to_higher_threshold(self):
-        scores = ScoreSeries(scores=np.array([1.0, 2.0, 3.0, 4.0]),
-                             coverage=np.ones(4, dtype=int))
+        scores = ScoreSeries(np.array([1.0, 2.0, 3.0, 4.0]))
         labels = np.array([0, 0, 1, 1])
         threshold, f1 = threshold_best_f1(scores, labels, "rpa")
         # every threshold hits the segment and produces no fp run: all tie at
@@ -316,7 +322,7 @@ class TestThresholdBestF1:
         rng = np.random.default_rng(8)
         raw = rng.normal(size=60)
         labels = (rng.uniform(size=60) < 0.2).astype(int)
-        scores = ScoreSeries(scores=raw, coverage=np.ones(60, dtype=int))
+        scores = ScoreSeries(raw)
         for metric in ("rpa", "pa"):
             threshold, f1 = threshold_best_f1(scores, labels, metric)
             preds = (raw >= threshold).astype(int)
@@ -327,15 +333,14 @@ class TestThresholdBestF1:
             assert f1 == again
 
     def test_labels_required(self):
-        scores = ScoreSeries(scores=np.zeros(3), coverage=np.ones(3, dtype=int))
+        scores = ScoreSeries(np.zeros(3))
         with pytest.raises(DataError):
             threshold_best_f1(scores, None, "rpa")
 
 
 class TestThresholdQuantile:
     def make(self, values):
-        return ScoreSeries(scores=np.asarray(values, dtype=float),
-                           coverage=np.ones(len(values), dtype=int))
+        return ScoreSeries(np.asarray(values, dtype=float))
 
     def test_top_quantile(self):
         assert threshold_quantile(self.make([1, 2, 3]), 1.0) == 3.0

@@ -172,8 +172,7 @@ class TestColumnPass:
                         labels=(rng.uniform(size=40) < 0.3).astype(np.int64))
         scores = np.abs(rng.normal(size=40))
         write_series_csv(ts, tmp_path / "series.csv", "# config=x seed=0")
-        write_scores_csv(ScoreSeries(scores=scores, coverage=np.ones(40, dtype=np.int64)),
-                         tmp_path / "scores.csv", "# config=x seed=0")
+        write_scores_csv(ScoreSeries(scores), tmp_path / "scores.csv", "# config=x seed=0")
 
         def no_row_loop(*args, **kwargs):
             raise AssertionError("the row loop ran on a file strad wrote")
@@ -244,8 +243,7 @@ class TestCsvWriters:
     def test_scores_csv_matches_per_value_rendering(self, tmp_path):
         scores = self.adversarial(40)
         path = tmp_path / "scores.csv"
-        write_scores_csv(ScoreSeries(scores=scores, coverage=np.ones(scores.size)), path,
-                         "# config=x seed=0")
+        write_scores_csv(ScoreSeries(scores), path, "# config=x seed=0")
         assert path.read_text() == _old_scores_csv(scores, "# config=x seed=0")
         assert read_scores_csv(path).tobytes() == scores.tobytes()
 
