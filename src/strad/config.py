@@ -20,6 +20,7 @@ from typing import Any, Optional
 from .detector import SCORE_MODES, THRESHOLD_METRICS, TrainConfig
 from .errors import ConfigError, DataError
 from .losses import LossWeights
+from .model import check_layer_sizes, default_layer_sizes
 from .series import read_text
 from .synth import (AnomalySpec, ChannelSpec, GeneratorConfig, check_channel, check_frequency,
                     check_range, train_length)
@@ -326,6 +327,12 @@ def build(resolved: dict) -> ExperimentConfig:
         ))
     names = [d.name for d in datasets]
     _require(len(set(names)) == len(names), "dataset names must be unique")
+    for ds in datasets:  # each dataset's model must fit in one numpy array
+        channels = (len(ds.csv.value_columns) if ds.source == "csv"
+                    else len(ds.synth.generator.channels))
+        with _at("model.hidden"):
+            # a csv dataset without value columns fails when its file is read
+            check_layer_sizes(default_layer_sizes(length * max(channels, 1), hidden))
 
     config = ExperimentConfig(
         seed=resolved["seed"],

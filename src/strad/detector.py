@@ -193,11 +193,16 @@ def f1_at(scores: np.ndarray, threshold: float, labels: np.ndarray, segments: li
     return pa_counts(preds, labels).f1
 
 
-def threshold_best_f1(score_series: ScoreSeries, labels, metric: str = "rpa") -> tuple[float, float]:
+def threshold_best_f1(score_series: ScoreSeries, labels,
+                      metric: str = "rpa") -> tuple[float, float, float]:
     """Best-F1 threshold sweep over the distinct observed scores plus +inf.
 
     Predictions at threshold theta are `scores >= theta`. Ties are broken
-    toward the higher threshold (fewer positives). Returns (threshold, f1).
+    toward the higher threshold (fewer positives). Returns (threshold, f1,
+    all_positive_f1); the last is the F1 at the lowest threshold, the minimum
+    score, where every point is predicted (0.0 when there are no scores). It
+    equals `f1_at` there bit for bit, so a caller can compare it with the best
+    F1 without a recount.
     The sweep costs O(M log M): `sweep_counts` gets every threshold's counts
     at once, each count being the number of events (points, segments, runs)
     whose switch-on level is at or above the threshold's.
@@ -206,7 +211,7 @@ def threshold_best_f1(score_series: ScoreSeries, labels, metric: str = "rpa") ->
         raise ConfigError(f"metric must be one of {THRESHOLD_METRICS}, got {metric!r}")
     if labels is None:
         raise DataError("threshold_best_f1 requires labels")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)  # `sweep_counts` checks the 0/1 entries before any cast
     if labels.shape != score_series.scores.shape:
         raise ShapeMismatchError("labels and scores must have equal length")
     thresholds, tp, fp, fn = sweep_counts(score_series.scores, labels, metric)
@@ -214,10 +219,11 @@ def threshold_best_f1(score_series: ScoreSeries, labels, metric: str = "rpa") ->
     p = _ratio(tp, tp + fp)
     r = _ratio(tp, tp + fn)
     f1 = _ratio(2 * p * r, p + r)
+    all_positive = float(f1[-1]) if f1.size else 0.0  # thresholds descend
     if f1.size and f1.max() > 0:
         best = int(np.argmax(f1))  # the first maximum: ties keep the higher threshold
-        return float(thresholds[best]), float(f1[best])
-    return np.inf, 0.0  # +inf predicts nothing: F1 = 0 under the 0/0 convention
+        return float(thresholds[best]), float(f1[best]), all_positive
+    return np.inf, 0.0, all_positive  # +inf predicts nothing: F1 = 0 under the 0/0 convention
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:

@@ -152,14 +152,15 @@ def evaluate(scores: ScoreSeries, labels: np.ndarray, thresholds: dict) -> dict:
     `thresholds` maps each metric to a fixed threshold, or to None for a
     best-F1 sweep. The row's "degenerate" lists the swept metrics whose best
     F1 the all-positive prediction (threshold at the minimum score) already
-    reaches.
+    reaches. The sweep has counted that prediction at its lowest threshold,
+    so a swept metric costs no `f1_at` recount.
     """
     segments = segments_from_labels(labels)
     row = {"segments": len(segments), "degenerate": ()}
     for metric, threshold in thresholds.items():
         if threshold is None:
-            threshold, f1 = threshold_best_f1(scores, labels, metric)
-            if f1_at(scores.scores, scores.scores.min(), labels, segments, metric) >= f1:
+            threshold, f1, all_positive_f1 = threshold_best_f1(scores, labels, metric)
+            if all_positive_f1 >= f1:
                 row["degenerate"] += (metric,)
         else:
             f1 = f1_at(scores.scores, threshold, labels, segments, metric)
@@ -371,7 +372,8 @@ def run_eval_cmd(
 
     With explicit `thresholds` (one per pair, or a single broadcast value)
     each metric is evaluated at that fixed threshold; otherwise a best-F1
-    sweep runs per metric. Returns the rows of `report.csv`: one `evaluate`
+    sweep runs per metric. Each distinct data path is parsed once, however
+    many pairs name it. Returns the rows of `report.csv`: one `evaluate`
     row per sub-dataset, named after its data file, and the ENTIRE row last.
     """
     if thresholds is not None and len(thresholds) == 1:
@@ -379,9 +381,12 @@ def run_eval_cmd(
     if thresholds is not None and len(thresholds) != len(pairs):
         raise ConfigError("need one threshold per scores/data pair (or a single value)")
     rows = []
+    labels_of: dict = {}  # data path -> its label column
     for i, (scores_path, data_path) in enumerate(pairs):
         scores = read_scores_csv(scores_path)
-        labels = read_labels_csv(data_path, label_column)
+        if data_path not in labels_of:
+            labels_of[data_path] = read_labels_csv(data_path, label_column)
+        labels = labels_of[data_path]
         if labels.shape[0] != scores.shape[0]:
             raise DataError(f"{data_path}: labels misaligned with {scores_path}")
         threshold = None if thresholds is None else thresholds[i]

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, ShapeMismatchError
-from .series import Segment, segments_from_labels
+from .series import Segment, is_binary, segments_from_labels
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,9 @@ class ConfusionCounts:
 
 def _as_binary(preds) -> np.ndarray:
     preds = np.asarray(preds)
-    if preds.dtype == bool:
-        preds = preds.astype(np.int64)
-    preds = np.asarray(preds, dtype=np.int64)
-    if preds.ndim != 1 or (preds.size and not np.isin(preds, (0, 1)).all()):
+    if preds.ndim != 1 or not is_binary(preds):
         raise DataError("predictions must be a 1-D 0/1 array")
-    return preds
+    return np.asarray(preds, dtype=np.int64)
 
 
 def _check_segments(preds: np.ndarray, segments: Sequence[Segment]) -> None:

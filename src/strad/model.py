@@ -29,6 +29,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# numpy refuses an array whose byte size exceeds the largest intp
+MAX_PARAMS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
 
 def _param_count(sizes: tuple[int, ...]) -> int:
     return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
@@ -75,16 +78,25 @@ def default_layer_sizes(input_size: int, hidden: tuple[int, ...] = (64, 16)) -> 
     return (input_size, *hidden, *reversed(hidden[:-1]), input_size)
 
 
+def check_layer_sizes(sizes: tuple[int, ...]) -> None:
+    """Raise ConfigError unless `sizes` describe an autoencoder whose parameter
+    vector one numpy array can hold; nothing is allocated."""
+    if len(sizes) < 2 or any(s < 1 for s in sizes):
+        raise ConfigError(f"invalid layer sizes {sizes}")
+    if sizes[0] != sizes[-1]:
+        raise ConfigError(f"output size {sizes[-1]} must equal input size {sizes[0]}")
+    if _param_count(sizes) > MAX_PARAMS:
+        raise ConfigError(f"layer sizes {sizes} need more parameters than one numpy array "
+                          f"holds ({MAX_PARAMS})")
+
+
 def init_model(layer_sizes, seed: int = 0) -> DenseAutoencoder:
     """Glorot-uniform weights in [-s, s] with s = sqrt(6/(fan_in+fan_out)); zero biases.
 
     Fully determined by the seed: the same seed yields bit-identical models.
     """
     sizes = tuple(int(s) for s in layer_sizes)
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise ConfigError(f"invalid layer sizes {sizes}")
-    if sizes[0] != sizes[-1]:
-        raise ConfigError(f"output size {sizes[-1]} must equal input size {sizes[0]}")
+    check_layer_sizes(sizes)
     rng = np.random.default_rng(seed)
     model = DenseAutoencoder(layer_sizes=sizes, params=np.zeros(_param_count(sizes)))
     for w in model.weights:

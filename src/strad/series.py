@@ -30,6 +30,12 @@ from .errors import (
 STD_FLOOR = 1e-8
 
 
+def is_binary(a: np.ndarray) -> bool:
+    """Whether every entry of `a` equals 0 or 1; callers ask before casting to
+    int, which would turn 0.5 into an accepted 0."""
+    return bool(((a == 0) | (a == 1)).all())
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -67,14 +73,14 @@ class TimeSeries:
             raise NonFiniteValueError(f"non-finite value at row {bad} of series {self.name!r}")
         object.__setattr__(self, "values", _readonly(values))
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
+            labels = np.asarray(self.labels)
             if labels.shape != (values.shape[0],):
                 raise DataError(
                     f"labels length {labels.shape} does not match series length {values.shape[0]}"
                 )
-            if not np.isin(labels, (0, 1)).all():
+            if not is_binary(labels):
                 raise NonBinaryLabelError("labels must contain only 0 and 1")
-            object.__setattr__(self, "labels", _readonly(labels))
+            object.__setattr__(self, "labels", _readonly(np.asarray(labels, dtype=np.int64)))
 
     @property
     def length(self) -> int:
@@ -172,6 +178,8 @@ def _parse_columns(text: str, value_columns: Sequence[str], label_column: Option
 
     None means the row loop must decide: it accepts everything accepted here,
     with bit-identical results, and alone raises the errors that name a cell.
+    Every data row must hold exactly as many commas as the header; that is
+    checked by one vectorized pass over the text's commas and line ends.
     """
     if '"' in text or "\r" in text:
         return None
@@ -184,12 +192,18 @@ def _parse_columns(text: str, value_columns: Sequence[str], label_column: Option
     if any(c not in col_index for c in wanted):
         return None
     # a row the csv module would split differently, or a line long enough to
-    # hold a cell over the csv module's field limit
+    # hold a cell over the csv module's field limit. In UTF-8 no byte of a
+    # multi-byte character is "," or "\n", so the separators read in order
+    # must be, row after row, ncol - 1 commas and a line end.
     ncol = len(header)
-    if ({ln.count(",") for ln in data} != {ncol - 1}
+    joined = "\n".join(data)
+    chars = np.frombuffer(joined.encode(), np.uint8)
+    marks = np.append(chars[(chars == ord(",")) | (chars == ord("\n"))], ord("\n"))
+    if (marks.size != ncol * len(data)
+            or (marks.reshape(-1, ncol)[:, :-1] != ord(",")).any()
             or max(map(len, data)) > csv.field_size_limit()):
         return None
-    cells = ",".join(data).split(",")
+    cells = joined.replace("\n", ",").split(",")
     values = np.empty((len(data), len(value_columns)), dtype=np.float64)
     try:
         for j, col in enumerate(value_columns):
@@ -295,12 +309,12 @@ def sliding_windows(series: TimeSeries, length: int, stride: int = 1) -> np.ndar
 
 def segments_from_labels(labels) -> list[Segment]:
     """Maximal runs of 1s as inclusive segments, in index order."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if labels.ndim != 1:
         raise DataError("labels must be 1-D")
-    if labels.size and not np.isin(labels, (0, 1)).all():
+    if not is_binary(labels):
         raise NonBinaryLabelError("labels must contain only 0 and 1")
-    padded = np.concatenate(([0], labels, [0]))
+    padded = np.concatenate(([0], np.asarray(labels, dtype=np.int64), [0]))
     delta = np.diff(padded)
     starts = np.flatnonzero(delta == 1)
     ends = np.flatnonzero(delta == -1) - 1

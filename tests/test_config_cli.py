@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+import strad.experiments
 from strad import gradcheck
 from strad.cli import _load, build_parser, main
 from strad.config import config_hash, load_config, resolve
 from strad.errors import ConfigError
-from strad.experiments import read_scores_csv
+from strad.detector import ScoreSeries
+from strad.experiments import evaluate, read_scores_csv
 from strad.model import load_checkpoint
 from strad.series import load_csv, segments_from_labels
 
@@ -411,6 +413,35 @@ class TestCliEval:
                               f"note: spike rpa_f1=1.000000{marker}"]
         assert "degenerate" not in (out / "report.csv").read_text()
 
+    def test_sweep_reads_degenerate_from_the_sweep(self, monkeypatch):
+        def recount(*args, **kwargs):
+            raise AssertionError("evaluate recounted a swept metric with f1_at")
+
+        monkeypatch.setattr(strad.experiments, "f1_at", recount)
+        labels = np.array([0, 0, 1, 0])
+        row = evaluate(ScoreSeries(np.array([0.0, 0.0, 9.0, 0.0])), labels,
+                       {"rpa": None, "pa": None})
+        assert row["degenerate"] == ("rpa",)
+        assert (row["rpa_f1"], row["pa_f1"]) == (1.0, 1.0)
+
+    def test_shared_data_file_is_read_once(self, tmp_path, monkeypatch):
+        reads = []
+        read_labels = strad.experiments.read_labels_csv
+
+        def counting(path, *args):
+            reads.append(path)
+            return read_labels(path, *args)
+
+        monkeypatch.setattr(strad.experiments, "read_labels_csv", counting)
+        sa, data = write_eval_pair(tmp_path, "a", [0, 1, 1, 0], [0, 5, 0, 0])
+        sb, _ = write_eval_pair(tmp_path, "b", [0, 1, 1, 0], [0, 0, 5, 1])
+        out = tmp_path / "rep"
+        assert main(["eval", "--scores", str(sa), "--data", str(data),
+                     "--scores", str(sb), "--data", str(data), "-o", str(out)]) == 0
+        assert reads == [data]
+        names = [l.split(",")[0] for l in (out / "report.csv").read_text().splitlines()[2:]]
+        assert names == ["a", "a", "ENTIRE"]
+
     @pytest.mark.parametrize("bad_row", ["1,abc", "1"])
     def test_malformed_score_row_exits_2(self, tmp_path, capsys, bad_row):
         sc, data = write_eval_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
@@ -741,6 +772,14 @@ class TestExitCodes:
         key, _, value = override.partition("=")
         if value == HUGE:
             assert f"{key}: expected a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hidden", [HUGE, str(2 ** 62)], ids=["huge", "2**62"])
+    def test_unindexable_hidden_sizes_fail_at_load(self, tmp_path, capsys, hidden):
+        # were a ValueError traceback from the parameter vector's allocation
+        cfgp = write_config(tmp_path, small_config(tmp_path / "out"))
+        assert main(["train", "-c", cfgp, "--set", f"model.hidden=[{hidden}]"]) == 1
+        assert "model.hidden: layer sizes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("expected, edit", [
         ("datasets.0.synth.anomalies.0: scaled frequency 2.5",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strad.detector
@@ -260,7 +260,22 @@ class TestThresholdBestF1:
     @given(labelled_scores(), st.sampled_from(METRICS))
     def test_matches_brute_force_sweep(self, case, metric):
         scores, labels = case
-        assert threshold_best_f1(scores, labels, metric) == brute_best_f1(scores, labels, metric)
+        assert threshold_best_f1(scores, labels, metric)[:2] == brute_best_f1(scores, labels, metric)
+
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_scores(), st.sampled_from(METRICS))
+    @example((as_series([]), np.array([], dtype=np.int64)), "rpa")  # M = 0
+    @example((as_series([]), np.array([], dtype=np.int64)), "pa")
+    @example((as_series([2.0, 1.0, 1.0, 2.0, 1.0]), np.array([0, 1, 0, 0, 1])), "rpa")  # ties
+    @example((as_series([2.0, 1.0, 1.0, 2.0, 1.0]), np.array([0, 1, 0, 0, 1])), "pa")
+    def test_all_positive_f1_equals_recount_at_minimum(self, case, metric):
+        scores, labels = case
+        if scores.scores.size:
+            expected = f1_at(scores.scores, scores.scores.min(), labels,
+                             segments_from_labels(labels), metric)
+        else:
+            expected = 0.0  # M = 0: no prediction at all
+        assert threshold_best_f1(scores, labels, metric)[2] == expected
 
     # fixed ids, so that every case keeps its test name
     @pytest.mark.parametrize("metric", METRICS, ids=["sweep0", "sweep2"])
@@ -273,7 +288,7 @@ class TestThresholdBestF1:
     ])
     def test_edge_cases_match_brute_force(self, scores, labels, metric):
         series, labels = as_series(scores), np.array(labels, dtype=np.int64)
-        assert threshold_best_f1(series, labels, metric) == brute_best_f1(series, labels, metric)
+        assert threshold_best_f1(series, labels, metric)[:2] == brute_best_f1(series, labels, metric)
 
     def test_sweep_makes_no_per_threshold_recount(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -286,12 +301,12 @@ class TestThresholdBestF1:
 
         monkeypatch.setattr(strad.detector, "rpa_counts", recount)
         monkeypatch.setattr(strad.detector, "pa_counts", recount)
-        assert [threshold_best_f1(series, labels, metric) for metric in METRICS] == expected
+        assert [threshold_best_f1(series, labels, metric)[:2] for metric in METRICS] == expected
 
     def test_single_spike(self):
         scores = ScoreSeries(np.array([0.0, 0.0, 9.0, 0.0]))
         labels = np.array([0, 0, 1, 0])
-        threshold, f1 = threshold_best_f1(scores, labels, "rpa")
+        threshold, f1, _ = threshold_best_f1(scores, labels, "rpa")
         assert 0.0 < threshold <= 9.0
         assert f1 == 1.0
 
@@ -302,18 +317,18 @@ class TestThresholdBestF1:
         # of exactly this degeneracy.)
         scores = ScoreSeries(np.zeros(4))
         labels = np.array([0, 1, 1, 0])
-        threshold, f1 = threshold_best_f1(scores, labels, "rpa")
+        threshold, f1, _ = threshold_best_f1(scores, labels, "rpa")
         assert threshold == 0.0 and f1 == 1.0
 
     def test_empty_truth_yields_zero(self):
         scores = ScoreSeries(np.array([0.0, 1.0, 2.0]))
-        threshold, f1 = threshold_best_f1(scores, np.zeros(3, dtype=int), "rpa")
+        threshold, f1, _ = threshold_best_f1(scores, np.zeros(3, dtype=int), "rpa")
         assert f1 == 0.0 and threshold == np.inf
 
     def test_tie_breaks_to_higher_threshold(self):
         scores = ScoreSeries(np.array([1.0, 2.0, 3.0, 4.0]))
         labels = np.array([0, 0, 1, 1])
-        threshold, f1 = threshold_best_f1(scores, labels, "rpa")
+        threshold, f1, _ = threshold_best_f1(scores, labels, "rpa")
         # every threshold hits the segment and produces no fp run: all tie at
         # f1=1, and the tie rule keeps the highest threshold (fewest positives)
         assert f1 == 1.0 and threshold == 4.0
@@ -324,7 +339,7 @@ class TestThresholdBestF1:
         labels = (rng.uniform(size=60) < 0.2).astype(int)
         scores = ScoreSeries(raw)
         for metric in ("rpa", "pa"):
-            threshold, f1 = threshold_best_f1(scores, labels, metric)
+            threshold, f1, _ = threshold_best_f1(scores, labels, metric)
             preds = (raw >= threshold).astype(int)
             if metric == "rpa":
                 again = rpa_counts(preds, segments_from_labels(labels)).f1

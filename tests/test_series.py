@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from strad.detector import ScoreSeries
+from strad.detector import ScoreSeries, threshold_best_f1
 
 from strad.errors import (
     DataError,
@@ -16,6 +16,7 @@ from strad.errors import (
     ShapeMismatchError,
 )
 from strad.experiments import read_scores_csv, write_scores_csv, write_series_csv
+from strad.metrics import rpa_counts
 from strad.series import (
     STD_FLOOR,
     Segment,
@@ -370,6 +371,31 @@ class TestSegments:
         segments = segments_from_labels([1, 0, 1, 1, 0, 0, 1])
         for a, b in zip(segments, segments[1:]):
             assert a.end + 1 < b.start  # maximal: adjacent runs would have merged
+
+
+# every 0/1 check, with the exception class it raises
+BINARY_CHECKS = [
+    (lambda a: TimeSeries(np.zeros(a.size), labels=a), NonBinaryLabelError),
+    (segments_from_labels, NonBinaryLabelError),
+    (lambda a: rpa_counts(a, []), DataError),  # predictions, through metrics._as_binary
+    (lambda a: threshold_best_f1(ScoreSeries(np.arange(a.size, dtype=float)), a, "pa"),
+     NonBinaryLabelError),
+]
+BINARY_CHECK_IDS = ["TimeSeries", "segments_from_labels", "_as_binary", "threshold_best_f1"]
+
+
+class TestBinaryChecks:
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])  # 0.5 was truncated to 0 and accepted
+    @pytest.mark.parametrize("check, error", BINARY_CHECKS, ids=BINARY_CHECK_IDS)
+    def test_rejects_non_binary_entry(self, check, error, bad):
+        with pytest.raises(DataError) as excinfo:
+            check(np.array([0, 1, bad, 0]))
+        assert excinfo.type is error
+
+    @pytest.mark.parametrize("good", [[0, 1, 1, 0], [0.0, 1.0, 1.0, 0.0], [False, True, True, False]])
+    @pytest.mark.parametrize("check, error", BINARY_CHECKS, ids=BINARY_CHECK_IDS)
+    def test_accepts_zeros_and_ones_of_any_dtype(self, check, error, good):
+        check(np.array(good))
 
 
 class TestImmutability:
