@@ -1,0 +1,140 @@
+"""Mutation checks: each entry breaks one spot of `src/strad` and names the tests
+that must then fail.
+
+Run from the repository root (stdlib only; each mutant runs pytest once):
+
+    python3 scripts/mutants.py                  # every entry
+    python3 scripts/mutants.py --only adam_folded_step_size
+
+For each entry the script copies `src/`, `tests/` and `pyproject.toml` into a
+fresh temporary directory (under `TMPDIR` if set), replaces the entry's old
+snippet, which must occur exactly once, with its new one, and runs pytest on
+the entry's tests there. A mutant is "killed" when pytest reports failures or
+errors, "survived" when the tests pass, and "error" when pytest could not run
+them (exit 4 or 5) or ran past 15 minutes. First the chosen entries' tests run once on an unmutated copy, as "baseline":
+a failure there would make every mutant look killed. The script prints one
+JSON object, {name: outcome}, and exits 1 unless the baseline passed and every
+mutant was killed. `tests/test_mutants.py` checks in Tier-1 that every old
+snippet still occurs exactly once, so the table cannot go stale unnoticed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to src/strad
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant("test_split_own_statistics", "experiments.py",
+           "apply_normalization(test_raw, stats)",
+           "apply_normalization(test_raw, fit_normalization(test_raw))",
+           ("tests/test_config_cli.py::TestCliDetect",)),
+    Mutant("ablation_keeps_lambda1", "experiments.py",
+           "lambda1=base.lambda1 if use_trend else 0.0",
+           "lambda1=base.lambda1",
+           ("tests/test_config_cli.py::TestCliAblate",)),
+    Mutant("sweep_drops_closed_gap_term", "metrics.py",
+           "+ on(_run_reduce(np.minimum, inv, gap_starts[closed] - 1, gap_ends[closed] + 1)))",
+           "+ 0)",
+           ("tests/test_detector.py", "tests/test_metrics.py")),
+    Mutant("parse_columns_drops_width_check", "series.py",
+           'if (marks.size != ncol * len(data)\n'
+           '            or (marks.reshape(-1, ncol)[:, :-1] != ord(",")).any()\n'
+           '            or max(',
+           "if (max(",
+           ("tests/test_series.py",)),
+    Mutant("pair_weight_of_bin_n_over_2", "spectral.py",
+           "weights[-1] = 1.0  # and so is bin n/2",
+           "weights[-1] = 2.0  # and so is bin n/2",
+           ("tests/test_spectral.py",)),
+    Mutant("adam_folded_step_size", "model.py",
+           "step_size = state.lr * sqrt_c2 / (1.0 - ADAM_BETA1 ** state.step)",
+           "step_size = state.lr / (1.0 - ADAM_BETA1 ** state.step)",
+           ("tests/test_model.py",)),
+    Mutant("checkpoint_byte_count_unchecked", "model.py",
+           "if len(raw) != 8 * count:",
+           "if False:",
+           ("tests/test_model.py", "tests/test_config_cli.py::TestCliDetect")),
+    Mutant("score_overlap_add_skips_offset_0", "detector.py",
+           "for j in range(t - 1, -1, -1):",
+           "for j in range(t - 1, 0, -1):",
+           ("tests/test_detector.py",)),
+    Mutant("trend_sign_subgradient_flipped", "losses.py",
+           "SLOPE_TIE, 0.0, np.sign(diff))",
+           "SLOPE_TIE, 0.0, -np.sign(diff))",
+           ("tests/test_losses.py",)),
+    Mutant("normalization_std_unfloored", "series.py",
+           "std = np.maximum(std, STD_FLOOR)",
+           "std = std",
+           ("tests/test_series.py",)),
+)
+
+
+def run(tests, mutant=None) -> str:
+    """Run `tests` on a fresh copy of the tree, with `mutant` applied if given.
+
+    Returns "passed", "failed" or "error".
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", tree / "tests",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        if mutant is not None:
+            target = tree / "src" / "strad" / mutant.file
+            text = target.read_text()
+            if text.count(mutant.old) != 1:
+                return "error"
+            target.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                                   "no:cacheprovider", *tests],
+                                  cwd=tree, env=env, capture_output=True, timeout=900)
+        except subprocess.TimeoutExpired:  # a mutant that makes the tests hang
+            return "error"
+    if proc.returncode in (4, 5):  # usage error, or no tests collected
+        return "error"
+    return "failed" if proc.returncode != 0 else "passed"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", nargs="+", metavar="NAME", help="run just these entries")
+    args = parser.parse_args(argv)
+    names = {m.name for m in MUTANTS}
+    unknown = sorted(set(args.only or ()) - names)
+    if unknown:
+        parser.error(f"unknown mutants: {unknown}")
+    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
+    tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+    outcomes = {"baseline": run(tests)}
+    if outcomes["baseline"] == "passed":
+        for m in chosen:
+            result = run(m.tests, m)
+            outcomes[m.name] = {"failed": "killed", "passed": "survived"}.get(result, result)
+    print(json.dumps(outcomes, indent=2))
+    return 0 if all(o in ("passed", "killed") for o in outcomes.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -200,24 +200,19 @@ class ExperimentConfig:
     train_stride: int
     score_stride: int
     model_hidden: tuple[int, ...]
-    train: TrainConfig  # the configured run; `fit` varies its loss_kind and weights per arm
+    train: TrainConfig  # the run of `strad train` and `strad detect`
     score_mode: str
     threshold_mode: str
     threshold_q: float
     threshold_metric: str
     eval_metrics: tuple[str, ...]
-    compare_losses: tuple[str, ...]
+    compare_arms: tuple[TrainConfig, ...]  # `train` with each `compare.losses` entry
     datasets: tuple[DatasetConfig, ...]
-    resolved: dict = field(repr=False)
     hash: str = ""
 
     @property
-    def loss_weights(self) -> LossWeights:
-        return self.train.weights
-
-    @property
-    def train_loss(self) -> str:
-        return self.train.loss_kind
+    def compare_losses(self) -> tuple[str, ...]:
+        return tuple(arm.loss_kind for arm in self.compare_arms)
 
     @property
     def train_epochs(self) -> int:
@@ -284,7 +279,6 @@ def build(resolved: dict) -> ExperimentConfig:
     _require(metrics and all(m in THRESHOLD_METRICS for m in metrics),
              f"eval.metrics entries must be among {THRESHOLD_METRICS}")
     _require(len(set(metrics)) == len(metrics), f"eval.metrics repeats a metric: {list(metrics)}")
-    losses = tuple(resolved["compare"]["losses"])
 
     datasets = []
     _require(bool(resolved["datasets"]), "at least one dataset is required")
@@ -333,8 +327,12 @@ def build(resolved: dict) -> ExperimentConfig:
         with _at("model.hidden"):
             # a csv dataset without value columns fails when its file is read
             check_layer_sizes(default_layer_sizes(length * max(channels, 1), hidden))
+    arms = []
+    for j, loss in enumerate(resolved["compare"]["losses"]):
+        with _at(f"compare.losses.{j}"):
+            arms.append(replace(train_cfg, loss_kind=loss))
 
-    config = ExperimentConfig(
+    return ExperimentConfig(
         seed=resolved["seed"],
         output_dir=resolved["output_dir"],
         window_length=length,
@@ -347,15 +345,10 @@ def build(resolved: dict) -> ExperimentConfig:
         threshold_q=float(threshold["q"]),
         threshold_metric=threshold["metric"],
         eval_metrics=metrics,
-        compare_losses=losses,
+        compare_arms=tuple(arms),
         datasets=tuple(datasets),
-        resolved=resolved,
         hash=config_hash(resolved),
     )
-    for j, loss in enumerate(losses):  # every arm's TrainConfig must build
-        with _at(f"compare.losses.{j}"):
-            replace(train_cfg, loss_kind=loss)
-    return config
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[list[str]] = None) -> ExperimentConfig:

@@ -18,6 +18,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .detector import (
     ScoreSeries,
+    TrainConfig,
     TrainResult,
     f1_at,
     score,
@@ -40,6 +41,7 @@ from .series import (
     TimeSeries,
     apply_normalization,
     fit_normalization,
+    load_columns,
     load_csv,
     segments_from_labels,
     sliding_windows,
@@ -99,51 +101,41 @@ def resolve_score_mode(configured: str, loss_kind: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def fit(
-    cfg: ExperimentConfig,
-    train_raw: TimeSeries,
-    loss_kind: Optional[str] = None,
-    weights: Optional[LossWeights] = None,
-) -> TrainResult:
-    """Normalize the train split, window it, and train a model seeded by `cfg.seed`."""
-    train_norm = apply_normalization(train_raw, fit_normalization(train_raw))
+def normalize_splits(data: tuple[TimeSeries, TimeSeries]) -> tuple[TimeSeries, TimeSeries]:
+    """Both splits z-scored with the train split's statistics."""
+    train_raw, test_raw = data
+    stats = fit_normalization(train_raw)
+    return apply_normalization(train_raw, stats), apply_normalization(test_raw, stats)
+
+
+def fit(cfg: ExperimentConfig, train_norm: TimeSeries, arm: TrainConfig) -> TrainResult:
+    """Window the normalized train split and train `arm` on a model seeded by `cfg.seed`."""
     t = cfg.window_length
     windows = sliding_windows(train_norm, t, cfg.train_stride)
     model = init_model(default_layer_sizes(t * train_norm.channels, cfg.model_hidden),
                        seed=cfg.seed)
-    return train(model, windows, replace(cfg.train, loss_kind=loss_kind or cfg.train_loss,
-                                         weights=weights or cfg.loss_weights))
+    return train(model, windows, arm)
 
 
-def detect(
-    cfg: ExperimentConfig,
-    model: DenseAutoencoder,
-    train_raw: TimeSeries,
-    test_raw: TimeSeries,
-    mode: str,
-    weights: LossWeights,
-    metrics: Sequence[str],
-) -> tuple[ScoreSeries, dict]:
-    """Score the test split and choose one threshold per metric.
+def detect(cfg: ExperimentConfig, model: DenseAutoencoder, train_norm: TimeSeries,
+           test_norm: TimeSeries, mode: str,
+           weights: LossWeights) -> tuple[ScoreSeries, Optional[float]]:
+    """Score the normalized test split; return its scores and threshold.
 
-    Both splits are normalized with the train split's statistics. "quantile"
-    mode gives every metric the q-quantile of the train-split scores;
-    "best_f1" mode gives every metric None, for `evaluate` to sweep on the
+    "quantile" mode thresholds at the q-quantile of the train split's
+    scores; "best_f1" mode returns None, for `evaluate` to sweep on the
     labeled test scores.
     """
-    stats = fit_normalization(train_raw)
 
     def scores_of(series: TimeSeries) -> ScoreSeries:
-        return score(model, apply_normalization(series, stats), cfg.window_length,
-                     cfg.score_stride, weights, mode)
+        return score(model, series, cfg.window_length, cfg.score_stride, weights, mode)
 
-    test_scores = scores_of(test_raw)
+    test_scores = scores_of(test_norm)
     if cfg.threshold_mode == "quantile":
-        threshold = threshold_quantile(scores_of(train_raw), cfg.threshold_q)
-        return test_scores, {metric: threshold for metric in metrics}
-    if test_raw.labels is None:
-        raise DataError(f"{test_raw.name}: best_f1 thresholding requires test labels")
-    return test_scores, dict.fromkeys(metrics)
+        return test_scores, threshold_quantile(scores_of(train_norm), cfg.threshold_q)
+    if test_norm.labels is None:
+        raise DataError(f"{test_norm.name}: best_f1 thresholding requires test labels")
+    return test_scores, None
 
 
 def evaluate(scores: ScoreSeries, labels: np.ndarray, thresholds: dict) -> dict:
@@ -169,23 +161,33 @@ def evaluate(scores: ScoreSeries, labels: np.ndarray, thresholds: dict) -> dict:
     return row
 
 
-def run_arm(
-    cfg: ExperimentConfig,
-    dataset_index: int,
-    loss_kind: str,
-    data: tuple[TimeSeries, TimeSeries],
-    weights: Optional[LossWeights] = None,
-) -> dict:
-    """Train one model on `data`'s train split; the `evaluate` row of its test split."""
-    weights = weights or cfg.loss_weights
-    train_raw, test_raw = data
-    if test_raw.labels is None:
-        raise DataError(f"dataset {cfg.datasets[dataset_index].name}: evaluation requires test labels")
-    result = fit(cfg, train_raw, loss_kind, weights)
-    mode = resolve_score_mode(cfg.score_mode, loss_kind)
-    test_scores, thresholds = detect(cfg, result.model, train_raw, test_raw, mode, weights,
-                                     cfg.eval_metrics)
-    return evaluate(test_scores, test_raw.labels, thresholds)
+def entire_f1s(rows: Sequence[dict], metrics: Sequence[str]) -> dict:
+    """Per metric, the segment-weighted F1 of `evaluate` rows, keyed "<metric>_f1"."""
+    return {f"{m}_f1": entire_f1([(r["segments"], r[f"{m}_f1"]) for r in rows]) for m in metrics}
+
+
+def run_arm(cfg: ExperimentConfig, data: tuple[TimeSeries, TimeSeries], arm: TrainConfig) -> dict:
+    """Train `arm` on a `normalize_splits` pair; the `evaluate` row of its labeled test split."""
+    train_norm, test_norm = data
+    model = fit(cfg, train_norm, arm).model
+    mode = resolve_score_mode(cfg.score_mode, arm.loss_kind)
+    test_scores, threshold = detect(cfg, model, train_norm, test_norm, mode, arm.weights)
+    return evaluate(test_scores, test_norm.labels, dict.fromkeys(cfg.eval_metrics, threshold))
+
+
+def run_arms(cfg: ExperimentConfig, arms: Sequence[TrainConfig]) -> list[list[dict]]:
+    """Per arm, its `run_arm` row on each configured dataset.
+
+    Every dataset is read, checked for test labels and normalized once,
+    before the first model trains.
+    """
+    data = []
+    for i, ds in enumerate(cfg.datasets):
+        train_raw, test_raw = materialize_dataset(cfg, i)
+        if test_raw.labels is None:
+            raise DataError(f"dataset {ds.name}: evaluation requires test labels")
+        data.append(normalize_splits((train_raw, test_raw)))
+    return [[run_arm(cfg, pair, arm) for pair in data] for arm in arms]
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +216,12 @@ def write_scores_csv(scores: ScoreSeries, path, prov: str) -> None:
 
 def read_scores_csv(path) -> np.ndarray:
     """The score column of a score CSV written by `write_scores_csv`."""
-    return load_csv(path, ["score"]).values[:, 0]
+    return load_columns(path, ["score"], None)[0][:, 0]
 
 
 def read_labels_csv(path, label_column: str = "label") -> np.ndarray:
-    """Just the 0/1 label column of a labeled series CSV."""
-    return load_csv(path, [label_column], label_column).labels
+    """Just the 0/1 label column of a labeled series CSV; no other column is parsed."""
+    return load_columns(path, [], label_column)[1]
 
 
 def write_segments_csv(segments: Sequence[Segment], path, prov: str) -> None:
@@ -256,6 +258,13 @@ def write_table(rows: list[dict], columns: list[str], csv_path, txt_path, prov: 
     for r in display:
         txt_lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
     Path(txt_path).write_text("\n".join(txt_lines) + "\n")
+
+
+def append_notes(txt_path, labeled_rows) -> None:
+    """Under a .txt table, one `note:` line per degenerate F1 of each (label, `evaluate` row)."""
+    with open(txt_path, "a") as fh:
+        fh.writelines(f"note: {label} {m}_f1={row[f'{m}_f1']:.6f} {DEGENERATE}\n"
+                      for label, row in labeled_rows for m in row["degenerate"])
 
 
 def _metric_columns(metrics: Sequence[str]) -> list[str]:
@@ -311,12 +320,12 @@ def run_train_cmd(cfg: ExperimentConfig, outdir: Path) -> tuple[Path, Path]:
     """Train on the first configured dataset; emit checkpoint and history."""
     ds = cfg.datasets[0]
     train_raw, _ = materialize_dataset(cfg, 0)
-    result = fit(cfg, train_raw)
+    result = fit(cfg, apply_normalization(train_raw, fit_normalization(train_raw)), cfg.train)
     _make_outdir(outdir)
     ckpt_path = outdir / f"{ds.name}_model.ckpt"
     save_checkpoint(result.model, ckpt_path, meta={"config": cfg.hash, "seed": str(cfg.seed)})
     hist_path = outdir / f"{ds.name}_history.csv"
-    write_history_csv(result, hist_path, provenance(cfg, dataset=ds.name, loss=cfg.train_loss))
+    write_history_csv(result, hist_path, provenance(cfg, dataset=ds.name, loss=cfg.train.loss_kind))
     return ckpt_path, hist_path
 
 
@@ -331,13 +340,12 @@ def run_detect_cmd(cfg: ExperimentConfig, checkpoint: Path, outdir: Path) -> dic
             f"checkpoint expects input size {model.input_size}, "
             f"configuration implies {t * train_raw.channels}"
         )
-    mode = resolve_score_mode(cfg.score_mode, cfg.train_loss)
-    test_scores, thresholds = detect(cfg, model, train_raw, test_raw, mode, cfg.loss_weights,
-                                     (cfg.threshold_metric,))
-    threshold = thresholds[cfg.threshold_metric]
+    mode = resolve_score_mode(cfg.score_mode, cfg.train.loss_kind)
+    train_norm, test_norm = normalize_splits((train_raw, test_raw))
+    test_scores, threshold = detect(cfg, model, train_norm, test_norm, mode, cfg.train.weights)
     if threshold is None:  # best_f1 mode
-        threshold = evaluate(test_scores, test_raw.labels,
-                             thresholds)[f"{cfg.threshold_metric}_threshold"]
+        metric = cfg.threshold_metric
+        threshold = evaluate(test_scores, test_norm.labels, {metric: None})[f"{metric}_threshold"]
     predicted_segments = segments_from_labels((test_scores.scores >= threshold).astype(np.int64))
 
     _make_outdir(outdir)
@@ -392,16 +400,12 @@ def run_eval_cmd(
         threshold = None if thresholds is None else thresholds[i]
         rows.append({"name": Path(data_path).stem,
                      **evaluate(ScoreSeries(scores), labels, dict.fromkeys(metrics, threshold))})
-    entire = {"name": "ENTIRE", "segments": sum(r["segments"] for r in rows)}
-    for metric in metrics:
-        entire[f"{metric}_f1"] = entire_f1([(r["segments"], r[f"{metric}_f1"]) for r in rows])
+    entire = {"name": "ENTIRE", "segments": sum(r["segments"] for r in rows),
+              **entire_f1s(rows, metrics)}
     _make_outdir(outdir)
     write_table([*rows, entire], ["name", "segments", *_metric_columns(metrics)],
                 outdir / "report.csv", outdir / "report.txt", prov)
-    notes = [f"note: {r['name']} {m}_f1={r[f'{m}_f1']:.6f} {DEGENERATE}\n"
-             for r in rows for m in r["degenerate"]]
-    with open(outdir / "report.txt", "a") as fh:
-        fh.writelines(notes)
+    append_notes(outdir / "report.txt", [(r["name"], r) for r in rows])
     return [*rows, entire]
 
 
@@ -417,38 +421,28 @@ def run_compare(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> Compare
     The baseline is the first "mse" arm; Avg.Improved and A.I.R. are computed
     per arm against it from the per-dataset F1 columns.
     """
-    arms = list(cfg.compare_losses)
-    if len(arms) < 2:
+    losses = cfg.compare_losses
+    if len(losses) < 2:
         raise ConfigError("cmd compare needs at least two loss entries")
-    if "mse" not in arms:
+    if "mse" not in losses:
         raise ConfigError("cmd compare requires 'mse' among the losses (the baseline)")
-    labels: list[str] = []
-    seen: dict = {}
-    for loss in arms:
-        seen[loss] = seen.get(loss, 0) + 1
-        labels.append(loss if seen[loss] == 1 else f"{loss}#{seen[loss]}")
-    baseline_label = labels[arms.index("mse")]
-
-    rows: dict = {}  # label -> one row per dataset
-    for i, ds in enumerate(cfg.datasets):
-        data = materialize_dataset(cfg, i)
-        for loss, label in zip(arms, labels):
-            rows.setdefault(label, []).append(
-                {"arm": label, "dataset": ds.name, **run_arm(cfg, i, loss, data)})
-    per_arm_dataset = [row for label in labels for row in rows[label]]
+    labels = [f"{loss}#{k + 1}" if (k := losses[:j].count(loss)) else loss
+              for j, loss in enumerate(losses)]
+    arm_rows = run_arms(cfg, cfg.compare_arms)
+    base_rows = arm_rows[losses.index("mse")]
+    per_arm_dataset = [{"arm": label, "dataset": ds.name, **row}
+                       for label, rows in zip(labels, arm_rows)
+                       for ds, row in zip(cfg.datasets, rows)]
 
     summary = []
-    for label in labels:
+    for label, rows in zip(labels, arm_rows):
+        entire = entire_f1s(rows, cfg.eval_metrics)
         for metric in cfg.eval_metrics:
-            key = f"{metric}_f1"
-            f1s = [r[key] for r in rows[label]]
-            base = [r[key] for r in rows[baseline_label]]
-            weighted = entire_f1([(r["segments"], r[key]) for r in rows[label]])
-            row = {"arm": label, "metric": metric, "entire_f1": weighted}
-            if label == baseline_label:
-                row["avg_improved"] = ""
-                row["air"] = ""
-            else:
+            row = {"arm": label, "metric": metric, "entire_f1": entire[f"{metric}_f1"],
+                   "avg_improved": "", "air": ""}
+            if rows is not base_rows:
+                f1s = [r[f"{metric}_f1"] for r in rows]
+                base = [r[f"{metric}_f1"] for r in base_rows]
                 row["avg_improved"] = avg_improved(f1s, base)
                 row["air"] = air(f1s, base)
             summary.append(row)
@@ -458,6 +452,8 @@ def run_compare(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> Compare
         write_table(per_arm_dataset, ["arm", "dataset", "segments",
                                        *_metric_columns(cfg.eval_metrics)],
                     outdir / "comparison.csv", outdir / "comparison.txt", provenance(cfg))
+        append_notes(outdir / "comparison.txt",
+                     [(f"{r['arm']} {r['dataset']}", r) for r in per_arm_dataset])
         write_table(summary, ["arm", "metric", "entire_f1", "avg_improved", "air"],
                     outdir / "improvement.csv", outdir / "improvement.txt", provenance(cfg))
     return CompareOutcome(per_arm_dataset=per_arm_dataset, summary=summary)
@@ -472,21 +468,23 @@ ABLATION_SUBSETS = (
 
 def run_ablate(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> list[dict]:
     """Evaluate the 7 non-empty component subsets by zeroing excluded weights."""
-    base = cfg.loss_weights
-    rows = []
-    data = [materialize_dataset(cfg, i) for i in range(len(cfg.datasets))]
-    for use_trend, use_sea, use_shape in ABLATION_SUBSETS:
-        weights = replace(base, lambda1=base.lambda1 if use_trend else 0.0,
-                          lambda2=base.lambda2 if use_sea else 0.0,
-                          lambda3=base.lambda3 if use_shape else 0.0)
+    base = cfg.train.weights
+    arms = [replace(cfg.train, loss_kind="strad",
+                    weights=replace(base, lambda1=base.lambda1 if use_trend else 0.0,
+                                    lambda2=base.lambda2 if use_sea else 0.0,
+                                    lambda3=base.lambda3 if use_shape else 0.0))
+            for use_trend, use_sea, use_shape in ABLATION_SUBSETS]
+    rows, notes = [], []
+    for (use_trend, use_sea, use_shape), arm_rows in zip(ABLATION_SUBSETS, run_arms(cfg, arms)):
         row = {"trend": use_trend, "seasonality": use_sea, "shape": use_shape}
-        arm_rows = [run_arm(cfg, i, "strad", data[i], weights) for i in range(len(cfg.datasets))]
+        entire = entire_f1s(arm_rows, cfg.eval_metrics)
         for metric in cfg.eval_metrics:
             for ds, r in zip(cfg.datasets, arm_rows):
                 row[f"{metric}_f1_{ds.name}"] = r[f"{metric}_f1"]
-            row[f"entire_{metric}_f1"] = entire_f1(
-                [(r["segments"], r[f"{metric}_f1"]) for r in arm_rows])
+            row[f"entire_{metric}_f1"] = entire[f"{metric}_f1"]
         rows.append(row)
+        notes += [(f"T={use_trend} S={use_sea} Sh={use_shape} {ds.name}", r)
+                  for ds, r in zip(cfg.datasets, arm_rows)]
     if outdir is not None:
         _make_outdir(outdir)
         columns = ["trend", "seasonality", "shape"]
@@ -495,4 +493,5 @@ def run_ablate(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> list[dic
             columns += [f"{m}_f1_{ds.name}" for m in cfg.eval_metrics]
         write_table(rows, columns, outdir / "ablation.csv", outdir / "ablation.txt",
                     provenance(cfg))
+        append_notes(outdir / "ablation.txt", notes)
     return rows

@@ -144,11 +144,18 @@ def load_csv(
     label_column: Optional[str] = None,
     name: Optional[str] = None,
 ) -> TimeSeries:
-    """Load a series from a headed CSV file.
+    """The `TimeSeries` of `load_columns`; an empty `label_column` means none, as None does."""
+    values, labels = load_columns(path, value_columns, label_column or None)
+    return TimeSeries(values=values, labels=labels, name=name or Path(path).stem)
+
+
+def load_columns(path, value_columns: Sequence[str], label_column: Optional[str]):
+    """(values, labels) of a headed CSV file's named columns; labels is None if `label_column` is.
 
     Row order defines time order; there is no timestamp parsing. Lines
     starting with '#' are treated as provenance comments and skipped. Value
-    cells are parsed as decimal floats, the label column as integer 0/1.
+    cells are parsed as finite decimal floats into a (rows, columns) array,
+    the label column as integer 0/1; no other column is parsed.
 
     A plain file (no quotes, no carriage returns, every row as wide as the
     header), as strad writes them, is parsed a whole column at a time; any
@@ -166,11 +173,9 @@ def load_csv(
     NonFiniteValueError
         On the corresponding malformed content, naming row and column.
     """
-    path = Path(path)
     text = read_text(path, DataError)
-    values, labels = (_parse_columns(text, value_columns, label_column)
-                      or _parse_rows(path, text, value_columns, label_column))
-    return TimeSeries(values=values, labels=labels, name=name or path.stem)
+    return (_parse_columns(text, value_columns, label_column)
+            or _parse_rows(Path(path), text, value_columns, label_column))
 
 
 def _parse_columns(text: str, value_columns: Sequence[str], label_column: Optional[str]):
@@ -188,7 +193,7 @@ def _parse_columns(text: str, value_columns: Sequence[str], label_column: Option
         return None
     header, data = lines[0].split(","), lines[1:]
     col_index = {c: i for i, c in enumerate(header)}
-    wanted = list(value_columns) + ([label_column] if label_column else [])
+    wanted = list(value_columns) + ([] if label_column is None else [label_column])
     if any(c not in col_index for c in wanted):
         return None
     # a row the csv module would split differently, or a line long enough to
@@ -213,7 +218,7 @@ def _parse_columns(text: str, value_columns: Sequence[str], label_column: Option
         return None
     if not np.isfinite(values).all():
         return None
-    if not label_column:
+    if label_column is None:
         return values, None
     stripped = [c.strip() for c in cells[col_index[label_column]::ncol]]
     if not set(stripped) <= {"0", "1"}:
@@ -230,7 +235,7 @@ def _parse_rows(path: Path, text: str, value_columns: Sequence[str],
         raise DataError(f"{path}: no header row")
     header, data_rows = rows[0], rows[1:]
     col_index = {c: i for i, c in enumerate(header)}
-    wanted = list(value_columns) + ([label_column] if label_column else [])
+    wanted = list(value_columns) + ([] if label_column is None else [label_column])
     for col in wanted:
         if col not in col_index:
             raise MissingColumnError(f"{path}: column {col!r} not in header {header}")
@@ -239,7 +244,7 @@ def _parse_rows(path: Path, text: str, value_columns: Sequence[str],
 
     width = max(col_index[c] for c in wanted) + 1 if wanted else 0
     values = np.empty((len(data_rows), len(value_columns)), dtype=np.float64)
-    labels = np.empty(len(data_rows), dtype=np.int64) if label_column else None
+    labels = None if label_column is None else np.empty(len(data_rows), dtype=np.int64)
     for i, row in enumerate(data_rows):
         if len(row) < width:
             raise DataError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
@@ -254,7 +259,7 @@ def _parse_rows(path: Path, text: str, value_columns: Sequence[str],
             if not math.isfinite(v):
                 raise NonFiniteValueError(f"{path}: row {i}, column {col!r}: non-finite value")
             values[i, j] = v
-        if label_column:
+        if labels is not None:
             cell = row[col_index[label_column]].strip()
             try:
                 lab = int(cell)

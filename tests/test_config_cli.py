@@ -62,9 +62,9 @@ class TestConfig:
         assert cfg.seed == 0
         assert cfg.window_length == 64
         assert cfg.train_stride == 32  # defaults to half the window
-        assert cfg.loss_weights.lambda1 == 1.5
-        assert cfg.loss_weights.lambda2 == 10.0
-        assert cfg.loss_weights.epsilon == 1e-7
+        assert cfg.train.weights.lambda1 == 1.5
+        assert cfg.train.weights.lambda2 == 10.0
+        assert cfg.train.weights.epsilon == 1e-7
 
     def test_unknown_top_level_key(self, tmp_path):
         path = write_config(tmp_path, {"windoww": {}})
@@ -92,7 +92,7 @@ class TestConfig:
         path = write_config(tmp_path, {"seed": 1})
         cfg = load_config(path, overrides=["seed=9", "window.length=32",
                                            'train.loss="mse"'])
-        assert cfg.seed == 9 and cfg.window_length == 32 and cfg.train_loss == "mse"
+        assert cfg.seed == 9 and cfg.window_length == 32 and cfg.train.loss_kind == "mse"
 
     def test_hash_ignores_output_dir(self):
         a = resolve({"output_dir": "x"})
@@ -271,6 +271,39 @@ class TestCliDetect:
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert summary["threshold_mode"] == "best_f1"
         assert float(row["pa_threshold"]) == summary["threshold"]
+
+    def test_test_split_scored_with_train_statistics(self, tmp_path):
+        # a level shift in the test split must survive normalization: normalizing
+        # the test split with its own statistics would remove it
+        from strad.detector import score
+        from strad.experiments import write_series_csv
+        from strad.series import TimeSeries, apply_normalization, fit_normalization
+
+        rng = np.random.default_rng(4)
+        wave = np.sin(2 * np.pi * np.arange(300) / 16)
+        train = TimeSeries(wave + 0.05 * rng.normal(size=300), np.zeros(300, int), "train")
+        labels = np.zeros(300, int)
+        labels[100:140] = 1
+        test = TimeSeries(wave + 3.0 + 0.05 * rng.normal(size=300), labels, "test")
+        write_series_csv(train, tmp_path / "train.csv", "# test")
+        write_series_csv(test, tmp_path / "test.csv", "# test")
+        doc = small_config(tmp_path / "out")
+        doc["datasets"] = [{"name": "shifted", "source": "csv", "csv": {
+            "train_path": str(tmp_path / "train.csv"), "test_path": str(tmp_path / "test.csv")}}]
+        cfgp = write_config(tmp_path, doc)
+        assert main(["train", "-c", cfgp]) == 0
+        assert main(["detect", "-c", cfgp,
+                     "--checkpoint", str(tmp_path / "out" / "shifted_model.ckpt")]) == 0
+        model, _ = load_checkpoint(tmp_path / "out" / "shifted_model.ckpt")
+        cfg = load_config(cfgp)
+
+        def scores_of(stats):
+            return score(model, apply_normalization(test, stats), 16, 1, cfg.train.weights,
+                         "strad_broadcast").scores
+
+        written = read_scores_csv(tmp_path / "out" / "shifted_scores.csv")
+        assert written.tobytes() == scores_of(fit_normalization(train)).tobytes()
+        assert not np.array_equal(written, scores_of(fit_normalization(test)))
 
     def test_score_rows_equal_series_length(self, tmp_path):
         out = self.run_train_detect(tmp_path)
@@ -462,6 +495,19 @@ class TestCliEval:
                      "-o", str(tmp_path / "rep")]) == 2
         assert "row 1" in capsys.readouterr().err
 
+    def test_label_cell_is_checked_as_a_label(self, tmp_path, capsys):
+        sc, data = write_eval_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
+        data.write_text("v0,label\n0.0,0\n0.0,x\n0.0,0\n")
+        assert main(["eval", "--scores", str(sc), "--data", str(data),
+                     "-o", str(tmp_path / "rep")]) == 2
+        assert "row 1, column 'label': 'x' is not 0/1" in capsys.readouterr().err
+
+    def test_empty_label_column_is_not_in_header(self, tmp_path, capsys):
+        sc, data = write_eval_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
+        assert main(["eval", "--scores", str(sc), "--data", str(data), "--label-column", "",
+                     "-o", str(tmp_path / "rep")]) == 2
+        assert "column '' not in header" in capsys.readouterr().err
+
     def test_nan_threshold_is_usage_error(self, tmp_path, capsys):
         sc, data = write_eval_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
         out = tmp_path / "rep"
@@ -599,6 +645,40 @@ class TestCliCompare:
         assert calls == []
         assert not (tmp_path / "out").exists()
 
+    def test_missing_second_csv_fails_before_any_training(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        trainer = strad.experiments.train
+        monkeypatch.setattr(strad.experiments, "train",
+                            lambda *args: calls.append(args) or trainer(*args))
+        doc = small_config(tmp_path / "out")
+        missing = str(tmp_path / "missing.csv")
+        doc["datasets"].append({"name": "second", "source": "csv",
+                                "csv": {"train_path": missing, "test_path": missing}})
+        assert main(["compare", "-c", write_config(tmp_path, doc)]) == 1
+        assert "missing.csv" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_best_f1_notes_under_comparison_and_ablation(self, tmp_path):
+        from strad.experiments import ABLATION_SUBSETS, DEGENERATE
+
+        out = tmp_path / "out"
+        cfgp = write_config(tmp_path, small_config(out, threshold={"mode": "best_f1"}))
+        assert main(["compare", "-c", cfgp]) == 0
+        assert main(["ablate", "-c", cfgp]) == 0
+        # predicting every point is one run that every truth segment absorbs,
+        # so its RPA F1 is 1 and every swept RPA F1 is degenerate
+        arms = {"comparison": ["mse demo", "strad demo"],
+                "ablation": [f"T={a} S={b} Sh={c} demo" for a, b, c in ABLATION_SUBSETS]}
+        for table, labels in arms.items():
+            lines = (out / f"{table}.txt").read_text().splitlines()
+            notes = [l for l in lines if l.startswith("note:")]
+            assert notes and lines[-len(notes):] == notes  # under the table
+            assert all(n.endswith(DEGENERATE) for n in notes)
+            assert ([n for n in notes if " rpa_f1=" in n]
+                    == [f"note: {label} rpa_f1=1.000000 {DEGENERATE}" for label in labels])
+            assert "degenerate" not in (out / f"{table}.csv").read_text()
+
     def test_mse_required(self, tmp_path):
         doc = small_config(tmp_path / "out", compare={"losses": ["strad", "mse_plus_strad"]})
         cfgp = write_config(tmp_path, doc)
@@ -616,7 +696,9 @@ class TestCliAblate:
 
     def test_shape_only_row_equals_zeroed_weights_run(self, tmp_path):
         from strad.config import load_config as load
-        from strad.experiments import materialize_dataset, run_arm
+        from dataclasses import replace
+
+        from strad.experiments import materialize_dataset, normalize_splits, run_arm
         from strad.losses import LossWeights
 
         out = tmp_path / "out"
@@ -629,9 +711,10 @@ class TestCliAblate:
         shape_only = next(r for r in rows
                           if (r["trend"], r["seasonality"], r["shape"]) == ("0", "0", "1"))
         cfg = load(cfgp)
-        manual = run_arm(cfg, 0, "strad", materialize_dataset(cfg, 0),
-                         weights=LossWeights(lambda1=0.0, lambda2=0.0, lambda3=1.0,
-                                             epsilon=1e-7, trend_variant="monotone"))
+        manual = run_arm(cfg, normalize_splits(materialize_dataset(cfg, 0)),
+                         replace(cfg.train, loss_kind="strad",
+                                 weights=LossWeights(lambda1=0.0, lambda2=0.0, lambda3=1.0,
+                                                     epsilon=1e-7, trend_variant="monotone")))
         assert float(shape_only["entire_rpa_f1"]) == manual["rpa_f1"]
         assert float(shape_only["entire_pa_f1"]) == manual["pa_f1"]
 

@@ -2,7 +2,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from strad.detector import ScoreSeries, threshold_best_f1
@@ -148,6 +148,10 @@ class TestColumnPass:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=csv_cases())
+    # ragged files: the flat split shifts every later cell by a column
+    @example(case=("c0,c1\n0\n0,1\n", ["c0"], None))
+    @example(case=("c0,c1\n0,1,2\n3,4\n", ["c0"], None))
+    @example(case=("c0,c1\n0,1\n2\n3,4\n", ["c0"], None))
     def test_agrees_with_row_loop(self, tmp_path, case):
         text, value_columns, label = case
         path = tmp_path / "data.csv"
