@@ -61,7 +61,7 @@ MUTANTS = (
            '            or max(',
            "if (max(",
            ("tests/test_series.py",)),
-    Mutant("pair_weight_of_bin_n_over_2", "spectral.py",
+    Mutant("pair_weight_of_bin_n_over_2", "losses.py",
            "weights[-1] = 1.0  # and so is bin n/2",
            "weights[-1] = 2.0  # and so is bin n/2",
            ("tests/test_spectral.py",)),
@@ -85,6 +85,14 @@ MUTANTS = (
            "std = np.maximum(std, STD_FLOOR)",
            "std = std",
            ("tests/test_series.py",)),
+    Mutant("fixed_threshold_never_degenerate", "experiments.py",
+           "degenerate = threshold <= scores.scores.min()",
+           "degenerate = False",
+           ("tests/test_config_cli.py::TestCliCompare",)),
+    Mutant("csv_error_uncaught", "series.py",
+           "except csv.Error as exc:",
+           "except UnicodeError as exc:",
+           ("tests/test_config_cli.py::TestCliEval", "tests/test_config_cli.py::TestCsvDatasetSource")),
 )
 
 

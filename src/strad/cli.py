@@ -28,6 +28,7 @@ from .experiments import (
     run_synth,
     run_train_cmd,
 )
+from .metrics import THRESHOLD_METRICS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", action="append", required=True, help="score CSV (repeatable)")
     p.add_argument("--data", action="append", required=True, help="labeled series CSV (repeatable)")
     p.add_argument("--label-column", default="label")
-    p.add_argument("--metric", action="append", choices=["rpa", "pa"], default=None,
+    p.add_argument("--metric", action="append", choices=THRESHOLD_METRICS, default=None,
                    help="metric to report (repeatable; default both)")
     p.add_argument("--threshold", action="append", type=float, default=None,
                    help="fixed threshold per pair (single value broadcasts); default best-F1 sweep")
@@ -127,7 +128,7 @@ def _cmd_detect(args) -> int:
 def _cmd_eval(args) -> int:
     if len(args.scores) != len(args.data):
         raise ConfigError("--scores and --data must be given the same number of times")
-    metrics = args.metric or ["rpa", "pa"]
+    metrics = args.metric or list(THRESHOLD_METRICS)
     if len(set(metrics)) != len(metrics):
         raise ConfigError(f"--metric repeats a metric: {metrics}")
     if any(math.isnan(t) for t in args.threshold or ()):

@@ -17,9 +17,10 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Optional
 
-from .detector import SCORE_MODES, THRESHOLD_METRICS, TrainConfig
+from .detector import SCORE_MODES, TrainConfig
 from .errors import ConfigError, DataError
 from .losses import LossWeights
+from .metrics import THRESHOLD_METRICS
 from .model import check_layer_sizes, default_layer_sizes
 from .series import read_text
 from .synth import (AnomalySpec, ChannelSpec, GeneratorConfig, check_channel, check_frequency,
@@ -70,7 +71,7 @@ DEFAULTS: dict[str, Any] = {
     "loss_weights": asdict(LossWeights()),
     "score": {"mode": "auto"},
     "threshold": {"mode": "quantile", "q": 0.99, "metric": "rpa"},
-    "eval": {"metrics": ["rpa", "pa"]},
+    "eval": {"metrics": list(THRESHOLD_METRICS)},
     "compare": {"losses": ["mse", "strad"]},
     "datasets": [_DATASET_DEFAULTS],
 }
@@ -149,8 +150,8 @@ def parse_override(text: str) -> tuple[list[str], Any]:
         raise ConfigError(f"override {text!r} must look like key.path=value")
     try:
         parsed = json.loads(value)
-    except json.JSONDecodeError:
-        parsed = value
+    except (ValueError, RecursionError):  # not JSON, too deep, or an integer too long
+        parsed = value  # the raw string, for the key's type check to reject
     return key.split("."), parsed
 
 
@@ -361,7 +362,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[list[str]] = Non
             raise ConfigError(f"config file not found: {path}")
         try:
             raw = json.loads(read_text(file, ConfigError))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # too deep, or an integer too long
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be an object")

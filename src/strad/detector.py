@@ -9,13 +9,12 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeMismatchError
 from .losses import LossWeights, mse_batch, seasonality_batch, strad_batch, trend_batch
-from .metrics import pa_counts, rpa_counts, sweep_counts
+from .metrics import THRESHOLD_METRICS, pa_counts, rpa_counts, sweep_counts
 from .model import DenseAutoencoder, adam_step, backward_batch, forward_batch, init_adam
 from .series import Segment, TimeSeries, sliding_windows
 
 LOSS_KINDS = ("mse", "strad", "mse_plus_strad")
 SCORE_MODES = ("shape_only", "strad_broadcast")
-THRESHOLD_METRICS = ("rpa", "pa")
 
 
 @dataclass(frozen=True)

@@ -142,20 +142,23 @@ def evaluate(scores: ScoreSeries, labels: np.ndarray, thresholds: dict) -> dict:
     """The report row of one labeled series: segments, then per metric its F1 and threshold.
 
     `thresholds` maps each metric to a fixed threshold, or to None for a
-    best-F1 sweep. The row's "degenerate" lists the swept metrics whose best
-    F1 the all-positive prediction (threshold at the minimum score) already
-    reaches. The sweep has counted that prediction at its lowest threshold,
-    so a swept metric costs no `f1_at` recount.
+    best-F1 sweep. The row's "degenerate" lists the metrics whose F1 the
+    all-positive prediction (threshold at the minimum score) reaches: a swept
+    best F1 it equals, or a fixed threshold at or below the minimum score,
+    which is that prediction. The sweep has counted it at its lowest
+    threshold, so a swept metric costs no `f1_at` recount.
     """
     segments = segments_from_labels(labels)
     row = {"segments": len(segments), "degenerate": ()}
     for metric, threshold in thresholds.items():
         if threshold is None:
             threshold, f1, all_positive_f1 = threshold_best_f1(scores, labels, metric)
-            if all_positive_f1 >= f1:
-                row["degenerate"] += (metric,)
+            degenerate = all_positive_f1 >= f1
         else:
             f1 = f1_at(scores.scores, threshold, labels, segments, metric)
+            degenerate = threshold <= scores.scores.min()
+        if degenerate:
+            row["degenerate"] += (metric,)
         row[f"{metric}_f1"] = f1
         row[f"{metric}_threshold"] = threshold
     return row
@@ -343,10 +346,13 @@ def run_detect_cmd(cfg: ExperimentConfig, checkpoint: Path, outdir: Path) -> dic
     mode = resolve_score_mode(cfg.score_mode, cfg.train.loss_kind)
     train_norm, test_norm = normalize_splits((train_raw, test_raw))
     test_scores, threshold = detect(cfg, model, train_norm, test_norm, mode, cfg.train.weights)
+    degenerate = False
     if threshold is None:  # best_f1 mode
         metric = cfg.threshold_metric
-        threshold = evaluate(test_scores, test_norm.labels, {metric: None})[f"{metric}_threshold"]
-    predicted_segments = segments_from_labels((test_scores.scores >= threshold).astype(np.int64))
+        row = evaluate(test_scores, test_norm.labels, {metric: None})
+        threshold, degenerate = row[f"{metric}_threshold"], metric in row["degenerate"]
+    flagged = (test_scores.scores >= threshold).astype(np.int64)
+    predicted_segments = segments_from_labels(flagged)
 
     _make_outdir(outdir)
     scores_path = outdir / f"{ds.name}_scores.csv"
@@ -361,6 +367,9 @@ def run_detect_cmd(cfg: ExperimentConfig, checkpoint: Path, outdir: Path) -> dic
         "mode": mode,
         "threshold_mode": cfg.threshold_mode,
         "threshold": threshold,
+        "flagged_share": float(flagged.mean()),
+        # the threshold flags every point, or its F1 is the all-positive prediction's
+        "degenerate": degenerate or bool(flagged.all()),
         "scores_csv": scores_path.name,
         "segments_csv": segments_path.name,
     }

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses, spectral
+from . import losses
 from .losses import LossWeights
 from .model import backward_batch, forward_batch, init_model
 
@@ -24,7 +24,6 @@ LOSS_TOLERANCE = 1e-4
 MODEL_MSE_TOLERANCE = 1e-4
 MODEL_COMBINED_TOLERANCE = 1e-3
 
-LOSS_COMPONENTS = ("trend_negated_log", "trend_monotone", "seasonality", "shape", "mse", "combined")
 MODEL_COMPONENTS = ("model_mse", "model_combined")
 
 _WEIGHTS = LossWeights()
@@ -52,6 +51,7 @@ _KERNELS = {
     "mse": losses.mse_batch,
     "combined": lambda X, XR, g=False: losses.strad_batch(X, XR, _WEIGHTS, g)[3:],
 }
+LOSS_COMPONENTS = tuple(_KERNELS)
 
 
 def _kernel(component: str):
@@ -69,7 +69,7 @@ def _min_bin_modulus(x: np.ndarray, y: np.ndarray) -> float:
 
     The half spectrum holds every bin modulus of the full one.
     """
-    return float(np.abs(spectral._transform((y - x).T)).min())
+    return float(np.abs(losses._transform((y - x).T)).min())
 
 
 def _exclusion_mask(component: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -22,6 +22,8 @@ import numpy as np
 from .errors import DataError, ShapeMismatchError
 from .series import Segment, is_binary, segments_from_labels
 
+THRESHOLD_METRICS = ("rpa", "pa")
+
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -120,8 +122,8 @@ def sweep_counts(scores, truth_labels, metric: str):
     level of a point or at the min (all of several points on) or max (any one
     on) of several levels: a bincount of event levels, summed from the top.
     """
-    if metric not in ("rpa", "pa"):
-        raise DataError(f"metric must be 'rpa' or 'pa', got {metric!r}")
+    if metric not in THRESHOLD_METRICS:
+        raise DataError(f"metric must be one of {THRESHOLD_METRICS}, got {metric!r}")
     scores = np.asarray(scores, dtype=np.float64)
     segments = segments_from_labels(truth_labels)
     truth = np.asarray(truth_labels, dtype=np.int64) == 1

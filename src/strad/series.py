@@ -229,8 +229,11 @@ def _parse_columns(text: str, value_columns: Sequence[str], label_column: Option
 def _parse_rows(path: Path, text: str, value_columns: Sequence[str],
                 label_column: Optional[str]):
     """(values, labels) by the csv module, one cell at a time."""
-    rows = [r for r in csv.reader(io.StringIO(text, newline=""))
-            if r and not r[0].startswith("#")]
+    try:
+        rows = [r for r in csv.reader(io.StringIO(text, newline=""))
+                if r and not r[0].startswith("#")]
+    except csv.Error as exc:  # such as a cell over `csv.field_size_limit()`
+        raise DataError(f"{path}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no header row")
     header, data_rows = rows[0], rows[1:]

@@ -17,10 +17,10 @@ from strad.cli import main
 from strad.config import build, resolve
 from strad.experiments import run_compare
 from strad.gradcheck import run_all
-from strad.losses import seasonality_batch, shape_batch, trend_batch
+from strad.losses import (_pair_weights, _transform, dft_naive, seasonality_batch, shape_batch,
+                          trend_batch)
 from strad.metrics import air, avg_improved, entire_f1, pa_counts, rpa_counts
 from strad.series import segments_from_labels
-from strad.spectral import _pair_weights, _transform, dft_naive
 
 from test_metrics import brute_pa, brute_rpa
 from test_spectral import full_spectrum

@@ -446,6 +446,13 @@ class TestCliEval:
                               f"note: spike rpa_f1=1.000000{marker}"]
         assert "degenerate" not in (out / "report.csv").read_text()
 
+    def test_cell_over_the_csv_field_limit_exits_2(self, tmp_path, capsys):
+        # was a _csv.Error traceback from the row parse
+        sc, data = write_eval_pair(tmp_path, "long", [0, 1], ["1" * 200_000, "0.5"])
+        assert main(["eval", "--scores", str(sc), "--data", str(data),
+                     "-o", str(tmp_path / "rep")]) == 2
+        assert f"error: {sc}: field larger than field limit" in capsys.readouterr().err
+
     def test_sweep_reads_degenerate_from_the_sweep(self, monkeypatch):
         def recount(*args, **kwargs):
             raise AssertionError("evaluate recounted a swept metric with f1_at")
@@ -679,6 +686,37 @@ class TestCliCompare:
                     == [f"note: {label} rpa_f1=1.000000 {DEGENERATE}" for label in labels])
             assert "degenerate" not in (out / f"{table}.csv").read_text()
 
+    def test_threshold_flagging_every_point_is_marked(self, tmp_path):
+        from strad.experiments import DEGENERATE
+
+        # a constant series reconstructs exactly: every score, and so the
+        # quantile threshold, is 0, which flags every test point
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text("v0,label\n" + "1.0,0\n" * 600)
+        labels = np.zeros(600, dtype=int)
+        labels[100:120] = labels[400:410] = 1
+        test.write_text("v0,label\n" + "".join(f"1.0,{lab}\n" for lab in labels))
+        out = tmp_path / "out"
+        doc = small_config(out, train={"epochs": 2, "batch_size": 8, "loss": "strad"})
+        doc["datasets"] = [{"name": "const", "source": "csv",
+                            "csv": {"train_path": str(train), "test_path": str(test)}}]
+        cfgp = write_config(tmp_path, doc)
+        assert main(["compare", "-c", cfgp]) == 0
+        notes = [l for l in (out / "comparison.txt").read_text().splitlines()
+                 if l.startswith("note:")]
+        assert notes == [f"note: {arm} const {m}_f1={f1} {DEGENERATE}"
+                         for arm in ("mse", "strad")
+                         for m, f1 in (("rpa", "1.000000"), ("pa", "0.095238"))]
+        assert "degenerate" not in (out / "comparison.csv").read_text()
+        assert main(["train", "-c", cfgp]) == 0
+        assert main(["detect", "-c", cfgp, "--checkpoint", str(out / "const_model.ckpt")]) == 0
+        summary = json.loads((out / "const_detect.json").read_text())
+        assert (summary["threshold"], summary["flagged_share"], summary["degenerate"]) == (0, 1, True)
+        # the check is the threshold against the minimum score, not a recount
+        scores = ScoreSeries(np.array([0.5, 1.0, 2.0]))
+        assert evaluate(scores, np.array([0, 1, 0]), {"rpa": 0.5})["degenerate"] == ("rpa",)
+        assert evaluate(scores, np.array([0, 1, 0]), {"rpa": 0.6})["degenerate"] == ()
+
     def test_mse_required(self, tmp_path):
         doc = small_config(tmp_path / "out", compare={"losses": ["strad", "mse_plus_strad"]})
         cfgp = write_config(tmp_path, doc)
@@ -769,6 +807,17 @@ class TestCsvDatasetSource:
                      "--checkpoint", str(tmp_path / "run" / "fromcsv_model.ckpt")]) == 0
         scores = read_scores_csv(tmp_path / "run" / "fromcsv_scores.csv")
         assert scores.shape == (600,)
+
+    def test_cell_over_the_csv_field_limit_exits_2(self, tmp_path, capsys):
+        # was a _csv.Error traceback from the row parse
+        train = tmp_path / "train.csv"
+        train.write_text("v0,label\n" + "1" * 200_000 + ",0\n" + "0.5,0\n" * 40)
+        doc = small_config(tmp_path / "run")
+        doc["datasets"] = [{"name": "long", "source": "csv",
+                            "csv": {"train_path": str(train), "test_path": str(train)}}]
+        assert main(["train", "-c", write_config(tmp_path, doc)]) == 2
+        assert f"error: {train}: field larger than field limit" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_csv_and_synth_sources_agree(self, tmp_path):
         # the exported CSVs must reproduce the in-memory benchmark exactly
@@ -905,6 +954,19 @@ class TestExitCodes:
         edit(doc["datasets"][0]["synth"])
         assert main(["synth", "-c", write_config(tmp_path, doc)]) == 1
         assert expected in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["[" * 100_000 + "]" * 100_000, "1" * 5000],
+                             ids=["too-deep", "too-many-digits"])
+    def test_json_the_json_module_cannot_hold_is_usage_error(self, tmp_path, capsys, value):
+        # were a RecursionError and a ValueError traceback, from a file and from --set
+        path = tmp_path / "deep.json"
+        path.write_text('{"seed": ' + value + "}")
+        assert main(["synth", "-c", str(path)]) == 1
+        assert f"config error: {path}: invalid JSON" in capsys.readouterr().err
+        cfgp = write_config(tmp_path, small_config(tmp_path / "out"))
+        assert main(["synth", "-c", cfgp, "--set", f"seed={value}"]) == 1
+        assert "config error: seed: expected an integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_parser_built_once_without_leaking_values(self):

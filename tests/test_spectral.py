@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import strad.spectral
+import strad.losses
 from strad.errors import ShapeMismatchError
-from strad.spectral import _pair_weights, _transform, dft_naive, seasonality_batch
+from strad.losses import _pair_weights, _transform, dft_naive, seasonality_batch
 
 finite_signal = st.lists(st.floats(-100, 100), min_size=1, max_size=48)
 
@@ -160,13 +160,13 @@ class TestSpectralL1:
 
     def test_one_forward_transform_per_call(self, monkeypatch):
         calls = []
-        original = strad.spectral._transform
+        original = strad.losses._transform
 
         def counting(z):
             calls.append(z.shape)
             return original(z)
 
-        monkeypatch.setattr(strad.spectral, "_transform", counting)
+        monkeypatch.setattr(strad.losses, "_transform", counting)
         X = np.random.default_rng(12).normal(size=(5, 16, 3))
         seasonality_batch(X, X + 0.1, want_grad=True)
         assert calls == [(5, 3, 16)]
