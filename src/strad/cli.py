@@ -13,10 +13,21 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
-from . import gradcheck as gradcheck_mod
+from .fanout import BLAS_THREAD_VARS  # loads no numpy
+
+# One BLAS thread per process, so that `compare` and `ablate` fan their fits
+# out over the usable CPUs (`fanout.fan_out`). It only takes effect before
+# numpy loads, and a variable the caller set is kept; the defaults also reach
+# every process started from here.
+if "numpy" not in sys.modules:
+    for _var in BLAS_THREAD_VARS:
+        os.environ.setdefault(_var, "1")
+
+from . import gradcheck as gradcheck_mod  # loads numpy
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, StradError
 from .experiments import (
@@ -179,6 +190,9 @@ def _cmd_ablate(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    for flag, value in (("--windows", args.windows), ("--models", args.models)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     results = gradcheck_mod.run_all(
         seed=args.seed,
         n_windows=args.windows,

@@ -27,6 +27,7 @@ from .detector import (
     train,
 )
 from .errors import CheckpointError, ConfigError, DataError
+from .fanout import fan_out
 from .losses import LossWeights
 from .metrics import air, avg_improved, entire_f1
 from .model import (
@@ -182,7 +183,8 @@ def run_arms(cfg: ExperimentConfig, arms: Sequence[TrainConfig]) -> list[list[di
     """Per arm, its `run_arm` row on each configured dataset.
 
     Every dataset is read, checked for test labels and normalized once,
-    before the first model trains.
+    before the first model trains. The (arm, dataset) fits are independent,
+    so `fan_out` may run them in several processes; each row is the same.
     """
     data = []
     for i, ds in enumerate(cfg.datasets):
@@ -190,7 +192,9 @@ def run_arms(cfg: ExperimentConfig, arms: Sequence[TrainConfig]) -> list[list[di
         if test_raw.labels is None:
             raise DataError(f"dataset {ds.name}: evaluation requires test labels")
         data.append(normalize_splits((train_raw, test_raw)))
-    return [[run_arm(cfg, pair, arm) for pair in data] for arm in arms]
+    rows = fan_out(lambda job: run_arm(cfg, job[1], job[0]),
+                   [(arm, pair) for arm in arms for pair in data])
+    return [rows[k:k + len(data)] for k in range(0, len(rows), len(data))]
 
 
 # ---------------------------------------------------------------------------

@@ -848,6 +848,13 @@ class TestCliGradcheck:
         assert main(["gradcheck", "--seed", "-1", "--windows", "1", "--models", "1"]) == 1
         assert "--seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--windows", "0"), ("--windows", "-1"),
+                                            ("--models", "0")])
+    def test_nothing_to_check_is_usage_error(self, flag, value, capsys):
+        counts = {"--windows": "1", "--models": "1", flag: value}
+        assert main(["gradcheck", *(arg for item in counts.items() for arg in item)]) == 1
+        assert f"config error: {flag} must be >= 1, got {value}" in capsys.readouterr().err
+
     def test_perturb_fails_naming_component(self, tmp_path, capsys, monkeypatch):
         shape = gradcheck._KERNELS["shape"]
 
