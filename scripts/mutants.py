@@ -52,14 +52,13 @@ MUTANTS = (
            "lambda1=base.lambda1",
            ("tests/test_config_cli.py::TestCliAblate",)),
     Mutant("sweep_drops_closed_gap_term", "metrics.py",
-           "+ on(_run_reduce(np.minimum, inv, gap_starts[closed] - 1, gap_ends[closed] + 1)))",
+           "+ on(np.minimum.reduceat(padded, truth.gap_runs)[::2]))",
            "+ 0)",
            ("tests/test_detector.py", "tests/test_metrics.py")),
     Mutant("parse_columns_drops_width_check", "series.py",
-           'if (marks.size != ncol * len(data)\n'
-           '            or (marks.reshape(-1, ncol)[:, :-1] != ord(",")).any()\n'
-           '            or max(',
-           "if (max(",
+           'if seps.size != ncol * nrows or (body[seps.reshape(nrows, ncol)[:, :-1]]'
+           ' != ord(",")).any():',
+           "if seps.size != ncol * nrows:",
            ("tests/test_series.py",)),
     Mutant("pair_weight_of_bin_n_over_2", "losses.py",
            "weights[-1] = 1.0  # and so is bin n/2",

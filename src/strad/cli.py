@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import os
@@ -144,19 +143,12 @@ def _cmd_eval(args) -> int:
         raise ConfigError(f"--metric repeats a metric: {metrics}")
     if any(math.isnan(t) for t in args.threshold or ()):
         raise ConfigError("--threshold must be a number or +/-inf, got nan")
-    digest = hashlib.sha256()
-    for name in args.scores + args.data:
-        path = Path(name)
-        if path.is_file():  # provenance reflects input content, not location
-            digest.update(path.read_bytes())
-    digest = digest.hexdigest()[:12]
     *rows, entire = run_eval_cmd(
         pairs=[(Path(s), Path(d)) for s, d in zip(args.scores, args.data)],
         metrics=metrics,
         outdir=Path(args.output_dir),
         label_column=args.label_column,
         thresholds=args.threshold,
-        prov=f"# config=eval-{digest} seed=0",
     )
     for row in rows:
         cells = " ".join(f"{m}_f1={row[f'{m}_f1']:.6f}"

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeMismatchError
 from .losses import LossWeights, mse_batch, seasonality_batch, strad_batch, trend_batch
-from .metrics import THRESHOLD_METRICS, pa_counts, rpa_counts, sweep_counts
+from .metrics import THRESHOLD_METRICS, as_truth, pa_counts, rpa_counts, sweep_counts
 from .model import DenseAutoencoder, adam_step, backward_batch, forward_batch, init_adam
 from .series import Segment, TimeSeries, sliding_windows
 
@@ -59,13 +60,21 @@ class TrainResult:
 
 @dataclass(frozen=True)
 class ScoreSeries:
-    """Per-point anomaly scores."""
+    """Per-point anomaly scores, read-only."""
 
     scores: np.ndarray  # (M,)
 
     def __post_init__(self):
         if not np.isfinite(self.scores).all():
             raise NumericError("anomaly scores contain non-finite values")
+        scores = np.asarray(self.scores).view()  # the caller's array stays writable
+        scores.setflags(write=False)  # `levels` is computed once
+        object.__setattr__(self, "scores", scores)
+
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """`np.unique(scores, return_inverse=True)`, computed once for every sweep."""
+        return np.unique(self.scores, return_inverse=True)
 
 
 def _batch_loss(X, XR, cfg: TrainConfig):
@@ -196,6 +205,8 @@ def threshold_best_f1(score_series: ScoreSeries, labels,
                       metric: str = "rpa") -> tuple[float, float, float]:
     """Best-F1 threshold sweep over the distinct observed scores plus +inf.
 
+    `labels` is the 0/1 array or its `metrics.Truth`; sweeps of one
+    `ScoreSeries` share its `levels`, and of one `Truth` its bounds.
     Predictions at threshold theta are `scores >= theta`. Ties are broken
     toward the higher threshold (fewer positives). Returns (threshold, f1,
     all_positive_f1); the last is the F1 at the lowest threshold, the minimum
@@ -210,10 +221,7 @@ def threshold_best_f1(score_series: ScoreSeries, labels,
         raise ConfigError(f"metric must be one of {THRESHOLD_METRICS}, got {metric!r}")
     if labels is None:
         raise DataError("threshold_best_f1 requires labels")
-    labels = np.asarray(labels)  # `sweep_counts` checks the 0/1 entries before any cast
-    if labels.shape != score_series.scores.shape:
-        raise ShapeMismatchError("labels and scores must have equal length")
-    thresholds, tp, fp, fn = sweep_counts(score_series.scores, labels, metric)
+    thresholds, tp, fp, fn = sweep_counts(*score_series.levels, as_truth(labels), metric)
     # ConfusionCounts.f1's expression and 0/0 -> 0 convention, on every threshold
     p = _ratio(tp, tp + fp)
     r = _ratio(tp, tp + fn)

@@ -8,6 +8,7 @@ are reproducible byte for byte and parse back exactly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -29,7 +30,7 @@ from .detector import (
 from .errors import CheckpointError, ConfigError, DataError
 from .fanout import fan_out
 from .losses import LossWeights
-from .metrics import air, avg_improved, entire_f1
+from .metrics import air, as_truth, avg_improved, entire_f1
 from .model import (
     DenseAutoencoder,
     default_layer_sizes,
@@ -139,9 +140,10 @@ def detect(cfg: ExperimentConfig, model: DenseAutoencoder, train_norm: TimeSerie
     return test_scores, None
 
 
-def evaluate(scores: ScoreSeries, labels: np.ndarray, thresholds: dict) -> dict:
+def evaluate(scores: ScoreSeries, labels, thresholds: dict) -> dict:
     """The report row of one labeled series: segments, then per metric its F1 and threshold.
 
+    `labels` is the 0/1 array or its `Truth`, prepared once for every metric.
     `thresholds` maps each metric to a fixed threshold, or to None for a
     best-F1 sweep. The row's "degenerate" lists the metrics whose F1 the
     all-positive prediction (threshold at the minimum score) reaches: a swept
@@ -149,14 +151,14 @@ def evaluate(scores: ScoreSeries, labels: np.ndarray, thresholds: dict) -> dict:
     which is that prediction. The sweep has counted it at its lowest
     threshold, so a swept metric costs no `f1_at` recount.
     """
-    segments = segments_from_labels(labels)
-    row = {"segments": len(segments), "degenerate": ()}
+    truth = as_truth(labels)
+    row = {"segments": truth.starts.size, "degenerate": ()}
     for metric, threshold in thresholds.items():
         if threshold is None:
-            threshold, f1, all_positive_f1 = threshold_best_f1(scores, labels, metric)
+            threshold, f1, all_positive_f1 = threshold_best_f1(scores, truth, metric)
             degenerate = all_positive_f1 >= f1
         else:
-            f1 = f1_at(scores.scores, threshold, labels, segments, metric)
+            f1 = f1_at(scores.scores, threshold, truth.labels, truth.segments, metric)
             degenerate = threshold <= scores.scores.min()
         if degenerate:
             row["degenerate"] += (metric,)
@@ -221,14 +223,14 @@ def write_scores_csv(scores: ScoreSeries, path, prov: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_scores_csv(path) -> np.ndarray:
-    """The score column of a score CSV written by `write_scores_csv`."""
-    return load_columns(path, ["score"], None)[0][:, 0]
+def read_scores_csv(path, inputs: Optional[dict] = None) -> np.ndarray:
+    """The score column of a score CSV written by `write_scores_csv`; `inputs` as `read_bytes`'s."""
+    return load_columns(path, ["score"], None, inputs)[0][:, 0]
 
 
-def read_labels_csv(path, label_column: str = "label") -> np.ndarray:
+def read_labels_csv(path, label_column: str = "label", inputs: Optional[dict] = None) -> np.ndarray:
     """Just the 0/1 label column of a labeled series CSV; no other column is parsed."""
-    return load_columns(path, [], label_column)[1]
+    return load_columns(path, [], label_column, inputs)[1]
 
 
 def write_segments_csv(segments: Sequence[Segment], path, prov: str) -> None:
@@ -251,8 +253,9 @@ def write_history_csv(result: TrainResult, path, prov: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_table(rows: list[dict], columns: list[str], csv_path, txt_path, prov: str) -> None:
-    """One table as full-precision CSV plus an aligned plain-text rendering."""
+def write_table(rows: list[dict], columns: list[str], csv_path, txt_path, prov: str,
+                notes: Sequence[str] = ()) -> None:
+    """One table as full-precision CSV plus an aligned plain-text rendering, `notes` under it."""
     csv_lines = [prov, ",".join(columns)]
     for row in rows:
         csv_lines.append(",".join(_cell(row.get(c, "")) for c in columns))
@@ -264,14 +267,13 @@ def write_table(rows: list[dict], columns: list[str], csv_path, txt_path, prov: 
     txt_lines = [prov, "  ".join(c.ljust(w) for c, w in zip(columns, widths))]
     for r in display:
         txt_lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
-    Path(txt_path).write_text("\n".join(txt_lines) + "\n")
+    Path(txt_path).write_text("\n".join([*txt_lines, *notes]) + "\n")
 
 
-def append_notes(txt_path, labeled_rows) -> None:
-    """Under a .txt table, one `note:` line per degenerate F1 of each (label, `evaluate` row)."""
-    with open(txt_path, "a") as fh:
-        fh.writelines(f"note: {label} {m}_f1={row[f'{m}_f1']:.6f} {DEGENERATE}\n"
-                      for label, row in labeled_rows for m in row["degenerate"])
+def degenerate_notes(labeled_rows) -> list[str]:
+    """One `note:` line per degenerate F1 of each (label, `evaluate` row), for `write_table`."""
+    return [f"note: {label} {m}_f1={row[f'{m}_f1']:.6f} {DEGENERATE}"
+            for label, row in labeled_rows for m in row["degenerate"]]
 
 
 def _metric_columns(metrics: Sequence[str]) -> list[str]:
@@ -387,39 +389,61 @@ def run_eval_cmd(
     outdir: Path,
     label_column: str = "label",
     thresholds: Optional[list[float]] = None,
-    prov: str = "# config=adhoc seed=0",
 ) -> list[dict]:
     """Per-sub-dataset F1s plus the segment-weighted entire-dataset F1s.
 
     With explicit `thresholds` (one per pair, or a single broadcast value)
     each metric is evaluated at that fixed threshold; otherwise a best-F1
-    sweep runs per metric. Each distinct data path is parsed once, however
-    many pairs name it. Returns the rows of `report.csv`: one `evaluate`
-    row per sub-dataset, named after its data file, and the ENTIRE row last.
+    sweep runs per metric. Each distinct path is opened once, however many
+    pairs name it, and each data path's labels are parsed and prepared for
+    the sweeps once. The provenance line's digest is `_eval_digest` of the
+    bytes parsed. Returns the rows of `report.csv`: one `evaluate` row per
+    sub-dataset, named after its data file, and the ENTIRE row last.
     """
     if thresholds is not None and len(thresholds) == 1:
         thresholds = thresholds * len(pairs)
     if thresholds is not None and len(thresholds) != len(pairs):
         raise ConfigError("need one threshold per scores/data pair (or a single value)")
     rows = []
-    labels_of: dict = {}  # data path -> its label column
+    inputs: dict = {}  # path -> its bytes, for `read_bytes`
+    truth_of: dict = {}  # data path -> the `Truth` of its label column
     for i, (scores_path, data_path) in enumerate(pairs):
-        scores = read_scores_csv(scores_path)
-        if data_path not in labels_of:
-            labels_of[data_path] = read_labels_csv(data_path, label_column)
-        labels = labels_of[data_path]
-        if labels.shape[0] != scores.shape[0]:
+        scores = read_scores_csv(scores_path, inputs)
+        if data_path not in truth_of:
+            truth_of[data_path] = as_truth(read_labels_csv(data_path, label_column, inputs))
+        truth = truth_of[data_path]
+        if truth.labels.shape != scores.shape:
             raise DataError(f"{data_path}: labels misaligned with {scores_path}")
         threshold = None if thresholds is None else thresholds[i]
         rows.append({"name": Path(data_path).stem,
-                     **evaluate(ScoreSeries(scores), labels, dict.fromkeys(metrics, threshold))})
+                     **evaluate(ScoreSeries(scores), truth, dict.fromkeys(metrics, threshold))})
     entire = {"name": "ENTIRE", "segments": sum(r["segments"] for r in rows),
               **entire_f1s(rows, metrics)}
+    digest = _eval_digest([inputs[p] for p in [*(s for s, _ in pairs), *(d for _, d in pairs)]],
+                         metrics, thresholds, label_column)
     _make_outdir(outdir)
     write_table([*rows, entire], ["name", "segments", *_metric_columns(metrics)],
-                outdir / "report.csv", outdir / "report.txt", prov)
-    append_notes(outdir / "report.txt", [(r["name"], r) for r in rows])
+                outdir / "report.csv", outdir / "report.txt", f"# config=eval-{digest} seed=0",
+                degenerate_notes((r["name"], r) for r in rows))
     return [*rows, entire]
+
+
+def _eval_digest(contents: Sequence[bytes], metrics: Sequence[str],
+                thresholds: Optional[Sequence[float]], label_column: str) -> str:
+    """12 hex digits of a SHA-256 of what `report.csv` depends on, not of where it lives.
+
+    That is every input file's bytes, each after its length so that no two
+    lists of files hash alike, then the metrics in order, the threshold of
+    each pair (None for the sweep) as `%.17g`, and the label column.
+    """
+    digest = hashlib.sha256()
+    for raw in contents:
+        digest.update(b"%d:" % len(raw))
+        digest.update(raw)
+    settings = {"metrics": list(metrics), "label_column": label_column,
+                "thresholds": None if thresholds is None else [_fmt(t) for t in thresholds]}
+    digest.update(json.dumps(settings, sort_keys=True).encode())
+    return digest.hexdigest()[:12]
 
 
 @dataclass
@@ -464,9 +488,8 @@ def run_compare(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> Compare
         _make_outdir(outdir)
         write_table(per_arm_dataset, ["arm", "dataset", "segments",
                                        *_metric_columns(cfg.eval_metrics)],
-                    outdir / "comparison.csv", outdir / "comparison.txt", provenance(cfg))
-        append_notes(outdir / "comparison.txt",
-                     [(f"{r['arm']} {r['dataset']}", r) for r in per_arm_dataset])
+                    outdir / "comparison.csv", outdir / "comparison.txt", provenance(cfg),
+                    degenerate_notes((f"{r['arm']} {r['dataset']}", r) for r in per_arm_dataset))
         write_table(summary, ["arm", "metric", "entire_f1", "avg_improved", "air"],
                     outdir / "improvement.csv", outdir / "improvement.txt", provenance(cfg))
     return CompareOutcome(per_arm_dataset=per_arm_dataset, summary=summary)
@@ -505,6 +528,5 @@ def run_ablate(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> list[dic
         for ds in cfg.datasets:
             columns += [f"{m}_f1_{ds.name}" for m in cfg.eval_metrics]
         write_table(rows, columns, outdir / "ablation.csv", outdir / "ablation.txt",
-                    provenance(cfg))
-        append_notes(outdir / "ablation.txt", notes)
+                    provenance(cfg), degenerate_notes(notes))
     return rows

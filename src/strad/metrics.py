@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, ShapeMismatchError
-from .series import Segment, is_binary, segments_from_labels
+from .series import Segment, is_binary, run_bounds, segments_from_labels
 
 THRESHOLD_METRICS = ("rpa", "pa")
 
@@ -97,63 +98,92 @@ def rpa_counts(preds, truth_segments: Sequence[Segment]) -> ConfusionCounts:
     return ConfusionCounts(tp=tp, fp=fp, fn=fn)
 
 
-def _bounds(segments: Sequence[Segment]) -> tuple[np.ndarray, np.ndarray]:
-    starts = np.array([s.start for s in segments], dtype=np.intp)
-    ends = np.array([s.end for s in segments], dtype=np.intp)
-    return starts, ends
+@dataclass(frozen=True)
+class Truth:
+    """A 0/1 label array and what every sweep over it reads, computed once.
+
+    Build it with `as_truth`. Segments are the maximal runs of 1s, with
+    inclusive bounds. A run is given to `np.ufunc.reduceat` as the pair
+    (start, end + 1) of a flat index array, over the values with one element
+    appended, so that a run may end the series.
+    """
+
+    labels: np.ndarray  # (M,) int64
+    normal: np.ndarray  # (M,) bool: labels == 0
+    normal_pairs: np.ndarray  # (M - 1,) bool: points i and i + 1 both normal
+    edge_pairs: np.ndarray  # (M - 1,) bool: exactly one of points i and i + 1 normal
+    starts: np.ndarray  # segment bounds
+    ends: np.ndarray
+    segment_runs: np.ndarray  # reduceat indices of the segments
+    gap_runs: np.ndarray  # reduceat indices of each closed gap, widened by a point per side
+
+    @cached_property
+    def segments(self) -> list[Segment]:
+        return [Segment(int(s), int(e)) for s, e in zip(self.starts, self.ends)]
 
 
-def _run_reduce(ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """`ufunc` reduced over each inclusive run values[start:end + 1]."""
-    bounds = np.stack([starts, ends + 1], axis=1).ravel()
-    return ufunc.reduceat(np.append(values, 0), bounds)[::2]
+def as_truth(labels) -> Truth:
+    """`labels` as a `Truth`: one is returned as it is, a 1-D 0/1 array is checked and read.
+
+    A closed gap is a maximal run of 0s with a segment on each side.
+    """
+    if isinstance(labels, Truth):
+        return labels
+    starts, ends = run_bounds(labels)
+    labels = np.asarray(labels, dtype=np.int64)
+    normal = labels == 0
+    gap_starts, gap_ends = run_bounds(normal)
+    closed = (gap_starts > 0) & (gap_ends < labels.size - 1)
+    return Truth(labels, normal, normal[:-1] & normal[1:], normal[:-1] != normal[1:],
+                 starts, ends, _runs(starts, ends), _runs(gap_starts[closed] - 1,
+                                                          gap_ends[closed] + 1))
 
 
-def sweep_counts(scores, truth_labels, metric: str):
+def _runs(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    return np.stack([starts, ends + 1], axis=1).ravel()
+
+
+def sweep_counts(levels: np.ndarray, inv: np.ndarray, truth: Truth, metric: str):
     """Confusion counts of `scores >= theta` at every distinct score theta, in one pass.
 
-    Returns (thresholds, tp, fp, fn): the distinct scores in descending order
-    and, per threshold, the int64 counts that `rpa_counts` (metric "rpa") or
-    `pa_counts` (metric "pa") give for that prediction.
+    `levels, inv` is `np.unique(scores, return_inverse=True)`. Returns
+    (thresholds, tp, fp, fn): the distinct scores in descending order and,
+    per threshold, the int64 counts that `rpa_counts` (metric "rpa") or
+    `pa_counts` (metric "pa") give for that prediction against `truth`.
 
     Point i is predicted at the j-th smallest distinct score iff its level
-    (`np.unique`'s inverse index) is >= j. So every count is the number of
-    events switched on at that threshold, where an event switches on at the
-    level of a point or at the min (all of several points on) or max (any one
-    on) of several levels: a bincount of event levels, summed from the top.
+    inv[i] is >= j. So every count is the number of events switched on at
+    that threshold, where an event switches on at the level of a point or at
+    the min (all of several points on) or max (any one on) of several levels:
+    a bincount of event levels, summed from the top.
     """
     if metric not in THRESHOLD_METRICS:
         raise DataError(f"metric must be one of {THRESHOLD_METRICS}, got {metric!r}")
-    scores = np.asarray(scores, dtype=np.float64)
-    segments = segments_from_labels(truth_labels)
-    truth = np.asarray(truth_labels, dtype=np.int64) == 1
-    if scores.shape != truth.shape:
-        raise ShapeMismatchError(f"scores length {scores.shape} != labels length {truth.shape}")
-    levels, inv = np.unique(scores, return_inverse=True)
+    if inv.shape != truth.labels.shape:
+        raise ShapeMismatchError(
+            f"scores length {inv.shape} != labels length {truth.labels.shape}")
 
     def on(event_levels: np.ndarray) -> np.ndarray:
         return np.cumsum(np.bincount(event_levels, minlength=levels.size)[::-1])
 
-    starts, ends = _bounds(segments)
-    hit = _run_reduce(np.maximum, inv, starts, ends)  # a segment is hit when any point is on
-    normal = ~truth
-    fp = on(inv[normal])
+    padded = np.append(inv, 0)  # for `Truth`'s reduceat runs
+    # a segment is hit when any of its points is on
+    hit = np.maximum.reduceat(padded, truth.segment_runs)[::2]
+    fp = on(inv[truth.normal])
     if metric == "pa":
         # a hit segment counts all its points as true positives
-        tp = on(np.repeat(hit, ends - starts + 1))
-        return levels[::-1], tp, fp, int(truth.sum()) - tp
+        tp = on(np.repeat(hit, truth.ends - truth.starts + 1))
+        return levels[::-1], tp, fp, int(truth.labels.sum()) - tp
 
     tp = on(hit)
-    gap_starts, gap_ends = _bounds(segments_from_labels(normal))
     # Runs of on normal points are on normal points minus on normal-normal
     # pairs. Those touching truth are the on (normal, truth) pairs, less the
-    # gaps between two segments that are on end to end with both neighbours,
-    # which touch truth twice.
+    # closed gaps that are on end to end with both neighbours, which touch
+    # truth twice.
     pair = np.minimum(inv[:-1], inv[1:])
-    closed = (gap_starts > 0) & (gap_ends < scores.size - 1)
-    fp = (fp - on(pair[normal[:-1] & normal[1:]]) - on(pair[truth[:-1] != truth[1:]])
-          + on(_run_reduce(np.minimum, inv, gap_starts[closed] - 1, gap_ends[closed] + 1)))
-    return levels[::-1], tp, fp, len(segments) - tp
+    fp = (fp - on(pair[truth.normal_pairs]) - on(pair[truth.edge_pairs])
+          + on(np.minimum.reduceat(padded, truth.gap_runs)[::2]))
+    return levels[::-1], tp, fp, truth.starts.size - tp
 
 
 def entire_f1(per_subdataset: Sequence[tuple[int, float]]) -> float:

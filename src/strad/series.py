@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import locale
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,21 +122,39 @@ class Segment:
         return self.end - self.start + 1
 
 
-def read_text(path, decode_error: type[Exception]) -> str:
-    """The whole text of `path`, with its line ends as written (newline="").
+def read_bytes(path, inputs: Optional[dict] = None) -> bytes:
+    """The bytes of `path`, as written.
 
-    A path that names no readable regular file, such as a directory, raises
-    FileNotFoundError; bytes that do not decode raise `decode_error`.
+    With `inputs`, a dict of path -> bytes that the caller keeps, a path is
+    opened only if it is not a key yet, and its bytes are then added: every
+    reader of that path in one call sees the same bytes. A path that names
+    no readable regular file, such as a directory, raises FileNotFoundError.
     """
+    if inputs is not None and path in inputs:
+        return inputs[path]
     try:
-        with open(path, newline="") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except FileNotFoundError:
         raise FileNotFoundError(f"no such file: {path}") from None
     except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         raise FileNotFoundError(f"{path}: not a readable file ({exc.strerror})") from None
+    if inputs is not None:
+        inputs[path] = raw
+    return raw
+
+
+def decode(path, raw: bytes, decode_error: type[Exception]) -> str:
+    """`raw` as text in the encoding `open` uses, line ends kept; `decode_error` if it fails."""
+    try:
+        return raw.decode(locale.getpreferredencoding(False))
     except UnicodeDecodeError as exc:
         raise decode_error(f"{path}: cannot decode: {exc}") from None
+
+
+def read_text(path, decode_error: type[Exception]) -> str:
+    """The whole text of `path`, with its line ends as written; see `read_bytes` and `decode`."""
+    return decode(path, read_bytes(path), decode_error)
 
 
 def load_csv(
@@ -149,19 +168,21 @@ def load_csv(
     return TimeSeries(values=values, labels=labels, name=name or Path(path).stem)
 
 
-def load_columns(path, value_columns: Sequence[str], label_column: Optional[str]):
+def load_columns(path, value_columns: Sequence[str], label_column: Optional[str],
+                 inputs: Optional[dict] = None):
     """(values, labels) of a headed CSV file's named columns; labels is None if `label_column` is.
 
     Row order defines time order; there is no timestamp parsing. Lines
     starting with '#' are treated as provenance comments and skipped. Value
     cells are parsed as finite decimal floats into a (rows, columns) array,
-    the label column as integer 0/1; no other column is parsed.
+    the label column as 0/1: a label cell must be `0` or `1`, give or take
+    surrounding whitespace. No other column is parsed. The file is read
+    through `read_bytes`, so `inputs` lets several reads share one open.
 
-    A plain file (no quotes, no carriage returns, every row as wide as the
-    header), as strad writes them, is parsed a whole column at a time; any
-    other file, or any cell the column pass rejects, goes through the
-    row-by-row parse, which names the first bad row and column. Both give
-    the same arrays.
+    A plain file, as strad writes them, is parsed by one pass over its bytes
+    (`_parse_columns`); any other file, or any cell that pass does not
+    accept, goes through the row-by-row parse, which names the first bad row
+    and column. Both give the same arrays.
 
     Raises
     ------
@@ -173,57 +194,68 @@ def load_columns(path, value_columns: Sequence[str], label_column: Optional[str]
     NonFiniteValueError
         On the corresponding malformed content, naming row and column.
     """
-    text = read_text(path, DataError)
-    return (_parse_columns(text, value_columns, label_column)
-            or _parse_rows(Path(path), text, value_columns, label_column))
+    raw = read_bytes(path, inputs)
+    return (_parse_columns(raw, value_columns, label_column)
+            or _parse_rows(Path(path), decode(path, raw, DataError), value_columns, label_column))
 
 
-def _parse_columns(text: str, value_columns: Sequence[str], label_column: Optional[str]):
-    """(values, labels) of a plain file in one pass per column, or None.
+def _parse_columns(raw: bytes, value_columns: Sequence[str], label_column: Optional[str]):
+    """(values, labels) of a plain file in one pass over its bytes, or None.
 
     None means the row loop must decide: it accepts everything accepted here,
     with bit-identical results, and alone raises the errors that name a cell.
-    Every data row must hold exactly as many commas as the header; that is
-    checked by one vectorized pass over the text's commas and line ends.
+    A plain file is ASCII without quotes or carriage returns, no line of it
+    is longer than the csv module's field limit, and no line after its
+    header (the first line that is neither blank nor a '#' comment) is blank
+    or a comment. Every data row holds exactly as many commas as the header.
+    Value cells become strings for `float` only if a value column is asked
+    for; a label cell must be the one byte `0` or `1`, read as it is.
     """
-    if '"' in text or "\r" in text:
+    if not raw.isascii() or b'"' in raw or b"\r" in raw:
         return None
-    lines = [ln for ln in text.split("\n") if ln and ln[0] != "#"]
-    if len(lines) < 2:
+    chars = np.frombuffer(raw if raw.endswith(b"\n") else raw + b"\n", np.uint8)
+    newline = chars == ord("\n")
+    line_ends = np.flatnonzero(newline)
+    line_starts = np.concatenate(([0], line_ends[:-1] + 1))
+    first = chars[line_starts]
+    skipped = (first == ord("\n")) | (first == ord("#"))  # blank or comment lines
+    h = int(np.argmin(skipped))  # the header line
+    if (skipped[h] or h + 1 == line_ends.size or skipped[h + 1:].any()
+            or (line_ends - line_starts).max() > csv.field_size_limit()):
         return None
-    header, data = lines[0].split(","), lines[1:]
+    header = raw[line_starts[h]:line_ends[h]].decode().split(",")
     col_index = {c: i for i, c in enumerate(header)}
     wanted = list(value_columns) + ([] if label_column is None else [label_column])
     if any(c not in col_index for c in wanted):
         return None
-    # a row the csv module would split differently, or a line long enough to
-    # hold a cell over the csv module's field limit. In UTF-8 no byte of a
-    # multi-byte character is "," or "\n", so the separators read in order
-    # must be, row after row, ncol - 1 commas and a line end.
-    ncol = len(header)
-    joined = "\n".join(data)
-    chars = np.frombuffer(joined.encode(), np.uint8)
-    marks = np.append(chars[(chars == ord(",")) | (chars == ord("\n"))], ord("\n"))
-    if (marks.size != ncol * len(data)
-            or (marks.reshape(-1, ncol)[:, :-1] != ord(",")).any()
-            or max(map(len, data)) > csv.field_size_limit()):
+    body = chars[line_starts[h + 1]:]
+    # In order, the separators of each row must be ncol - 1 commas and a line end.
+    ncol, nrows = len(header), line_ends.size - h - 1
+    seps = np.flatnonzero(newline[line_starts[h + 1]:] | (body == ord(",")))
+    if seps.size != ncol * nrows or (body[seps.reshape(nrows, ncol)[:, :-1]] != ord(",")).any():
         return None
-    cells = joined.replace("\n", ",").split(",")
-    values = np.empty((len(data), len(value_columns)), dtype=np.float64)
-    try:
-        for j, col in enumerate(value_columns):
-            values[:, j] = np.fromiter(map(float, cells[col_index[col]::ncol]), np.float64,
-                                       len(data))
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
+
+    values = np.empty((nrows, len(value_columns)), dtype=np.float64)
+    if value_columns:
+        # one split into every cell: on a 1,000-row score file it took half
+        # the time of picking out one column's bytes first
+        cells = body[:-1].tobytes().decode().replace("\n", ",").split(",")
+        try:
+            for j, col in enumerate(value_columns):
+                values[:, j] = np.fromiter(map(float, cells[col_index[col]::ncol]), np.float64,
+                                           nrows)
+        except ValueError:
+            return None
+        if not np.isfinite(values).all():
+            return None
     if label_column is None:
         return values, None
-    stripped = [c.strip() for c in cells[col_index[label_column]::ncol]]
-    if not set(stripped) <= {"0", "1"}:
+    cell = np.arange(nrows) * ncol + col_index[label_column]  # each label cell's index
+    starts = np.concatenate(([0], seps[:-1] + 1))[cell]
+    labels = body[starts]
+    if ((seps[cell] - starts != 1) | ((labels != ord("0")) & (labels != ord("1")))).any():
         return None
-    return values, np.array(stripped, dtype=np.int64)
+    return values, (labels - ord("0")).astype(np.int64)
 
 
 def _parse_rows(path: Path, text: str, value_columns: Sequence[str],
@@ -264,15 +296,11 @@ def _parse_rows(path: Path, text: str, value_columns: Sequence[str],
             values[i, j] = v
         if labels is not None:
             cell = row[col_index[label_column]].strip()
-            try:
-                lab = int(cell)
-            except ValueError:
-                lab = -1
-            if lab not in (0, 1):
+            if cell not in ("0", "1"):  # not `int`, which takes "+1", "01" and "0_0"
                 raise NonBinaryLabelError(
                     f"{path}: row {i}, column {label_column!r}: {cell!r} is not 0/1"
                 )
-            labels[i] = lab
+            labels[i] = cell == "1"
     return values, labels
 
 
@@ -317,6 +345,12 @@ def sliding_windows(series: TimeSeries, length: int, stride: int = 1) -> np.ndar
 
 def segments_from_labels(labels) -> list[Segment]:
     """Maximal runs of 1s as inclusive segments, in index order."""
+    starts, ends = run_bounds(labels)
+    return [Segment(int(s), int(e)) for s, e in zip(starts, ends)]
+
+
+def run_bounds(labels) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends): the inclusive bounds of the maximal runs of 1s in a 1-D 0/1 array."""
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise DataError("labels must be 1-D")
@@ -324,9 +358,7 @@ def segments_from_labels(labels) -> list[Segment]:
         raise NonBinaryLabelError("labels must contain only 0 and 1")
     padded = np.concatenate(([0], np.asarray(labels, dtype=np.int64), [0]))
     delta = np.diff(padded)
-    starts = np.flatnonzero(delta == 1)
-    ends = np.flatnonzero(delta == -1) - 1
-    return [Segment(int(s), int(e)) for s, e in zip(starts, ends)]
+    return np.flatnonzero(delta == 1), np.flatnonzero(delta == -1) - 1
 
 
 def labels_from_segments(segments: Sequence[Segment], length: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 import base64
+import builtins
 import copy
+import io
 import json
 import math
 
@@ -481,6 +483,70 @@ class TestCliEval:
         assert reads == [data]
         names = [l.split(",")[0] for l in (out / "report.csv").read_text().splitlines()[2:]]
         assert names == ["a", "a", "ENTIRE"]
+
+    def test_each_input_is_opened_once(self, tmp_path, monkeypatch):
+        sa, data = write_eval_pair(tmp_path, "a", [0, 1, 1, 0], [0, 5, 0, 0])
+        sb, _ = write_eval_pair(tmp_path, "b", [0, 1, 1, 0], [0, 0, 5, 1])
+
+        def report_rows(out, *argv):
+            assert main(["eval", *map(str, argv), "-o", str(out)]) == 0
+            return (out / "report.csv").read_text().splitlines()[1:]
+
+        solo = [report_rows(tmp_path / f"solo{k}", "--scores", sc, "--data", data)
+                for k, sc in enumerate((sa, sb))]
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)  # `Path.read_bytes` opens through it
+        monkeypatch.setattr(builtins, "open", counting_open)
+        rows = report_rows(tmp_path / "pair", "--scores", sa, "--data", data,
+                           "--scores", sb, "--data", data)
+        monkeypatch.undo()
+        inputs = [p for p in opened if p in (str(sa), str(sb), str(data))]
+        assert sorted(inputs) == sorted([str(sa), str(sb), str(data)])
+        assert rows[1:3] == [solo[0][1], solo[1][1]]  # the header, then one row per pair
+
+    def test_provenance_covers_every_setting(self, tmp_path):
+        # the parent digest covered only the input bytes: one line, three tables
+        sc, data = write_eval_pair(tmp_path, "m", [0, 1, 1, 0], [0.2, 0.7, 0.5, 0.1])
+        data.write_text("v0,label,copy\n0.0,0,0\n0.0,1,1\n0.0,1,1\n0.0,0,0\n")
+        lines = set()
+        for k, extra in enumerate([[], ["--threshold", "0.6"], ["--metric", "pa"],
+                                   ["--metric", "pa", "--metric", "rpa"],
+                                   ["--label-column", "copy"]]):
+            out = tmp_path / f"rep{k}"
+            assert main(["eval", "--scores", str(sc), "--data", str(data), "-o", str(out),
+                         *extra]) == 0
+            lines.add((out / "report.csv").read_text().splitlines()[0])
+        assert len(lines) == 5
+
+    def test_provenance_tells_the_files_apart(self, tmp_path):
+        # the same bytes in all, split differently between the two files
+        scores, data = "index,score\n0,0.1\n1,0.7\n", "v0,label\n0.0,0\n0.0,1\n"
+        lines = []
+        for k, comment in enumerate(["# a\n", ""]):
+            run = tmp_path / str(k)
+            run.mkdir()
+            (run / "s.csv").write_text(scores + comment)
+            (run / "d.csv").write_text("# a\n"[len(comment):] + data)
+            assert main(["eval", "--scores", str(run / "s.csv"), "--data", str(run / "d.csv"),
+                         "-o", str(run)]) == 0
+            lines.append((run / "report.csv").read_text().splitlines())
+        assert lines[0][1:] == lines[1][1:]
+        assert lines[0][0] != lines[1][0]
+
+    # `int` took all of these as a 0 or a 1
+    @pytest.mark.parametrize("cell", ["+1", "01", "\u0661", "0_0", "-0", "+0"])
+    def test_label_cell_must_be_0_or_1(self, tmp_path, capsys, cell):
+        sc, data = write_eval_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
+        data.write_text(f"v0,label\n0.0,0\n0.0,{cell}\n0.0,0\n", encoding="utf-8")
+        assert main(["eval", "--scores", str(sc), "--data", str(data),
+                     "-o", str(tmp_path / "rep")]) == 2
+        assert f"row 1, column 'label': {cell!r} is not 0/1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad_row", ["1,abc", "1"])
     def test_malformed_score_row_exits_2(self, tmp_path, capsys, bad_row):

@@ -26,6 +26,7 @@ from strad.series import (
     labels_from_segments,
     _parse_columns,
     _parse_rows,
+    load_columns,
     load_csv,
     segments_from_labels,
     sliding_windows,
@@ -98,11 +99,12 @@ def csv_cases(draw):
     """(text, value_columns, label_column): a valid strad-like file, then mutations."""
     ncol = draw(st.integers(1, 4))
     header = [f"c{j}" for j in range(ncol)]
-    label = draw(st.sampled_from([None, header[-1]]))
+    label = draw(st.sampled_from([None, *header]))  # first, middle or last column
     finite = st.floats(allow_nan=False, allow_infinity=False).map("%.17g".__mod__)
     rows = [[draw(st.sampled_from(["0", "1"])) if h == label else draw(finite) for h in header]
             for _ in range(draw(st.integers(0, 6)))]
-    value_columns = draw(st.lists(st.sampled_from(header), min_size=1, max_size=3))
+    # no value column is the label read of `strad eval`
+    value_columns = draw(st.lists(st.sampled_from(header), min_size=label is None, max_size=3))
     value_columns += draw(st.sampled_from([[]] * 9 + [["absent"]]))
     lines = [",".join(r) for r in rows]
     newline = "\n"
@@ -142,6 +144,16 @@ def _outcome(load):
     return ts.values.shape, ts.values.tobytes(), labels
 
 
+def _columns_outcome(load):
+    """`_outcome` of a (values, labels) pair, which may hold no value column."""
+    try:
+        values, labels = load()
+    except DataError as exc:
+        return type(exc), str(exc)
+    return values.shape, values.tobytes(), None if labels is None else (labels.dtype,
+                                                                         labels.tobytes())
+
+
 class TestColumnPass:
     """The column pass of `load_csv` against the row loop as the oracle."""
 
@@ -152,14 +164,17 @@ class TestColumnPass:
     @example(case=("c0,c1\n0\n0,1\n", ["c0"], None))
     @example(case=("c0,c1\n0,1,2\n3,4\n", ["c0"], None))
     @example(case=("c0,c1\n0,1\n2\n3,4\n", ["c0"], None))
+    # as many commas as the header's in all, but not row by row
+    @example(case=("c0,c1\n0\n1,2,3\n", ["c0"], None))
+    # the csv module reads a comment line too, and rejects one over its field limit
+    @example(case=("# " + "x" * (csv.field_size_limit() + 1) + "\nc0\n1\n", ["c0"], None))
     def test_agrees_with_row_loop(self, tmp_path, case):
         text, value_columns, label = case
         path = tmp_path / "data.csv"
         path.write_text(text, newline="")
-        expected = _outcome(lambda: TimeSeries(
-            *_parse_rows(path, text, value_columns, label), name=path.stem))
-        assert _outcome(lambda: load_csv(path, value_columns, label)) == expected
-        if _parse_columns(text, value_columns, label) is not None:
+        expected = _columns_outcome(lambda: _parse_rows(path, text, value_columns, label))
+        assert _columns_outcome(lambda: load_columns(path, value_columns, label)) == expected
+        if _parse_columns(text.encode(), value_columns, label) is not None:
             assert not isinstance(expected[0], type)  # accepted only what the loop accepts
 
     @pytest.mark.parametrize("cell", ODD_CELLS)
