@@ -39,6 +39,7 @@ from .experiments import (
     run_train_cmd,
 )
 from .metrics import THRESHOLD_METRICS
+from .series import write_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -196,7 +197,7 @@ def _cmd_gradcheck(args) -> int:
     if args.output:
         prov = (f"# config=gradcheck-w{args.windows}-m{args.models}-"
                 f"{'x'.join(str(s) for s in args.sizes)} seed={args.seed}")
-        Path(args.output).write_text(prov + "\n" + report + "\n")
+        write_text(args.output, prov + "\n" + report + "\n")
     failing = [r.component for r in results if not r.passed]
     if failing:
         print(f"FAILED components: {', '.join(failing)}", file=sys.stderr)

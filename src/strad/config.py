@@ -22,7 +22,7 @@ from .errors import ConfigError, DataError
 from .losses import LossWeights
 from .metrics import THRESHOLD_METRICS
 from .model import check_layer_sizes, default_layer_sizes
-from .series import read_text
+from .series import encode, read_text
 from .synth import (AnomalySpec, ChannelSpec, GeneratorConfig, check_channel, check_frequency,
                     check_range, train_length)
 
@@ -287,6 +287,8 @@ def build(resolved: dict) -> ExperimentConfig:
         # the name becomes the stem of every file written for the dataset
         _require(ds["name"] not in ("", ".", "..") and not any(c in ds["name"] for c in "/\\"),
                  f"datasets.{i}.name must be a plain file-name stem, got {ds['name']!r}")
+        with _at(f"datasets.{i}.name"):  # and it is written into every output file
+            encode(repr(ds["name"]), ds["name"])
         _require(ds["source"] in ("synth", "csv"), f"datasets.{i}.source must be synth or csv")
         synth_cfg, key = ds["synth"], f"datasets.{i}.synth"
         channels = []

@@ -47,6 +47,7 @@ from .series import (
     load_csv,
     segments_from_labels,
     sliding_windows,
+    write_text,
 )
 from .synth import make_benchmark
 
@@ -214,13 +215,13 @@ def write_series_csv(ts: TimeSeries, path, prov: str) -> None:
         header.append("label")
         row += ",%d"
         rows = [row % (*v, lab) for v, lab in zip(values, ts.labels.tolist())]
-    Path(path).write_text("\n".join([prov, ",".join(header), *rows]) + "\n")
+    write_text(path, "\n".join([prov, ",".join(header), *rows]) + "\n")
 
 
 def write_scores_csv(scores: ScoreSeries, path, prov: str) -> None:
     lines = [prov, "index,score"]
     lines.extend("%d,%.17g" % row for row in enumerate(scores.scores.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_scores_csv(path, inputs: Optional[dict] = None) -> np.ndarray:
@@ -236,7 +237,7 @@ def read_labels_csv(path, label_column: str = "label", inputs: Optional[dict] = 
 def write_segments_csv(segments: Sequence[Segment], path, prov: str) -> None:
     lines = [prov, "start,end"]
     lines.extend(f"{s.start},{s.end}" for s in segments)
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_history_csv(result: TrainResult, path, prov: str) -> None:
@@ -250,7 +251,7 @@ def write_history_csv(result: TrainResult, path, prov: str) -> None:
         lines.append("epoch,total")
         for i, e in enumerate(result.history):
             lines.append(f"{i},{_fmt(e.total)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_table(rows: list[dict], columns: list[str], csv_path, txt_path, prov: str,
@@ -259,7 +260,7 @@ def write_table(rows: list[dict], columns: list[str], csv_path, txt_path, prov: 
     csv_lines = [prov, ",".join(columns)]
     for row in rows:
         csv_lines.append(",".join(_cell(row.get(c, "")) for c in columns))
-    Path(csv_path).write_text("\n".join(csv_lines) + "\n")
+    write_text(csv_path, "\n".join(csv_lines) + "\n")
 
     display = [[_pretty(row.get(c, "")) for c in columns] for row in rows]
     widths = [max(len(c), *(len(r[i]) for r in display)) if display else len(c)
@@ -267,7 +268,7 @@ def write_table(rows: list[dict], columns: list[str], csv_path, txt_path, prov: 
     txt_lines = [prov, "  ".join(c.ljust(w) for c, w in zip(columns, widths))]
     for r in display:
         txt_lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
-    Path(txt_path).write_text("\n".join([*txt_lines, *notes]) + "\n")
+    write_text(txt_path, "\n".join([*txt_lines, *notes]) + "\n")
 
 
 def degenerate_notes(labeled_rows) -> list[str]:
@@ -321,7 +322,7 @@ def run_synth(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
             "test_csv": test_path.name,
         })
     manifest_path = outdir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return written + [manifest_path]
 
 
@@ -379,7 +380,8 @@ def run_detect_cmd(cfg: ExperimentConfig, checkpoint: Path, outdir: Path) -> dic
         "scores_csv": scores_path.name,
         "segments_csv": segments_path.name,
     }
-    (outdir / f"{ds.name}_detect.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_text(outdir / f"{ds.name}_detect.json",
+               json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericError, ShapeMismatchError
+from .series import write_text
 
 CHECKPOINT_MAGIC = "strad-checkpoint v3"
 
@@ -238,7 +239,7 @@ def save_checkpoint(model: DenseAutoencoder, path, meta: Optional[dict] = None) 
     raw = model.params.astype(_PARAM_DTYPE, copy=False).tobytes()
     lines.append(base64.b64encode(raw).decode("ascii"))
     lines.append("end")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_checkpoint(path) -> tuple[DenseAutoencoder, dict]:

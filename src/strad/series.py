@@ -10,6 +10,8 @@ import csv
 import io
 import locale
 import math
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -155,6 +157,39 @@ def decode(path, raw: bytes, decode_error: type[Exception]) -> str:
 def read_text(path, decode_error: type[Exception]) -> str:
     """The whole text of `path`, with its line ends as written; see `read_bytes` and `decode`."""
     return decode(path, read_bytes(path), decode_error)
+
+
+def encode(path, text: str) -> bytes:
+    """`text` in the encoding `open` uses, which `decode` reads; DataError naming `path` if not."""
+    try:
+        return text.encode(locale.getpreferredencoding(False))
+    except UnicodeEncodeError as exc:
+        raise DataError(f"{path}: cannot encode: {exc}") from None
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` to `path` as `open(path, "w")` would, but rewrite an existing file in place.
+
+    The whole text is encoded first (`encode`), so text the encoding cannot
+    hold raises DataError before the file is opened. The file is opened
+    without O_TRUNC, written, and cut to the length written: the bytes, and an
+    existing file's inode, mode and links, are those `open(path, "w")` leaves,
+    and a new file gets mode 0o666 less the umask. Truncating a file to zero
+    makes ext4 start writeback at close (its `auto_da_alloc` rule); rewriting
+    in place does not. A crash before writeback may leave old and new bytes
+    mixed, where truncation could leave the file empty.
+    """
+    raw = encode(path, text)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        view = memoryview(raw)
+        while view:
+            view = view[os.write(fd, view):]
+        if regular:  # O_TRUNC does nothing to a FIFO or device, and ftruncate fails there
+            os.ftruncate(fd, len(raw))
+    finally:
+        os.close(fd)
 
 
 def load_csv(

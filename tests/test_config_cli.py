@@ -1,9 +1,11 @@
 import base64
 import builtins
 import copy
+import errno
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -185,6 +187,21 @@ class TestCliSynth:
         doc["datasets"][0]["name"] = name
         assert main(["synth", "-c", write_config(tmp_path, doc)]) == 1
         assert not (tmp_path / "esc").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "compare"])
+    def test_name_the_outputs_cannot_encode_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                          command):
+        # the name is written into every output file, so it must survive their encoding
+        calls = []
+        trainer = strad.experiments.train
+        monkeypatch.setattr(strad.experiments, "train",
+                            lambda *args: calls.append(args) or trainer(*args))
+        doc = small_config(tmp_path / "out")
+        doc["datasets"][0]["name"] = "sh\udcffx"
+        assert main([command, "-c", write_config(tmp_path, doc)]) == 1
+        assert "config error: datasets.0.name: 'sh\\udcffx': cannot encode" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("channel", [1, -1])
     def test_anomaly_channel_outside_channels_is_usage_error(self, tmp_path, capsys, channel):
@@ -1124,3 +1141,64 @@ class TestInputOutputPaths:
         assert main(["synth", "-c", write_config(tmp_path, small_config(out))]) == 1
         assert "Is a directory" in capsys.readouterr().err
         assert (out / "manifest.json").is_dir()
+
+    def test_unencodable_eval_row_name_exits_2_and_keeps_the_report(self, tmp_path, capsys):
+        # a data file whose name is not valid text: its stem names report.csv's row
+        out = tmp_path / "rep"
+        assert main(self.eval_args(tmp_path)) == 0
+        old = {p.name: p.read_bytes() for p in out.iterdir()}
+        data = tmp_path / "d\udcffx.csv"
+        data.write_text("v0,label\n0.0,0\n0.0,1\n0.0,0\n")
+        assert main(self.eval_args(tmp_path, data=data)) == 2
+        assert f"error: {out / 'report.csv'}: cannot encode" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+
+    @pytest.mark.parametrize("blocker", ["directory", "read-only file"])
+    def test_unwritable_report_exits_1(self, tmp_path, capsys, monkeypatch, blocker):
+        report = tmp_path / "rep" / "report.csv"
+        report.parent.mkdir()
+        if blocker == "directory":
+            report.mkdir()
+        else:
+            report.write_text("kept\n")
+            report.chmod(0o444)
+            if os.access(report, os.W_OK):  # a superuser may write it: fail as for any other
+                opener = os.open
+
+                def refusing(path, flags, *args, **kwargs):
+                    if os.fspath(path) == str(report) and flags & (os.O_WRONLY | os.O_RDWR):
+                        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+                    return opener(path, flags, *args, **kwargs)
+
+                monkeypatch.setattr(os, "open", refusing)
+        assert main(self.eval_args(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno") and str(report) in err
+        assert report.is_dir() if blocker == "directory" else report.read_text() == "kept\n"
+
+    def test_rerun_rewrites_every_output_in_place(self, tmp_path, monkeypatch):
+        # each command's outputs, written a second time: no O_TRUNC, same inode, same bytes
+        out = tmp_path / "out"
+        cfgp = write_config(tmp_path, small_config(out, threshold={"mode": "best_f1"}))
+        commands = [["synth", "-c", cfgp], ["train", "-c", cfgp],
+                    ["detect", "-c", cfgp, "--checkpoint", str(out / "demo_model.ckpt")],
+                    ["eval", "--scores", str(out / "demo_scores.csv"),
+                     "--data", str(out / "demo_test.csv"), "-o", str(out)],
+                    ["gradcheck", "--windows", "1", "--models", "1", "-o", str(out / "grad.txt")]]
+        for argv in commands:
+            assert main(argv) == 0
+        first = {p.name: (p.stat().st_ino, p.read_bytes()) for p in out.iterdir()}
+        assert len(first) == 11  # every write site once, and write_series_csv twice
+        opened = {}
+        opener = os.open
+
+        def recording(path, flags, *args, **kwargs):
+            opened[os.path.basename(path)] = flags
+            return opener(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording)
+        for argv in commands:
+            assert main(argv) == 0
+        assert sorted(opened) == sorted(first)
+        assert not [name for name, flags in opened.items() if flags & os.O_TRUNC]
+        assert {p.name: (p.stat().st_ino, p.read_bytes()) for p in out.iterdir()} == first

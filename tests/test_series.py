@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from strad.series import (
     load_csv,
     segments_from_labels,
     sliding_windows,
+    write_text,
 )
 
 
@@ -266,6 +268,57 @@ class TestCsvWriters:
         write_scores_csv(ScoreSeries(scores), path, "# config=x seed=0")
         assert path.read_text() == _old_scores_csv(scores, "# config=x seed=0")
         assert read_scores_csv(path).tobytes() == scores.tobytes()
+
+
+class TestWriteText:
+    """`write_text` leaves the bytes `open(path, "w")` leaves, rewriting a file in place."""
+
+    OLD = "old line\n" * 20
+
+    @pytest.mark.parametrize("new", ["short\n", "x" * 179 + "\n", "longer line\n" * 40],
+                             ids=["shorter", "same-length", "longer"])
+    def test_rerun_leaves_exactly_the_new_bytes(self, tmp_path, new):
+        path = tmp_path / "out.txt"
+        write_text(path, self.OLD)
+        write_text(path, new)
+        assert path.read_bytes() == new.encode()
+
+    def test_rewrite_keeps_inode_mode_and_hard_links(self, tmp_path):
+        path, link = tmp_path / "out.txt", tmp_path / "link.txt"
+        write_text(path, self.OLD)
+        os.link(path, link)
+        path.chmod(0o640)
+        inode = path.stat().st_ino
+        write_text(path, "new\n")
+        assert path.stat().st_ino == inode
+        assert path.stat().st_mode & 0o7777 == 0o640
+        assert link.read_bytes() == b"new\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o000])
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            write_text(tmp_path / "ours.txt", "x\n")
+            with open(tmp_path / "theirs.txt", "w") as fh:
+                fh.write("x\n")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "ours.txt").stat().st_mode == (tmp_path / "theirs.txt").stat().st_mode
+
+    def test_unencodable_text_keeps_the_old_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_text(path, self.OLD)
+        with pytest.raises(DataError, match=f"{path}: cannot encode"):
+            write_text(path, "name d\udcffx\n")
+        assert path.read_text() == self.OLD
+
+    def test_unencodable_text_creates_no_file(self, tmp_path):
+        with pytest.raises(DataError):
+            write_text(tmp_path / "out.txt", "\udcff\n")
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_device_that_cannot_be_truncated(self):
+        write_text(os.devnull, "discarded\n")
 
 
 class TestNormalization:
