@@ -11,9 +11,10 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -29,22 +30,17 @@ from .synth import (AnomalySpec, ChannelSpec, GeneratorConfig, check_channel, ch
 SCORE_MODE_CHOICES = ("auto", *SCORE_MODES)
 THRESHOLD_MODE_CHOICES = ("quantile", "best_f1")
 
-_CHANNEL_DEFAULTS = asdict(ChannelSpec())
+# `kind` and `start` have no spec default; "" is no kind, which AnomalySpec rejects
+_ANOMALY_DEFAULTS = {"kind": "", "start": 0,
+                     **{f.name: f.default for f in fields(AnomalySpec) if f.default is not MISSING}}
 
-_ANOMALY_DEFAULTS = {
-    "kind": "shapelet_pattern",
-    "start": 0,
-    "length": 2,
-    "magnitude": 1.0,
-    "channel": None,
-}
-
+_GENERATOR = GeneratorConfig()
 _SYNTH_DEFAULTS = {
-    "length": 4000,
-    "noise_sigma": 0.05,
+    "length": _GENERATOR.length,
+    "noise_sigma": _GENERATOR.noise_sigma,
     "seed": None,  # None: derived from the global seed and the dataset index
     "train_fraction": 0.5,
-    "channels": [_CHANNEL_DEFAULTS],
+    "channels": [asdict(ch) for ch in _GENERATOR.channels],
     "anomalies": [],
 }
 
@@ -62,26 +58,20 @@ _DATASET_DEFAULTS = {
     "csv": _CSV_DEFAULTS,
 }
 
+_TRAIN = TrainConfig()
 DEFAULTS: dict[str, Any] = {
     "seed": 0,
     "output_dir": "out",
     "window": {"length": 64, "train_stride": None, "score_stride": 1},
     "model": {"hidden": [64, 16]},
-    "train": {"epochs": 50, "batch_size": 32, "loss": "strad", "mix": 0.5, "lr": 1e-3},
+    "train": {"epochs": _TRAIN.epochs, "batch_size": _TRAIN.batch_size, "loss": _TRAIN.loss_kind,
+              "mix": _TRAIN.mix, "lr": _TRAIN.lr},
     "loss_weights": asdict(LossWeights()),
     "score": {"mode": "auto"},
     "threshold": {"mode": "quantile", "q": 0.99, "metric": "rpa"},
     "eval": {"metrics": list(THRESHOLD_METRICS)},
     "compare": {"losses": ["mse", "strad"]},
     "datasets": [_DATASET_DEFAULTS],
-}
-
-# list-valued keys whose elements are objects with their own defaults; every
-# other list-valued key holds scalars of its default's first element's type
-_LIST_DEFAULTS = {
-    "datasets": _DATASET_DEFAULTS,
-    "channels": _CHANNEL_DEFAULTS,
-    "anomalies": _ANOMALY_DEFAULTS,
 }
 
 
@@ -117,13 +107,18 @@ def _merge(default: Any, given: Any, path: str) -> Any:
     if isinstance(default, list):
         if not isinstance(given, list):
             raise ConfigError(f"{path[:-1]}: expected a list")
-        element = _LIST_DEFAULTS[key] if key in _LIST_DEFAULTS else default[0]
+        element = default[0] if default else _ANOMALY_DEFAULTS  # only anomalies default to []
         return [_merge(element, item, f"{path}{i}.") for i, item in enumerate(given)]
     if not _scalar_ok(default, given, key):
         expected = {float: "a number", str: "a string"}.get(type(default), "an integer")
         raise ConfigError(f"{path[:-1]}: expected {expected}, got {given!r}")
-    if isinstance(given, str) and "\x00" in given:  # no file name may hold one
-        raise ConfigError(f"{path[:-1]}: contains a NUL character")
+    if isinstance(given, str):  # any string may be used as a file name
+        if "\x00" in given:
+            raise ConfigError(f"{path[:-1]}: contains a NUL character")
+        try:
+            os.fsencode(given)
+        except UnicodeEncodeError as exc:  # e.g. a lone surrogate
+            raise ConfigError(f"{path[:-1]}: cannot encode: {exc}") from None
     return given
 
 

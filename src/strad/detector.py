@@ -210,8 +210,7 @@ def f1_at(scores: np.ndarray, threshold: float, labels: np.ndarray, segments: li
     return pa_counts(preds, labels).f1
 
 
-def threshold_best_f1(score_series: ScoreSeries, labels,
-                      metric: str = "rpa") -> tuple[float, float, float]:
+def threshold_best_f1(score_series: ScoreSeries, labels, metric: str) -> tuple[float, float, float]:
     """Best-F1 threshold sweep over the distinct observed scores plus +inf.
 
     `labels` is the 0/1 array or its `metrics.Truth`; sweeps of one

@@ -42,6 +42,7 @@ from .series import (
     Segment,
     TimeSeries,
     apply_normalization,
+    encode,
     fit_normalization,
     load_columns,
     load_csv,
@@ -229,7 +230,7 @@ def read_scores_csv(path, inputs: Optional[dict] = None) -> np.ndarray:
     return load_columns(path, ["score"], None, inputs)[0][:, 0]
 
 
-def read_labels_csv(path, label_column: str = "label", inputs: Optional[dict] = None) -> np.ndarray:
+def read_labels_csv(path, label_column: str, inputs: Optional[dict] = None) -> np.ndarray:
     """Just the 0/1 label column of a labeled series CSV; no other column is parsed."""
     return load_columns(path, [], label_column, inputs)[1]
 
@@ -389,7 +390,7 @@ def run_eval_cmd(
     pairs: list[tuple[Path, Path]],
     metrics: Sequence[str],
     outdir: Path,
-    label_column: str = "label",
+    label_column: str,
     thresholds: Optional[list[float]] = None,
 ) -> list[dict]:
     """Per-sub-dataset F1s plus the segment-weighted entire-dataset F1s.
@@ -423,6 +424,8 @@ def run_eval_cmd(
               **entire_f1s(rows, metrics)}
     digest = _eval_digest([inputs[p] for p in [*(s for s, _ in pairs), *(d for _, d in pairs)]],
                          metrics, thresholds, label_column)
+    for row in rows:  # a data file's name need not be text the report can hold
+        encode(outdir / "report.csv", row["name"])
     _make_outdir(outdir)
     write_table([*rows, entire], ["name", "segments", *_metric_columns(metrics)],
                 outdir / "report.csv", outdir / "report.txt", f"# config=eval-{digest} seed=0",

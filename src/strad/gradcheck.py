@@ -26,6 +26,9 @@ MODEL_COMBINED_TOLERANCE = 1e-3
 
 MODEL_COMPONENTS = ("model_mse", "model_combined")
 
+# (t, d) of the loss suites' windows, cycled through in this order
+_WINDOW_SHAPES = [(t, d) for t in (8, 16, 32) for d in (1, 3)]
+
 _WEIGHTS = LossWeights()
 
 
@@ -120,25 +123,17 @@ def _fold(component: str, trials: list, tolerance: float) -> GradCheckResult:
                            max_rel_error=max_err, tolerance=tolerance)
 
 
-def check_loss_component(
-    component: str,
-    seed: int = 0,
-    n_windows: int = 100,
-    lengths: tuple[int, ...] = (8, 16, 32),
-    channels: tuple[int, ...] = (1, 3),
-    step: float = FD_STEP,
-) -> GradCheckResult:
+def check_loss_component(component: str, seed: int, n_windows: int) -> GradCheckResult:
     """Compare one component's analytic gradient with central differences."""
     kernel = _kernel(component)
     rng = np.random.default_rng(seed)
-    combos = [(t, d) for t in lengths for d in channels]
     trials = []
     for i in range(n_windows):
-        t, d = combos[i % len(combos)]
+        t, d = _WINDOW_SHAPES[i % len(_WINDOW_SHAPES)]
         x = rng.uniform(-1.0, 1.0, size=(t, d))
         y = rng.uniform(-1.0, 1.0, size=(t, d))
         analytic = kernel(x[None], y[None], True)[1][0]
-        fd = _fd_window_gradient(kernel, x, y, step)
+        fd = _fd_window_gradient(kernel, x, y, FD_STEP)
         trials.append((analytic, fd, ~_exclusion_mask(component, x, y)))
     return _fold(component, trials, LOSS_TOLERANCE)
 
@@ -151,13 +146,8 @@ def _kink_signature(x: np.ndarray, y: np.ndarray) -> tuple:
     return (shape_signs.tobytes(), slope_signs.tobytes(), bins_ok)
 
 
-def check_model_component(
-    component: str,
-    seed: int = 0,
-    n_models: int = 10,
-    layer_sizes: tuple[int, ...] = (4, 3, 2, 3, 4),
-    step: float = FD_STEP,
-) -> GradCheckResult:
+def check_model_component(component: str, seed: int, n_models: int,
+                          layer_sizes: tuple[int, ...]) -> GradCheckResult:
     """End-to-end parameter gradients (loss o forward) against central differences."""
     if component not in MODEL_COMPONENTS:
         raise ValueError(f"unknown component {component!r}")
@@ -182,10 +172,10 @@ def check_model_component(
         keep = np.ones(model.params.size, dtype=bool)
         for k in range(model.params.size):
             orig = model.params[k]
-            hi, sig_hi = probe(k, orig + step)
-            lo, sig_lo = probe(k, orig - step)
+            hi, sig_hi = probe(k, orig + FD_STEP)
+            lo, sig_lo = probe(k, orig - FD_STEP)
             model.params[k] = orig
-            fd[k] = (hi - lo) / (2.0 * step)
+            fd[k] = (hi - lo) / (2.0 * FD_STEP)
             # exclude parameters whose probe flips a sign pattern or
             # touches a near-zero spectrum bin
             if sig_hi != sig_lo or not (sig_hi[2] and sig_lo[2]):

@@ -74,7 +74,7 @@ class DenseAutoencoder:
         return self.layer_sizes[0]
 
 
-def default_layer_sizes(input_size: int, hidden: tuple[int, ...] = (64, 16)) -> tuple[int, ...]:
+def default_layer_sizes(input_size: int, hidden: tuple[int, ...]) -> tuple[int, ...]:
     """Mirrored encoder/decoder sizes around the latent layer."""
     return (input_size, *hidden, *reversed(hidden[:-1]), input_size)
 

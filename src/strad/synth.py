@@ -225,7 +225,7 @@ def inject(series: TimeSeries, spec: AnomalySpec, cfg: GeneratorConfig) -> TimeS
 def make_benchmark(
     cfg: GeneratorConfig,
     specs: Sequence[AnomalySpec],
-    train_fraction: float = 0.5,
+    train_fraction: float,
 ) -> tuple[TimeSeries, TimeSeries]:
     """Clean train split plus a freshly generated, injected test series.
 

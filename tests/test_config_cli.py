@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from strad.series import load_csv, segments_from_labels
 
 # a JSON integer beyond float range
 HUGE = "1" + "0" * 400
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -127,6 +131,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_readme_defaults_table_matches_resolve(self):
+        # every row of the README's table whose default is one JSON value in backticks
+        section = README.read_text().split("### Configuration keys and defaults")[1]
+        section = section.split("\n### ")[0]
+        resolved = resolve({})
+        checked = []
+        for key, cell in re.findall(r"^\| `([\w.]+)` \| `([^`]+)` \|", section, re.MULTILINE):
+            try:
+                documented = json.loads(cell)
+            except ValueError:  # e.g. `1.5 / 10.0 / 1.0`
+                continue
+            value = resolved
+            for part in key.split("."):
+                value = value[part]
+            assert (type(documented), documented) == (type(value), value), key
+            checked.append(key)
+        assert len(checked) >= 18, checked
+
 
 class TestCliSynth:
     def test_writes_two_csvs_and_manifest(self, tmp_path):
@@ -202,6 +224,16 @@ class TestCliSynth:
         assert "config error: datasets.0.name: 'sh\\udcffx': cannot encode" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "out").exists()
+
+    def test_point_anomaly_without_length_has_length_1(self, tmp_path):
+        # an anomaly's defaults are AnomalySpec's; a length of 2 was assumed, so this exited 1
+        out = tmp_path / "out"
+        doc = small_config(out)
+        doc["datasets"][0]["synth"]["anomalies"] = [{"kind": "global_point", "start": 400}]
+        assert main(["synth", "-c", write_config(tmp_path, doc)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["datasets"][0]["anomalies"] == [
+            {"kind": "global_point", "start": 400, "length": 1, "magnitude": 1.0, "channel": None}]
 
     @pytest.mark.parametrize("channel", [1, -1])
     def test_anomaly_channel_outside_channels_is_usage_error(self, tmp_path, capsys, channel):
@@ -1016,6 +1048,9 @@ class TestExitCodes:
         ("datasets.0.synth: need at least one channel", lambda s: s.update(channels=[])),
         ("datasets.0.synth.anomalies.1: global_point must have length 1",
          lambda s: s["anomalies"][1].update(length=3)),
+        # no kind is assumed; this was silently a shapelet_pattern
+        ("datasets.0.synth.anomalies.0: kind must be one of",
+         lambda s: s["anomalies"][0].pop("kind")),
         ("datasets.0.synth.anomalies.1: anomaly global_point range (600, 600) outside test region",
          lambda s: s["anomalies"][1].update(start=600)),
         ("datasets.0.synth.anomalies.1: anomaly global_point channel 1 outside [0, 1)",
@@ -1036,8 +1071,8 @@ class TestExitCodes:
         ("datasets.0.synth.anomalies.0.magnitude: expected a number",
          lambda s: s["anomalies"][0].update(magnitude=int(HUGE))),
     ], ids=["frequency", "length", "noise", "fraction", "empty-split", "omega", "no-channels",
-            "point-length", "range", "channel", "huge-noise", "huge-fraction", "huge-length",
-            "huge-amplitude", "huge-phase", "huge-slope", "huge-magnitude"])
+            "point-length", "no-kind", "range", "channel", "huge-noise", "huge-fraction",
+            "huge-length", "huge-amplitude", "huge-phase", "huge-slope", "huge-magnitude"])
     def test_synth_value_fails_at_load_naming_its_key(self, tmp_path, capsys, expected, edit):
         # every value is checked before any output directory exists
         doc = small_config(tmp_path / "out")
@@ -1152,6 +1187,34 @@ class TestInputOutputPaths:
         assert main(self.eval_args(tmp_path, data=data)) == 2
         assert f"error: {out / 'report.csv'}: cannot encode" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+
+    def test_unencodable_eval_row_name_leaves_no_output_dir(self, tmp_path, capsys):
+        data = tmp_path / "d\udcffx.csv"
+        data.write_text("v0,label\n0.0,0\n0.0,1\n0.0,0\n")
+        out = tmp_path / "fresh"
+        assert main(self.eval_args(tmp_path, data=data, out=out)) == 2
+        assert f"error: {out / 'report.csv'}: cannot encode" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_dir_no_file_name_can_hold_is_usage_error(self, tmp_path, capsys):
+        # a lone surrogate was a UnicodeEncodeError traceback from mkdir
+        doc = small_config(tmp_path / "o\ud800")
+        assert main(["synth", "-c", write_config(tmp_path, doc)]) == 1
+        assert "config error: output_dir: cannot encode" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_csv_path_no_file_name_can_hold_is_usage_error(self, tmp_path, capsys):
+        # a lone surrogate was a UnicodeEncodeError traceback from open
+        data = tmp_path / "t.csv"
+        data.write_text("v0,label\n0.0,0\n")
+        doc = small_config(tmp_path / "out")
+        doc["datasets"] = [{"name": "ext", "source": "csv",
+                            "csv": {"train_path": str(tmp_path / "t\ud800.csv"),
+                                    "test_path": str(data)}}]
+        assert main(["train", "-c", write_config(tmp_path, doc)]) == 1
+        assert ("config error: datasets.0.csv.train_path: cannot encode"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("blocker", ["directory", "read-only file"])
     def test_unwritable_report_exits_1(self, tmp_path, capsys, monkeypatch, blocker):
