@@ -55,6 +55,10 @@ MUTANTS = (
            "+ on(np.minimum.reduceat(padded, truth.gap_runs)[::2]))",
            "+ 0)",
            ("tests/test_detector.py", "tests/test_metrics.py")),
+    Mutant("pa_sweep_segment_one_point_short", "metrics.py",
+           "np.repeat(hit, truth.ends - truth.starts + 1)",
+           "np.repeat(hit, truth.ends - truth.starts)",
+           ("tests/test_detector.py", "tests/test_metrics.py")),
     Mutant("parse_columns_drops_width_check", "series.py",
            'if seps.size != ncol * nrows or (body[seps.reshape(nrows, ncol)[:, :-1]]'
            ' != ord(",")).any():',

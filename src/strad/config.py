@@ -15,7 +15,6 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, replace
-from pathlib import Path
 from typing import Any, Optional
 
 from .detector import SCORE_MODES, TrainConfig
@@ -354,11 +353,8 @@ def load_config(path: Optional[str] = None, overrides: Optional[list[str]] = Non
     if path is None:
         raw: dict = {}
     else:
-        file = Path(path)
-        if not file.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            raw = json.loads(read_text(file, ConfigError))
+            raw = json.loads(read_text(path, ConfigError))
         except (ValueError, RecursionError) as exc:  # too deep, or an integer too long
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(raw, dict):

@@ -10,8 +10,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeMismatchError
 from .losses import LossWeights, mse_batch, seasonality_batch, strad_batch, trend_batch
-from .metrics import (THRESHOLD_METRICS, SweepEvents, Truth, as_truth, pa_counts, rpa_counts,
-                      sweep_counts, sweep_events)
+from .metrics import THRESHOLD_METRICS, as_truth, pa_counts, rpa_counts, sweep_counts
 from .model import DenseAutoencoder, adam_step, backward_batch, forward_batch, init_adam
 from .series import Segment, TimeSeries, sliding_windows
 
@@ -76,14 +75,6 @@ class ScoreSeries:
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
         """`np.unique(scores, return_inverse=True)`, computed once for every sweep."""
         return np.unique(self.scores, return_inverse=True)
-
-    def events(self, truth: Truth) -> SweepEvents:
-        """`metrics.sweep_events` of these scores and `truth`, kept for the next sweep of the
-        same `Truth`, so that the rpa and pa sweeps of one pair compute it once."""
-        kept = self.__dict__.get("_events")
-        if kept is None or kept.truth is not truth:
-            kept = self.__dict__["_events"] = sweep_events(*self.levels, truth)
-        return kept
 
 
 def _batch_loss(X, XR, cfg: TrainConfig):
@@ -214,8 +205,7 @@ def threshold_best_f1(score_series: ScoreSeries, labels, metric: str) -> tuple[f
     """Best-F1 threshold sweep over the distinct observed scores plus +inf.
 
     `labels` is the 0/1 array or its `metrics.Truth`; sweeps of one
-    `ScoreSeries` share its `levels`, of one `Truth` its bounds, and of one
-    pair of both their `ScoreSeries.events`.
+    `ScoreSeries` share its `levels`, and of one `Truth` its bounds.
     Predictions at threshold theta are `scores >= theta`. Ties are broken
     toward the higher threshold (fewer positives). Returns (threshold, f1,
     all_positive_f1); the last is the F1 at the lowest threshold, the minimum
@@ -230,7 +220,7 @@ def threshold_best_f1(score_series: ScoreSeries, labels, metric: str) -> tuple[f
         raise ConfigError(f"metric must be one of {THRESHOLD_METRICS}, got {metric!r}")
     if labels is None:
         raise DataError("threshold_best_f1 requires labels")
-    thresholds, tp, fp, fn = sweep_counts(score_series.events(as_truth(labels)), metric)
+    thresholds, tp, fp, fn = sweep_counts(*score_series.levels, as_truth(labels), metric)
     # ConfusionCounts.f1's expression and 0/0 -> 0 convention, on every threshold
     p = _ratio(tp, tp + fp)
     r = _ratio(tp, tp + fn)

@@ -184,12 +184,8 @@ def check_model_component(component: str, seed: int, n_models: int,
     return _fold(component, trials, tolerance)
 
 
-def run_all(
-    seed: int = 0,
-    n_windows: int = 100,
-    n_models: int = 10,
-    layer_sizes: tuple[int, ...] = (4, 3, 2, 3, 4),
-) -> list[GradCheckResult]:
+def run_all(seed: int, n_windows: int, n_models: int,
+            layer_sizes: tuple[int, ...]) -> list[GradCheckResult]:
     """Run every gradient suite."""
     results = []
     for component in LOSS_COMPONENTS:

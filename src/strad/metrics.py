@@ -143,63 +143,39 @@ def _runs(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.stack([starts, ends + 1], axis=1).ravel()
 
 
-@dataclass(frozen=True)
-class SweepEvents:
-    """What the rpa and pa sweeps of one (score array, `Truth`) pair share, computed once.
-
-    Build it with `sweep_events`. Point i is predicted at the j-th smallest
-    distinct score iff its level inv[i] is >= j. So every count is the number
-    of events switched on at that threshold, where an event switches on at the
-    level of a point or at the min (all of several points on) or max (any one
-    on) of several levels: a bincount of event levels, summed from the top.
-    """
-
-    levels: np.ndarray  # the distinct scores, ascending
-    inv: np.ndarray  # (M,) each point's level
-    truth: Truth
-    padded: np.ndarray  # inv with one element appended, for `Truth`'s reduceat runs
-    hit: np.ndarray  # per segment, the level at which it is hit: any of its points on
-    normal_on: np.ndarray  # per threshold, descending, the normal points on
-
-
-def _on(event_levels: np.ndarray, size: int) -> np.ndarray:
-    """Per threshold, descending, how many of the events are on, of `size` levels."""
-    return np.cumsum(np.bincount(event_levels, minlength=size)[::-1])
-
-
-def sweep_events(levels: np.ndarray, inv: np.ndarray, truth: Truth) -> SweepEvents:
-    """The `SweepEvents` of `levels, inv = np.unique(scores, return_inverse=True)` and `truth`."""
-    if inv.shape != truth.labels.shape:
-        raise ShapeMismatchError(
-            f"scores length {inv.shape} != labels length {truth.labels.shape}")
-    padded = np.append(inv, 0)
-    normal_on = _on(inv[truth.normal], levels.size)
-    normal_on.setflags(write=False)  # the pa sweep returns it as its fp
-    return SweepEvents(levels, inv, truth, padded,
-                       np.maximum.reduceat(padded, truth.segment_runs)[::2], normal_on)
-
-
-def sweep_counts(events: SweepEvents, metric: str):
+def sweep_counts(levels: np.ndarray, inv: np.ndarray, truth: Truth, metric: str):
     """Confusion counts of `scores >= theta` at every distinct score theta, in one pass.
 
-    Returns (thresholds, tp, fp, fn): the distinct scores in descending order
-    and, per threshold, the int64 counts that `rpa_counts` (metric "rpa") or
-    `pa_counts` (metric "pa") give for that prediction against the truth.
+    `levels, inv = np.unique(scores, return_inverse=True)`. Returns (thresholds,
+    tp, fp, fn): the distinct scores in descending order and, per threshold,
+    the int64 counts that `rpa_counts` (metric "rpa") or `pa_counts` (metric
+    "pa") give for that prediction against the truth.
+
+    Point i is predicted at the j-th smallest distinct score iff its level
+    inv[i] is >= j. So every count is the number of events switched on at that
+    threshold, where an event switches on at the level of a point or at the
+    min (all of several points on) or max (any one on) of several levels: a
+    bincount of event levels, summed from the top.
     """
     if metric not in THRESHOLD_METRICS:
         raise DataError(f"metric must be one of {THRESHOLD_METRICS}, got {metric!r}")
-    inv, truth, padded = events.inv, events.truth, events.padded
+    if inv.shape != truth.labels.shape:
+        raise ShapeMismatchError(
+            f"scores length {inv.shape} != labels length {truth.labels.shape}")
 
     def on(event_levels: np.ndarray) -> np.ndarray:
-        return _on(event_levels, events.levels.size)
+        """Per threshold, descending, how many of the events are on."""
+        return np.cumsum(np.bincount(event_levels, minlength=levels.size)[::-1])
 
-    fp = events.normal_on
+    padded = np.append(inv, 0)  # for `Truth`'s reduceat runs
+    hit = np.maximum.reduceat(padded, truth.segment_runs)[::2]  # any of a segment's points on
+    fp = on(inv[truth.normal])
     if metric == "pa":
         # a hit segment counts all its points as true positives
-        tp = on(np.repeat(events.hit, truth.ends - truth.starts + 1))
-        return events.levels[::-1], tp, fp, int(truth.labels.sum()) - tp
+        tp = on(np.repeat(hit, truth.ends - truth.starts + 1))
+        return levels[::-1], tp, fp, int(truth.labels.sum()) - tp
 
-    tp = on(events.hit)
+    tp = on(hit)
     # Runs of on normal points are on normal points minus on normal-normal
     # pairs. Those touching truth are the on (normal, truth) pairs, less the
     # closed gaps that are on end to end with both neighbours, which touch
@@ -207,7 +183,7 @@ def sweep_counts(events: SweepEvents, metric: str):
     pair = np.minimum(inv[:-1], inv[1:])
     fp = (fp - on(pair[truth.normal_pairs]) - on(pair[truth.edge_pairs])
           + on(np.minimum.reduceat(padded, truth.gap_runs)[::2]))
-    return events.levels[::-1], tp, fp, truth.starts.size - tp
+    return levels[::-1], tp, fp, truth.starts.size - tp
 
 
 def entire_f1(per_subdataset: Sequence[tuple[int, float]]) -> float:

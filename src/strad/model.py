@@ -15,13 +15,12 @@ from __future__ import annotations
 import base64
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericError, ShapeMismatchError
-from .series import write_text
+from .series import read_text, write_text
 
 CHECKPOINT_MAGIC = "strad-checkpoint v3"
 
@@ -245,13 +244,11 @@ def save_checkpoint(model: DenseAutoencoder, path, meta: Optional[dict] = None) 
 def load_checkpoint(path) -> tuple[DenseAutoencoder, dict]:
     """Read a checkpoint written by `save_checkpoint`; returns (model, meta).
 
-    A missing file raises FileNotFoundError; any other unreadable, truncated
-    or malformed file raises CheckpointError.
+    A path that names no readable file raises FileNotFoundError (see
+    `series.read_bytes`); an undecodable, truncated or malformed file raises
+    CheckpointError.
     """
-    try:
-        lines = Path(path).read_text().splitlines()
-    except (IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from None
+    lines = read_text(path, CheckpointError).splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_MAGIC!r} file")
     meta = {}

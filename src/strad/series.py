@@ -395,12 +395,3 @@ def run_bounds(labels) -> tuple[np.ndarray, np.ndarray]:
     delta = np.diff(padded)
     return np.flatnonzero(delta == 1), np.flatnonzero(delta == -1) - 1
 
-
-def labels_from_segments(segments: Sequence[Segment], length: int) -> np.ndarray:
-    """Expand inclusive segments back into a binary label array."""
-    labels = np.zeros(length, dtype=np.int64)
-    for seg in segments:
-        if seg.end >= length:
-            raise DataError(f"segment ({seg.start}, {seg.end}) exceeds length {length}")
-        labels[seg.start : seg.end + 1] = 1
-    return labels

@@ -35,7 +35,7 @@ def report(number, name, passed, detail=""):
 
 def test_criterion_1_gradient_soundness():
     start = time.monotonic()
-    results = run_all(seed=0, n_windows=100, n_models=10)
+    results = run_all(seed=0, n_windows=100, n_models=10, layer_sizes=(4, 3, 2, 3, 4))
     elapsed = time.monotonic() - start
     worst = {r.component: r.max_rel_error for r in results}
     ok = all(r.passed for r in results) and elapsed < 60.0

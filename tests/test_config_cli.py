@@ -385,6 +385,31 @@ class TestCliDetect:
         sum_b = json.loads((tmp_path / "b" / "demo_detect.json").read_text())
         assert sum_a["threshold"] == sum_b["threshold"]
 
+    def test_explicit_score_mode_overrides_auto(self, tmp_path):
+        out = self.run_train_detect(tmp_path, train={"epochs": 3, "batch_size": 8, "loss": "mse"})
+        assert json.loads((out / "demo_detect.json").read_text())["mode"] == "shape_only"
+        assert main(["detect", "-c", str(tmp_path / "out.json"), "--checkpoint",
+                     str(out / "demo_model.ckpt"), "--set", "score.mode=strad_broadcast"]) == 0
+        assert json.loads((out / "demo_detect.json").read_text())["mode"] == "strad_broadcast"
+
+    def test_best_f1_on_unlabelled_csv_exits_2(self, tmp_path, capsys):
+        synth_out = tmp_path / "data"
+        assert main(["synth", "-c", write_config(tmp_path, small_config(synth_out))]) == 0
+        doc = small_config(tmp_path / "run", threshold={"mode": "best_f1"})
+        doc["datasets"] = [{"name": "nolabels", "source": "csv", "csv": {
+            "train_path": str(synth_out / "demo_train.csv"),
+            "test_path": str(synth_out / "demo_test.csv"),
+            "label_column": None,
+        }}]
+        cfgp = write_config(tmp_path, doc, name="csv_cfg.json")
+        assert main(["train", "-c", cfgp]) == 0
+        capsys.readouterr()
+        assert main(["detect", "-c", cfgp, "-o", str(tmp_path / "detected"),
+                     "--checkpoint", str(tmp_path / "run" / "nolabels_model.ckpt")]) == 2
+        assert ("error: nolabels_test: best_f1 thresholding requires test labels\n"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "detected").exists()
+
     def test_truncated_checkpoint_exits_2(self, tmp_path):
         out = self.run_train_detect(tmp_path)
         ckpt = out / "demo_model.ckpt"
@@ -413,9 +438,11 @@ class TestCliDetect:
             ckpt.write_text("\n".join(spoil) + "\n", encoding="utf-8")
             assert main(["detect", "-c", str(tmp_path / "out.json"), "--checkpoint", str(ckpt)]) == 2
 
-    def test_directory_checkpoint_exits_2(self, tmp_path):
+    def test_directory_checkpoint_exits_1(self, tmp_path, capsys):
         out = self.run_train_detect(tmp_path)
-        assert main(["detect", "-c", str(tmp_path / "out.json"), "--checkpoint", str(out)]) == 2
+        capsys.readouterr()
+        assert main(["detect", "-c", str(tmp_path / "out.json"), "--checkpoint", str(out)]) == 1
+        assert "not a readable file" in capsys.readouterr().err
 
     def test_incompatible_checkpoint(self, tmp_path):
         out = self.run_train_detect(tmp_path)
@@ -697,6 +724,26 @@ class TestCliCompare:
         for row in second:
             assert float(row["avg_improved"]) == 0.0
             assert float(row["air"]) == 0.0
+
+    def test_explicit_shape_only_keeps_the_mse_rows(self, tmp_path):
+        # "auto" scores the MSE arm shape_only, so naming that mode changes no MSE row
+        def mse_rows(name, *overrides):
+            out = tmp_path / name
+            cfgp = write_config(tmp_path, small_config(out), name=f"{name}.json")
+            assert main(["compare", "-c", cfgp, *overrides]) == 0
+            lines = [l for l in (out / "comparison.csv").read_text().splitlines()
+                     if l and not l.startswith("#")]
+            return [lines[0]] + [l for l in lines[1:] if l.startswith("mse,")]
+
+        auto = mse_rows("auto")
+        assert len(auto) == 2
+        assert mse_rows("shape_only", "--set", "score.mode=shape_only") == auto
+
+    def test_single_loss_is_usage_error(self, tmp_path, capsys):
+        doc = small_config(tmp_path / "out", compare={"losses": ["mse"]})
+        assert main(["compare", "-c", write_config(tmp_path, doc)]) == 1
+        assert "at least two loss entries" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_score_stride_beyond_window_is_usage_error(self, tmp_path):
         # a stride of 100 over windows of 8 would leave 92 of every 100 points unscored
@@ -989,8 +1036,15 @@ class TestCliGradcheck:
 
 
 class TestExitCodes:
-    def test_missing_config_file(self):
+    def test_missing_config_file(self, capsys):
         assert main(["train", "-c", "/nonexistent/cfg.json"]) == 1
+        assert "error: no such file: /nonexistent/cfg.json\n" in capsys.readouterr().err
+
+    def test_config_whose_top_level_is_a_list(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, [small_config(tmp_path / "out")])
+        assert main(["train", "-c", cfgp]) == 1
+        assert "top level must be an object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_is_usage_error(self, tmp_path):
         cfgp = write_config(tmp_path, {"bogus": 1})

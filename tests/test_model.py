@@ -313,9 +313,15 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match="non-finite"):
                 load_checkpoint(path)
 
-    def test_directory_is_checkpoint_error(self, tmp_path):
-        with pytest.raises(CheckpointError):
+    def test_directory_is_file_not_found_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="not a readable file"):
             load_checkpoint(tmp_path)
+
+    def test_undecodable_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"strad-checkpoint v3\n\xff\n")
+        with pytest.raises(CheckpointError, match="cannot decode"):
+            load_checkpoint(path)
 
     def test_resave_is_byte_identical(self, tmp_path):
         # signed zeros, subnormals, the extremes and integers, in every block
