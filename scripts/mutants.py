@@ -92,6 +92,10 @@ MUTANTS = (
            "degenerate = threshold <= scores.scores.min()",
            "degenerate = False",
            ("tests/test_config_cli.py::TestCliCompare",)),
+    Mutant("float_key_keeps_an_int", "config.py",
+           "return float(given)",
+           "return given",
+           ("tests/test_config_cli.py::TestOneHashPerConfig",)),
     Mutant("csv_error_uncaught", "series.py",
            "except csv.Error as exc:",
            "except UnicodeError as exc:",

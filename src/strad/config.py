@@ -92,6 +92,8 @@ def _scalar_ok(default: Any, given: Any, key: str) -> bool:
 def _merge(default: Any, given: Any, path: str) -> Any:
     """Check `given` against `default` and fill in what it leaves out.
 
+    A number given for a float key is returned as that float, so the resolved
+    document, and its hash, spell `2` and `2.0` one way.
     `path` is the key path of `given` with a trailing dot, for error messages.
     """
     key = path[:-1].rpartition(".")[2]
@@ -111,6 +113,8 @@ def _merge(default: Any, given: Any, path: str) -> Any:
     if not _scalar_ok(default, given, key):
         expected = {float: "a number", str: "a string"}.get(type(default), "an integer")
         raise ConfigError(f"{path[:-1]}: expected {expected}, got {given!r}")
+    if isinstance(default, float):
+        return float(given)
     if isinstance(given, str):  # any string may be used as a file name
         if "\x00" in given:
             raise ConfigError(f"{path[:-1]}: contains a NUL character")
@@ -246,20 +250,13 @@ def build(resolved: dict) -> ExperimentConfig:
     hidden = tuple(resolved["model"]["hidden"])
     _require(all(h >= 1 for h in hidden) and hidden, "model.hidden must be positive sizes")
 
-    lw = resolved["loss_weights"]
     with _at("loss_weights"):
-        weights = LossWeights(
-            lambda1=float(lw["lambda1"]),
-            lambda2=float(lw["lambda2"]),
-            lambda3=float(lw["lambda3"]),
-            epsilon=float(lw["epsilon"]),
-            trend_variant=lw["trend_variant"],
-        )
+        weights = LossWeights(**resolved["loss_weights"])
     train = resolved["train"]
     with _at("train"):
         train_cfg = TrainConfig(epochs=train["epochs"], batch_size=train["batch_size"],
                                 seed=resolved["seed"], loss_kind=train["loss"], weights=weights,
-                                mix=float(train["mix"]), lr=float(train["lr"]))
+                                mix=train["mix"], lr=train["lr"])
 
     _require(resolved["score"]["mode"] in SCORE_MODE_CHOICES,
              f"score.mode must be one of {SCORE_MODE_CHOICES}")
@@ -293,10 +290,9 @@ def build(resolved: dict) -> ExperimentConfig:
             # derived seeds are spaced by 10 so the +1 test-split offset never collides
             seed = resolved["seed"] * 1000 + 10 * i if synth_cfg["seed"] is None else synth_cfg["seed"]
             generator = GeneratorConfig(length=synth_cfg["length"], channels=tuple(channels),
-                                        noise_sigma=float(synth_cfg["noise_sigma"]), seed=seed,
+                                        noise_sigma=synth_cfg["noise_sigma"], seed=seed,
                                         name=ds["name"])
-            train_fraction = float(synth_cfg["train_fraction"])
-            train_length(generator, train_fraction)
+            train_length(generator, synth_cfg["train_fraction"])
         anomalies = []
         for a, raw in enumerate(synth_cfg["anomalies"]):
             with _at(f"{key}.anomalies.{a}"):
@@ -308,13 +304,8 @@ def build(resolved: dict) -> ExperimentConfig:
         datasets.append(DatasetConfig(
             name=ds["name"],
             source=ds["source"],
-            synth=SynthDatasetConfig(generator, train_fraction, tuple(anomalies)),
-            csv=CsvDatasetConfig(
-                train_path=ds["csv"]["train_path"],
-                test_path=ds["csv"]["test_path"],
-                value_columns=tuple(ds["csv"]["value_columns"]),
-                label_column=ds["csv"]["label_column"],
-            ),
+            synth=SynthDatasetConfig(generator, synth_cfg["train_fraction"], tuple(anomalies)),
+            csv=CsvDatasetConfig(**dict(ds["csv"], value_columns=tuple(ds["csv"]["value_columns"]))),
         ))
     names = [d.name for d in datasets]
     _require(len(set(names)) == len(names), "dataset names must be unique")
@@ -339,7 +330,7 @@ def build(resolved: dict) -> ExperimentConfig:
         train=train_cfg,
         score_mode=resolved["score"]["mode"],
         threshold_mode=threshold["mode"],
-        threshold_q=float(threshold["q"]),
+        threshold_q=threshold["q"],
         threshold_metric=threshold["metric"],
         eval_metrics=metrics,
         compare_arms=tuple(arms),

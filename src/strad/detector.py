@@ -10,9 +10,9 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeMismatchError
 from .losses import LossWeights, mse_batch, seasonality_batch, strad_batch, trend_batch
-from .metrics import THRESHOLD_METRICS, as_truth, pa_counts, rpa_counts, sweep_counts
+from .metrics import as_truth, pa_counts, rpa_counts, sweep_counts
 from .model import DenseAutoencoder, adam_step, backward_batch, forward_batch, init_adam
-from .series import Segment, TimeSeries, sliding_windows
+from .series import TimeSeries, segments_from_labels, sliding_windows
 
 LOSS_KINDS = ("mse", "strad", "mse_plus_strad")
 SCORE_MODES = ("shape_only", "strad_broadcast")
@@ -192,12 +192,11 @@ def score(
     return ScoreSeries(scores)
 
 
-def f1_at(scores: np.ndarray, threshold: float, labels: np.ndarray, segments: list[Segment],
-          metric: str) -> float:
+def f1_at(scores: np.ndarray, threshold: float, labels: np.ndarray, metric: str) -> float:
     """F1 of the predictions `scores >= threshold` under the RPA or PA metric."""
     preds = (scores >= threshold).astype(np.int64)
     if metric == "rpa":
-        return rpa_counts(preds, segments).f1
+        return rpa_counts(preds, segments_from_labels(labels)).f1
     return pa_counts(preds, labels).f1
 
 
@@ -216,8 +215,6 @@ def threshold_best_f1(score_series: ScoreSeries, labels, metric: str) -> tuple[f
     at once, each count being the number of events (points, segments, runs)
     whose switch-on level is at or above the threshold's.
     """
-    if metric not in THRESHOLD_METRICS:
-        raise ConfigError(f"metric must be one of {THRESHOLD_METRICS}, got {metric!r}")
     if labels is None:
         raise DataError("threshold_best_f1 requires labels")
     thresholds, tp, fp, fn = sweep_counts(*score_series.levels, as_truth(labels), metric)

@@ -160,7 +160,7 @@ def evaluate(scores: ScoreSeries, labels, thresholds: dict) -> dict:
             threshold, f1, all_positive_f1 = threshold_best_f1(scores, truth, metric)
             degenerate = all_positive_f1 >= f1
         else:
-            f1 = f1_at(scores.scores, threshold, truth.labels, truth.segments, metric)
+            f1 = f1_at(scores.scores, threshold, truth.labels, metric)
             degenerate = threshold <= scores.scores.min()
         if degenerate:
             row["degenerate"] += (metric,)

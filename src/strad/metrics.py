@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -116,10 +115,6 @@ class Truth:
     ends: np.ndarray
     segment_runs: np.ndarray  # reduceat indices of the segments
     gap_runs: np.ndarray  # reduceat indices of each closed gap, widened by a point per side
-
-    @cached_property
-    def segments(self) -> list[Segment]:
-        return [Segment(int(s), int(e)) for s, e in zip(self.starts, self.ends)]
 
 
 def as_truth(labels) -> Truth:

@@ -119,10 +119,6 @@ class Segment:
         if self.start < 0 or self.end < self.start:
             raise DataError(f"invalid segment ({self.start}, {self.end})")
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
-
 
 def read_bytes(path, inputs: Optional[dict] = None) -> bytes:
     """The bytes of `path`, as written.

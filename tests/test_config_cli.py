@@ -150,6 +150,28 @@ class TestConfig:
         assert len(checked) >= 18, checked
 
 
+class TestOneHashPerConfig:
+    """Two spellings of one configuration hash alike and write the same files."""
+
+    @pytest.mark.parametrize("first,second", [
+        (["--seed", "3"], ["--set", "seed=3"]),
+        (["--set", "loss_weights.lambda1=2"], ["--set", "loss_weights.lambda1=2.0"]),
+        (["--set", "train.lr=1"], ["--set", "train.lr=1.0"]),
+    ], ids=["seed_flag", "lambda1", "lr"])
+    def test_same_hash_and_same_files(self, tmp_path, first, second):
+        cfgp = write_config(tmp_path, small_config(tmp_path / "unused"))
+        hashes, trees = [], []
+        for k, extra in enumerate((first, second)):
+            argv = ["-c", cfgp, *extra]
+            hashes.append(_load(build_parser().parse_args(["train", *argv])).hash)
+            out = tmp_path / f"run{k}"
+            assert main(["synth", *argv, "-o", str(out / "synth")]) == 0
+            assert main(["train", *argv, "-o", str(out / "train")]) == 0
+            trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        assert hashes[0] == hashes[1]
+        assert len(trees[0]) == 5 and trees[0] == trees[1]
+
+
 class TestCliSynth:
     def test_writes_two_csvs_and_manifest(self, tmp_path):
         out = tmp_path / "out"
@@ -563,13 +585,12 @@ class TestCliEval:
     def test_each_input_is_opened_once(self, tmp_path, monkeypatch):
         sa, data = write_eval_pair(tmp_path, "a", [0, 1, 1, 0], [0, 5, 0, 0])
         sb, _ = write_eval_pair(tmp_path, "b", [0, 1, 1, 0], [0, 0, 5, 1])
+        _, data_c = write_eval_pair(tmp_path, "c", [1, 0, 0, 1], [0, 0, 0, 0])
 
         def report_rows(out, *argv):
             assert main(["eval", *map(str, argv), "-o", str(out)]) == 0
             return (out / "report.csv").read_text().splitlines()[1:]
 
-        solo = [report_rows(tmp_path / f"solo{k}", "--scores", sc, "--data", data)
-                for k, sc in enumerate((sa, sb))]
         opened = []
         real_open = io.open
 
@@ -577,14 +598,19 @@ class TestCliEval:
             opened.append(str(file))
             return real_open(file, *args, **kwargs)
 
-        monkeypatch.setattr(io, "open", counting_open)  # `Path.read_bytes` opens through it
-        monkeypatch.setattr(builtins, "open", counting_open)
-        rows = report_rows(tmp_path / "pair", "--scores", sa, "--data", data,
-                           "--scores", sb, "--data", data)
-        monkeypatch.undo()
-        inputs = [p for p in opened if p in (str(sa), str(sb), str(data))]
-        assert sorted(inputs) == sorted([str(sa), str(sb), str(data)])
-        assert rows[1:3] == [solo[0][1], solo[1][1]]  # the header, then one row per pair
+        # one data file under two score files, then one score file over two data files
+        for k, pairs in enumerate([((sa, data), (sb, data)), ((sa, data), (sa, data_c))]):
+            solo = [report_rows(tmp_path / f"solo{k}{j}", "--scores", sc, "--data", d)
+                    for j, (sc, d) in enumerate(pairs)]
+            opened.clear()
+            monkeypatch.setattr(io, "open", counting_open)  # `Path.read_bytes` opens through it
+            monkeypatch.setattr(builtins, "open", counting_open)
+            rows = report_rows(tmp_path / f"pair{k}", *(arg for sc, d in pairs
+                                                        for arg in ("--scores", sc, "--data", d)))
+            monkeypatch.undo()
+            named = {str(path) for pair in pairs for path in pair}
+            assert sorted(p for p in opened if p in named) == sorted(named)
+            assert rows[1:3] == [solo[0][1], solo[1][1]]  # the header, then one row per pair
 
     def test_provenance_covers_every_setting(self, tmp_path):
         # the parent digest covered only the input bytes: one line, three tables
@@ -660,10 +686,11 @@ class TestCliEval:
     def test_nan_threshold_is_usage_error(self, tmp_path, capsys):
         sc, data = write_eval_pair(tmp_path, "m", [0, 1, 0], [0, 7, 0])
         out = tmp_path / "rep"
-        assert main(["eval", "--scores", str(sc), "--data", str(data),
-                     "--threshold", "nan", "-o", str(out)]) == 1
-        assert "--threshold" in capsys.readouterr().err
-        assert not (out / "report.csv").exists()
+        for value in ("nan", "-1e"):  # a dash argument that is no number stays an option
+            assert main(["eval", "--scores", str(sc), "--data", str(data),
+                         "--threshold", value, "-o", str(out)]) == 1
+            assert "--threshold" in capsys.readouterr().err
+            assert not (out / "report.csv").exists()
         # +/-inf stay valid: +inf is what a sweep that finds nothing returns
         for value in ("inf", "-inf"):
             assert main(["eval", "--scores", str(sc), "--data", str(data),

@@ -13,7 +13,7 @@ from strad.detector import (
     threshold_quantile,
     train,
 )
-from strad.errors import ConfigError, DataError, NumericError
+from strad.errors import ConfigError, DataError, NumericError, ShapeMismatchError
 from strad.losses import LossWeights, seasonality_batch, trend_batch
 from strad.metrics import pa_counts, rpa_counts
 from strad.model import forward_batch, init_model, default_layer_sizes
@@ -145,8 +145,6 @@ class TestTrain:
         ts = sine_series(64)
         windows = sliding_windows(ts, 8, 8)
         model = init_model(default_layer_sizes(16, (8,)), seed=0)
-        from strad.errors import ShapeMismatchError
-
         with pytest.raises(ShapeMismatchError):
             train(model, windows, TrainConfig(epochs=1, batch_size=4, seed=0))
 
@@ -227,10 +225,9 @@ def brute_best_f1(score_series, labels, metric="rpa"):
     """
     scores = score_series.scores
     labels = np.asarray(labels, dtype=np.int64)
-    segments = segments_from_labels(labels)
     best_threshold, best_f1 = np.inf, 0.0
     for threshold in np.unique(scores)[::-1]:
-        f1 = f1_at(scores, threshold, labels, segments, metric)
+        f1 = f1_at(scores, threshold, labels, metric)
         if f1 > best_f1:
             best_f1, best_threshold = f1, float(threshold)
     return best_threshold, best_f1
@@ -271,8 +268,7 @@ class TestThresholdBestF1:
     def test_all_positive_f1_equals_recount_at_minimum(self, case, metric):
         scores, labels = case
         if scores.scores.size:
-            expected = f1_at(scores.scores, scores.scores.min(), labels,
-                             segments_from_labels(labels), metric)
+            expected = f1_at(scores.scores, scores.scores.min(), labels, metric)
         else:
             expected = 0.0  # M = 0: no prediction at all
         assert threshold_best_f1(scores, labels, metric)[2] == expected
@@ -351,6 +347,14 @@ class TestThresholdBestF1:
         scores = ScoreSeries(np.zeros(3))
         with pytest.raises(DataError):
             threshold_best_f1(scores, None, "rpa")
+
+    def test_unknown_metric(self):
+        with pytest.raises(DataError, match="metric must be one of"):
+            threshold_best_f1(ScoreSeries(np.zeros(3)), np.zeros(3, dtype=int), "x")
+
+    def test_labels_one_point_longer(self):
+        with pytest.raises(ShapeMismatchError):
+            threshold_best_f1(ScoreSeries(np.zeros(3)), np.zeros(4, dtype=int), "rpa")
 
 
 class TestThresholdQuantile:
