@@ -76,6 +76,14 @@ MUTANTS = (
            "if len(raw) != 8 * count:",
            "if False:",
            ("tests/test_model.py", "tests/test_config_cli.py::TestCliDetect")),
+    Mutant("checkpoint_layer_sizes_unchecked", "model.py",
+           'raise CheckpointError(f"{path}: {exc}") from None',
+           "pass",
+           ("tests/test_model.py", "tests/test_config_cli.py::TestCliDetect")),
+    Mutant("history_drops_mse_term", "detector.py",
+           '"mse": mvalues, ',
+           "",
+           ("tests/test_detector.py",)),
     Mutant("score_overlap_add_skips_offset_0", "detector.py",
            "for j in range(t - 1, -1, -1):",
            "for j in range(t - 1, 0, -1):",

@@ -45,9 +45,7 @@ def _one(kind: str, start: int) -> dict:
 def pattern_benchmark_config(
     seed: int = 0,
     length: int = 4000,
-    window_length: int = 64,
     epochs: int = 20,
-    noise_sigma: float = 0.05,
     quantile: float = 0.99,
     losses: tuple[str, ...] = ("mse", "strad"),
 ) -> dict:
@@ -64,7 +62,7 @@ def pattern_benchmark_config(
             "source": "synth",
             "synth": {
                 "length": length,
-                "noise_sigma": noise_sigma,
+                "noise_sigma": 0.05,
                 "train_fraction": 0.5,
                 "channels": [{"shapelet": "sine", "omega": 1.0 / 32.0,
                               "amplitude": 1.0, "phase": 0.0, "slope": 0.0}],
@@ -73,8 +71,7 @@ def pattern_benchmark_config(
         })
     return {
         "seed": seed,
-        "window": {"length": window_length, "train_stride": window_length // 2,
-                   "score_stride": 1},
+        "window": {"length": 64, "train_stride": 32, "score_stride": 1},
         "model": {"hidden": [64, 16]},
         "train": {"epochs": epochs, "batch_size": 32, "loss": "strad"},
         "loss_weights": {"lambda1": 1.5, "lambda2": 10.0, "lambda3": 1.0,

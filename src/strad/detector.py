@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -16,6 +15,7 @@ from .series import TimeSeries, segments_from_labels, sliding_windows
 
 LOSS_KINDS = ("mse", "strad", "mse_plus_strad")
 SCORE_MODES = ("shape_only", "strad_broadcast")
+SCORE_CHUNK = 128  # windows per reconstruction block in `score`
 
 
 @dataclass(frozen=True)
@@ -41,21 +41,10 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
 
 
-@dataclass(frozen=True)
-class EpochStats:
-    """Mean per-window losses over one epoch; components are None for MSE."""
-
-    total: float
-    trend: Optional[float] = None
-    seasonality: Optional[float] = None
-    shape: Optional[float] = None
-
-
 @dataclass
 class TrainResult:
     model: DenseAutoencoder
-    history: list[EpochStats]
-    steps: int
+    history: list[dict[str, float]]  # per epoch: each named loss's mean per window
 
 
 @dataclass(frozen=True)
@@ -78,18 +67,18 @@ class ScoreSeries:
 
 
 def _batch_loss(X, XR, cfg: TrainConfig):
-    """Per-window loss values, upstream gradients, and component means."""
+    """Per-window loss values by name, "total" first, and the total's gradient."""
     if cfg.loss_kind == "mse":
         values, grads = mse_batch(X, XR, want_grad=True)
-        return values, grads, None
-    tre, sea, shp, total, sgrads = strad_batch(X, XR, cfg.weights, want_grad=True)
-    components = (tre, sea, shp)
+        return {"total": values}, grads
+    tre, sea, shp, total, grads = strad_batch(X, XR, cfg.weights, want_grad=True)
+    components = {"trend": tre, "seasonality": sea, "shape": shp}
     if cfg.loss_kind == "strad":
-        return total, sgrads, components
+        return {"total": total, **components}, grads
     mvalues, mgrads = mse_batch(X, XR, want_grad=True)
     values = cfg.mix * mvalues + (1.0 - cfg.mix) * total
-    grads = cfg.mix * mgrads + (1.0 - cfg.mix) * sgrads
-    return values, grads, components
+    grads = cfg.mix * mgrads + (1.0 - cfg.mix) * grads
+    return {"total": values, "mse": mvalues, **components}, grads
 
 
 def train(model: DenseAutoencoder, windows: np.ndarray, cfg: TrainConfig) -> TrainResult:
@@ -97,8 +86,8 @@ def train(model: DenseAutoencoder, windows: np.ndarray, cfg: TrainConfig) -> Tra
 
     `windows` is the (N, t, d) stack from `sliding_windows`. Each epoch walks
     a seeded permutation of the windows in batches; the per-batch parameter
-    gradient is the mean over the batch. History records per-epoch mean total
-    loss, plus component means for the combined objective.
+    gradient is the mean over the batch. Each history row maps every value
+    `_batch_loss` names, "total" first, to its per-window mean over the epoch.
     Raises NumericError the moment a loss, gradient, or parameter goes
     non-finite instead of clipping.
     """
@@ -111,33 +100,27 @@ def train(model: DenseAutoencoder, windows: np.ndarray, cfg: TrainConfig) -> Tra
     # one copy, trained in place, so the caller's model keeps its parameters
     model = DenseAutoencoder(layer_sizes=model.layer_sizes, params=model.params.copy())
     state = init_adam(model, lr=cfg.lr)
-    history: list[EpochStats] = []
-    steps = 0
-    track_components = cfg.loss_kind != "mse"
+    history: list[dict[str, float]] = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
-        total_sum = 0.0
-        comp_sums = np.zeros(3)
+        sums: dict[str, float] = {}
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             X = windows[idx]
             flat = X.reshape(len(idx), -1)
             acts = forward_batch(model, flat)
             XR = acts[-1].reshape(X.shape)
-            values, grads, components = _batch_loss(X, XR, cfg)
-            if not np.isfinite(values).all():
+            values, grads = _batch_loss(X, XR, cfg)
+            if not np.isfinite(values["total"]).all():
                 raise NumericError("non-finite loss during training")
-            total_sum += float(values.sum())
-            if components is not None:
-                comp_sums += [float(c.sum()) for c in components]
+            for name, v in values.items():
+                sums[name] = sums.get(name, 0.0) + float(v.sum())
             upstream = grads.reshape(len(idx), -1)
             upstream /= len(idx)  # mean over the batch
             grad = backward_batch(model, acts, upstream)
             adam_step(model, grad, state)
-            steps += 1
-        components = comp_sums / n if track_components else (None, None, None)
-        history.append(EpochStats(total_sum / n, *components))
-    return TrainResult(model=model, history=history, steps=steps)
+        history.append({name: s / n for name, s in sums.items()})
+    return TrainResult(model=model, history=history)
 
 
 def score(
@@ -147,7 +130,6 @@ def score(
     stride: int,
     weights: LossWeights,
     mode: str,
-    chunk: int = 128,
 ) -> ScoreSeries:
     """Per-point anomaly scores from sliding-window reconstruction error.
 
@@ -160,7 +142,7 @@ def score(
     uncovered score 0; with stride <= length that is possible only in the tail
     after the last window.
 
-    Windows are reconstructed `chunk` at a time: at the default 128, a block's
+    Windows are reconstructed `SCORE_CHUNK` at a time, so a block's
     activations stay small enough to be reused from the heap call after call.
     """
     if mode not in SCORE_MODES:
@@ -170,8 +152,8 @@ def score(
     if t * d != model.input_size:
         raise ShapeMismatchError(f"windows flatten to {t * d}, model expects {model.input_size}")
     contrib = np.empty((n, t))  # window i's contribution to each of its points
-    for lo in range(0, n, chunk):
-        X = data[lo : lo + chunk]
+    for lo in range(0, n, SCORE_CHUNK):
+        X = data[lo : lo + SCORE_CHUNK]
         count = len(X)
         XR = forward_batch(model, X.reshape(count, -1))[-1].reshape(X.shape)
         part = contrib[lo : lo + count]

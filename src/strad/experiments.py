@@ -242,16 +242,9 @@ def write_segments_csv(segments: Sequence[Segment], path, prov: str) -> None:
 
 
 def write_history_csv(result: TrainResult, path, prov: str) -> None:
-    with_components = result.history and result.history[0].trend is not None
-    lines = [prov]
-    if with_components:
-        lines.append("epoch,total,trend,seasonality,shape")
-        for i, e in enumerate(result.history):
-            lines.append(f"{i},{_fmt(e.total)},{_fmt(e.trend)},{_fmt(e.seasonality)},{_fmt(e.shape)}")
-    else:
-        lines.append("epoch,total")
-        for i, e in enumerate(result.history):
-            lines.append(f"{i},{_fmt(e.total)}")
+    lines = [prov, ",".join(["epoch", *result.history[0]])]
+    lines.extend(",".join([str(i), *map(_fmt, row.values())])
+                 for i, row in enumerate(result.history))
     write_text(path, "\n".join(lines) + "\n")
 
 

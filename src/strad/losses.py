@@ -2,10 +2,11 @@
 
 Each component is one `*_batch` kernel that takes a stack of windows X and
 its reconstruction XR, both (B, t, d), and returns the per-window values (B,)
-and, on request, the analytic gradients (B, t, d) with respect to XR. One
-window is the stack X[None]. The trainer, the scorer and the gradient check
-all call these kernels. Trend and seasonality are computed per channel and
-summed; shape and MSE already run over all entries.
+and, on request, the analytic gradients (B, t, d) with respect to XR; it
+raises ShapeMismatchError unless X and XR have one shape. One window is the
+stack X[None]. The trainer, the scorer and the gradient check all call these
+kernels. Trend and seasonality are computed per channel and summed; shape and
+MSE already run over all entries.
 
 The seasonality term's transform is unnormalized: bin k holds
 sum_j x_j * exp(-2*pi*i*j*k/n), and the inverse carries the 1/n factor.
@@ -111,6 +112,7 @@ def trend_batch(X, XR, epsilon: float, variant: str, want_grad: bool = False):
 
     Channels whose slopes tie get the subgradient 0.
     """
+    _check_pair(X, XR)
     if variant not in TREND_VARIANTS:
         raise ConfigError(f"trend_variant must be one of {TREND_VARIANTS}")
     t = X.shape[1]
@@ -190,6 +192,7 @@ def seasonality_batch(X, XR, want_grad: bool = False):
 
 def shape_batch(X, XR, want_grad: bool = False):
     """Sum of absolute entry differences (B,); gradient is the sign pattern."""
+    _check_pair(X, XR)
     diff = XR - X
     values = np.sum(np.abs(diff), axis=(1, 2))
     if not want_grad:
@@ -215,7 +218,6 @@ def strad_batch(X, XR, weights: LossWeights, want_grad: bool = False):
     gradient array (B, t, d) or None. The total and the gradient are the
     identically weighted sums of the components.
     """
-    _check_pair(X, XR)
     tre, g1 = trend_batch(X, XR, weights.epsilon, weights.trend_variant, want_grad)
     sea, g2 = seasonality_batch(X, XR, want_grad)
     shp, g3 = shape_batch(X, XR, want_grad)

@@ -267,8 +267,10 @@ def load_checkpoint(path) -> tuple[DenseAutoencoder, dict]:
         raw = base64.b64decode(lines[pos + 1], validate=True)
     except ValueError as exc:  # a bad integer, or a non-base64 or non-ASCII character
         raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from None
-    if len(sizes) < 2 or min(sizes) < 1:
-        raise CheckpointError(f"{path}: invalid layer sizes {sizes}")
+    try:
+        check_layer_sizes(sizes)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     count = _param_count(sizes)
     # checked before the model is allocated, so the file bounds the model's size
     if len(raw) != 8 * count:

@@ -19,7 +19,7 @@ from strad.config import config_hash, load_config, resolve
 from strad.errors import ConfigError
 from strad.detector import ScoreSeries
 from strad.experiments import evaluate, read_scores_csv
-from strad.model import load_checkpoint
+from strad.model import DenseAutoencoder, load_checkpoint, save_checkpoint
 from strad.series import load_csv, segments_from_labels
 
 
@@ -329,6 +329,15 @@ class TestCliDetect:
         cfgp = write_config(tmp_path, small_config(tmp_path / "out"))
         assert main(["detect", "-c", cfgp, "--checkpoint", str(tmp_path / "missing.ckpt")]) == 1
         assert "missing.ckpt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_output_size_other_than_input_exits_2(self, tmp_path, capsys):
+        # input 16 matches the window, so only the layer-size check stands in the way
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(DenseAutoencoder((16, 4, 8), np.zeros(17 * 4 + 5 * 8)), ckpt)
+        cfgp = write_config(tmp_path, small_config(tmp_path / "out"))
+        assert main(["detect", "-c", cfgp, "--checkpoint", str(ckpt)]) == 2
+        assert "bad.ckpt: output size 8 must equal input size 16" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_best_f1_threshold_equals_eval_sweep(self, tmp_path):

@@ -65,12 +65,16 @@ class TestTrainConfig:
 
 
 class TestTrain:
-    def test_single_batch_single_epoch_one_step(self):
+    def test_single_batch_single_epoch_one_step(self, monkeypatch):
+        steps = []
+        adam_step = strad.detector.adam_step
+        monkeypatch.setattr(strad.detector, "adam_step",
+                            lambda *args: steps.append(adam_step(*args)))
         ts = sine_series(64)
         windows = sliding_windows(ts, 16, 16)
         model = init_model(default_layer_sizes(16, (8,)), seed=0)
         result = train(model, windows, TrainConfig(epochs=1, batch_size=len(windows), seed=0))
-        assert result.steps == 1
+        assert len(steps) == 1
         assert len(result.history) == 1
 
     def test_history_length_equals_epochs(self):
@@ -87,8 +91,8 @@ class TestTrain:
         result = train(model, windows, TrainConfig(epochs=2, batch_size=4, seed=0,
                                                    loss_kind="strad"))
         epoch = result.history[0]
-        assert epoch.trend is not None and epoch.seasonality is not None
-        assert epoch.seasonality >= 0 and epoch.shape >= 0
+        assert list(epoch) == ["total", "trend", "seasonality", "shape"]
+        assert epoch["seasonality"] >= 0 and epoch["shape"] >= 0
 
     def test_mse_history_total_only(self):
         ts = sine_series(64)
@@ -96,7 +100,7 @@ class TestTrain:
         model = init_model(default_layer_sizes(16, (8,)), seed=0)
         result = train(model, windows, TrainConfig(epochs=2, batch_size=4, seed=0,
                                                    loss_kind="mse"))
-        assert result.history[0].trend is None
+        assert list(result.history[0]) == ["total"]
 
     def test_deterministic_given_seed(self):
         ts = sine_series(96)
@@ -112,12 +116,17 @@ class TestTrain:
         assert a.history == b.history
 
     def test_mse_plus_strad_mixes(self):
-        ts = sine_series(64)
-        windows = sliding_windows(ts, 16, 16)
-        model = init_model(default_layer_sizes(16, (8,)), seed=0)
-        result = train(model, windows, TrainConfig(epochs=1, batch_size=4, seed=0,
-                                                   loss_kind="mse_plus_strad", mix=0.5))
-        assert result.history[0].trend is not None
+        ts = sine_series(96)
+        windows = sliding_windows(ts, 16, 8)
+        model = init_model(default_layer_sizes(16, (8,)), seed=1)
+        w = LossWeights(lambda1=2.0, lambda2=5.0, lambda3=1.5)
+        mix = 0.3
+        result = train(model, windows, TrainConfig(epochs=3, batch_size=4, seed=1, weights=w,
+                                                   loss_kind="mse_plus_strad", mix=mix))
+        assert list(result.history[0]) == ["total", "mse", "trend", "seasonality", "shape"]
+        for e in result.history:  # the total is the mix of the terms the row reports
+            strad = w.lambda1 * e["trend"] + w.lambda2 * e["seasonality"] + w.lambda3 * e["shape"]
+            assert e["total"] == pytest.approx(mix * e["mse"] + (1 - mix) * strad, rel=1e-12)
 
     def test_non_finite_loss_aborts(self):
         ts = sine_series(64)
@@ -196,7 +205,7 @@ class TestScore:
 
     @pytest.mark.parametrize("mode", ["shape_only", "strad_broadcast"])
     @pytest.mark.parametrize("stride", [1, 3])
-    def test_matches_naive_loop(self, mode, stride):
+    def test_matches_naive_loop(self, mode, stride, monkeypatch):
         ts = sine_series(90, seed=6, channels=2)
         model = init_model(default_layer_sizes(32, (8,)), seed=3)
         weights = LossWeights(lambda1=2.0, lambda2=5.0, lambda3=1.5)
@@ -205,7 +214,8 @@ class TestScore:
         expected, _ = naive_score(model, ts, 16, stride, weights, mode)
         windows = (90 - 16) // stride + 1
         for chunk in (1, 7, 128, windows, windows + 1):  # windows: one block holds them all
-            got = score(model, ts, 16, stride, weights, mode, chunk=chunk)
+            monkeypatch.setattr(strad.detector, "SCORE_CHUNK", chunk)
+            got = score(model, ts, 16, stride, weights, mode)
             assert np.abs(got.scores - expected).max() < 1e-9, chunk
 
     def test_window_too_long(self):

@@ -40,6 +40,22 @@ def slope(x):
     return slopes_batch(x[None])[0]
 
 
+@pytest.mark.parametrize("kernel", [
+    lambda X, XR: trend_batch(X, XR, EPS, "monotone"),
+    seasonality_batch,
+    shape_batch,
+    mse_batch,
+    lambda X, XR: strad_batch(X, XR, LossWeights()),
+], ids=["trend", "seasonality", "shape", "mse", "strad"])
+def test_kernel_rejects_stacks_that_differ_in_batch_size(kernel):
+    # (1, 8, 1) broadcasts against (3, 8, 1), so only the pair check can refuse it
+    X = np.zeros((3, 8, 1))
+    XR = np.ones((1, 8, 1))
+    for pair in ((X, XR), (XR, X)):
+        with pytest.raises(ShapeMismatchError):
+            kernel(*pair)
+
+
 def central_difference(fn, y, step=1e-5):
     grad = np.zeros_like(y)
     for idx in np.ndindex(y.shape):

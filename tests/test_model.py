@@ -9,6 +9,7 @@ from strad.model import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    DenseAutoencoder,
     adam_step,
     backward_batch,
     default_layer_sizes,
@@ -313,6 +314,13 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match="non-finite"):
                 load_checkpoint(path)
 
+    def test_output_size_other_than_input_is_checkpoint_error(self, tmp_path):
+        # sizes init_model refuses must not load either
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(DenseAutoencoder((6, 3, 4), np.zeros(7 * 3 + 4 * 4)), path)
+        with pytest.raises(CheckpointError, match="output size 4 must equal input size 6"):
+            load_checkpoint(path)
+
     def test_directory_is_file_not_found_error(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="not a readable file"):
             load_checkpoint(tmp_path)
@@ -363,7 +371,7 @@ class TestDescentSmoke:
             model = init_model(default_layer_sizes(16, (64, 16)), seed=seed)
             cfg = TrainConfig(epochs=200, batch_size=20, seed=seed, loss_kind="mse")
             result = train(model, windows, cfg)
-            assert result.steps == 200
-            if result.history[-1].total <= 0.5 * result.history[0].total:
+            assert len(result.history) == 200
+            if result.history[-1]["total"] <= 0.5 * result.history[0]["total"]:
                 passed += 1
         assert passed >= 4
