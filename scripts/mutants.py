@@ -56,9 +56,13 @@ MUTANTS = (
            "+ 0)",
            ("tests/test_detector.py", "tests/test_metrics.py")),
     Mutant("pa_sweep_segment_one_point_short", "metrics.py",
-           "np.repeat(hit, truth.ends - truth.starts + 1)",
-           "np.repeat(hit, truth.ends - truth.starts)",
+           "np.repeat(hit, truth.segments[:, 1] - truth.segments[:, 0] + 1)",
+           "np.repeat(hit, truth.segments[:, 1] - truth.segments[:, 0])",
            ("tests/test_detector.py", "tests/test_metrics.py")),
+    Mutant("segment_end_bound_unchecked", "metrics.py",
+           "(ends >= len(preds))",
+           "(ends > len(preds))",
+           ("tests/test_metrics.py",)),
     Mutant("parse_columns_drops_width_check", "series.py",
            'if seps.size != ncol * nrows or (body[seps.reshape(nrows, ncol)[:, :-1]]'
            ' != ord(",")).any():',
@@ -104,6 +108,10 @@ MUTANTS = (
            "return float(given)",
            "return given",
            ("tests/test_config_cli.py::TestOneHashPerConfig",)),
+    Mutant("channel_value_finite_unchecked", "synth.py",
+           "if not math.isfinite(getattr(self, key)):",
+           "if False:",
+           ("tests/test_config_cli.py::TestExitCodes",)),
     Mutant("csv_error_uncaught", "series.py",
            "except csv.Error as exc:",
            "except UnicodeError as exc:",

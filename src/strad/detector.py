@@ -11,7 +11,7 @@ from .errors import ConfigError, DataError, NumericError, ShapeMismatchError
 from .losses import LossWeights, mse_batch, seasonality_batch, strad_batch, trend_batch
 from .metrics import as_truth, pa_counts, rpa_counts, sweep_counts
 from .model import DenseAutoencoder, adam_step, backward_batch, forward_batch, init_adam
-from .series import TimeSeries, segments_from_labels, sliding_windows
+from .series import TimeSeries, sliding_windows
 
 LOSS_KINDS = ("mse", "strad", "mse_plus_strad")
 SCORE_MODES = ("shape_only", "strad_broadcast")
@@ -174,19 +174,23 @@ def score(
     return ScoreSeries(scores)
 
 
-def f1_at(scores: np.ndarray, threshold: float, labels: np.ndarray, metric: str) -> float:
-    """F1 of the predictions `scores >= threshold` under the RPA or PA metric."""
+def f1_at(scores: np.ndarray, threshold: float, labels, metric: str) -> float:
+    """F1 of the predictions `scores >= threshold` under the RPA or PA metric.
+
+    `labels` is the 0/1 array or its `metrics.Truth`.
+    """
+    truth = as_truth(labels)
     preds = (scores >= threshold).astype(np.int64)
     if metric == "rpa":
-        return rpa_counts(preds, segments_from_labels(labels)).f1
-    return pa_counts(preds, labels).f1
+        return rpa_counts(preds, truth.segments).f1
+    return pa_counts(preds, truth.labels).f1
 
 
 def threshold_best_f1(score_series: ScoreSeries, labels, metric: str) -> tuple[float, float, float]:
     """Best-F1 threshold sweep over the distinct observed scores plus +inf.
 
     `labels` is the 0/1 array or its `metrics.Truth`; sweeps of one
-    `ScoreSeries` share its `levels`, and of one `Truth` its bounds.
+    `ScoreSeries` share its `levels`, and of one `Truth` its segments.
     Predictions at threshold theta are `scores >= theta`. Ties are broken
     toward the higher threshold (fewer positives). Returns (threshold, f1,
     all_positive_f1); the last is the F1 at the lowest threshold, the minimum

@@ -39,7 +39,6 @@ from .model import (
     save_checkpoint,
 )
 from .series import (
-    Segment,
     TimeSeries,
     apply_normalization,
     encode,
@@ -154,13 +153,13 @@ def evaluate(scores: ScoreSeries, labels, thresholds: dict) -> dict:
     threshold, so a swept metric costs no `f1_at` recount.
     """
     truth = as_truth(labels)
-    row = {"segments": truth.starts.size, "degenerate": ()}
+    row = {"segments": len(truth.segments), "degenerate": ()}
     for metric, threshold in thresholds.items():
         if threshold is None:
             threshold, f1, all_positive_f1 = threshold_best_f1(scores, truth, metric)
             degenerate = all_positive_f1 >= f1
         else:
-            f1 = f1_at(scores.scores, threshold, truth.labels, metric)
+            f1 = f1_at(scores.scores, threshold, truth, metric)
             degenerate = threshold <= scores.scores.min()
         if degenerate:
             row["degenerate"] += (metric,)
@@ -235,9 +234,9 @@ def read_labels_csv(path, label_column: str, inputs: Optional[dict] = None) -> n
     return load_columns(path, [], label_column, inputs)[1]
 
 
-def write_segments_csv(segments: Sequence[Segment], path, prov: str) -> None:
+def write_segments_csv(segments: np.ndarray, path, prov: str) -> None:
     lines = [prov, "start,end"]
-    lines.extend(f"{s.start},{s.end}" for s in segments)
+    lines.extend(f"{start},{end}" for start, end in segments.tolist())
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -316,7 +315,8 @@ def run_synth(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
             "test_csv": test_path.name,
         })
     manifest_path = outdir / "manifest.json"
-    write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text(manifest_path,
+               json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return written + [manifest_path]
 
 
@@ -374,8 +374,10 @@ def run_detect_cmd(cfg: ExperimentConfig, checkpoint: Path, outdir: Path) -> dic
         "scores_csv": scores_path.name,
         "segments_csv": segments_path.name,
     }
+    # JSON has no infinity: a best-F1 sweep that finds no F1 above 0 writes null
+    written = {**summary, "threshold": threshold if np.isfinite(threshold) else None}
     write_text(outdir / f"{ds.name}_detect.json",
-               json.dumps(summary, indent=2, sort_keys=True) + "\n")
+               json.dumps(written, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return summary
 
 

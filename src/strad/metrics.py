@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, ShapeMismatchError
-from .series import Segment, is_binary, run_bounds, segments_from_labels
+from .series import is_binary, segments_from_labels
 
 THRESHOLD_METRICS = ("rpa", "pa")
 
@@ -52,20 +52,31 @@ def _as_binary(preds) -> np.ndarray:
     return np.asarray(preds, dtype=np.int64)
 
 
-def _check_segments(preds: np.ndarray, segments: Sequence[Segment]) -> None:
-    for seg in segments:
-        if seg.end >= preds.shape[0]:
-            raise DataError(f"segment ({seg.start}, {seg.end}) out of range for length {preds.shape[0]}")
+def _check_segments(preds: np.ndarray, segments) -> np.ndarray:
+    """`segments`, a (k, 2) integer array or a sequence of inclusive (start, end)
+    pairs, as a (k, 2) array; DataError unless 0 <= start <= end < len(preds)."""
+    try:
+        bounds = np.asarray(segments)
+    except ValueError:  # ragged pairs
+        bounds = np.empty(())
+    if bounds.shape == (0,):  # no pairs
+        bounds = np.empty((0, 2), np.int64)
+    if bounds.ndim != 2 or bounds.shape[1] != 2 or bounds.dtype.kind not in "iu":
+        raise DataError("segments must be a (k, 2) integer array or a sequence of pairs")
+    starts, ends = bounds.T
+    bad = (starts < 0) | (ends < starts) | (ends >= len(preds))
+    if bad.any():
+        raise DataError(f"segment {bounds[bad][0].tolist()} out of range for length {len(preds)}")
+    return bounds
 
 
-def point_adjust(preds, truth_segments: Sequence[Segment]) -> np.ndarray:
+def point_adjust(preds, truth_segments) -> np.ndarray:
     """Mark every truth segment containing a predicted point as fully predicted."""
     preds = _as_binary(preds)
-    _check_segments(preds, truth_segments)
     adjusted = preds.copy()
-    for seg in truth_segments:
-        if preds[seg.start : seg.end + 1].any():
-            adjusted[seg.start : seg.end + 1] = 1
+    for start, end in _check_segments(preds, truth_segments).tolist():
+        if preds[start : end + 1].any():
+            adjusted[start : end + 1] = 1
     return adjusted
 
 
@@ -82,18 +93,19 @@ def pa_counts(preds, truth_labels) -> ConfusionCounts:
     return ConfusionCounts(tp=tp, fp=fp, fn=fn)
 
 
-def rpa_counts(preds, truth_segments: Sequence[Segment]) -> ConfusionCounts:
+def rpa_counts(preds, truth_segments) -> ConfusionCounts:
     """Segment-as-sample confusion counts; see the module docstring for rules."""
     preds = _as_binary(preds)
-    _check_segments(preds, truth_segments)
+    segments = _check_segments(preds, truth_segments).tolist()
     truth_mask = np.zeros(preds.shape[0], dtype=bool)
-    for seg in truth_segments:
-        truth_mask[seg.start : seg.end + 1] = True
+    for start, end in segments:
+        truth_mask[start : end + 1] = True
 
-    tp = sum(1 for seg in truth_segments if preds[seg.start : seg.end + 1].any())
-    fn = len(truth_segments) - tp
+    tp = sum(1 for start, end in segments if preds[start : end + 1].any())
+    fn = len(segments) - tp
 
-    fp = sum(1 for run in segments_from_labels(preds) if not truth_mask[run.start : run.end + 1].any())
+    fp = sum(1 for start, end in segments_from_labels(preds).tolist()
+             if not truth_mask[start : end + 1].any())
     return ConfusionCounts(tp=tp, fp=fp, fn=fn)
 
 
@@ -104,38 +116,30 @@ class Truth:
     Build it with `as_truth`. Segments are the maximal runs of 1s, with
     inclusive bounds. A run is given to `np.ufunc.reduceat` as the pair
     (start, end + 1) of a flat index array, over the values with one element
-    appended, so that a run may end the series.
+    appended, so that a run may end the series. A closed gap is a maximal run
+    of 0s with a segment on each side: the points between two segments.
     """
 
     labels: np.ndarray  # (M,) int64
     normal: np.ndarray  # (M,) bool: labels == 0
     normal_pairs: np.ndarray  # (M - 1,) bool: points i and i + 1 both normal
     edge_pairs: np.ndarray  # (M - 1,) bool: exactly one of points i and i + 1 normal
-    starts: np.ndarray  # segment bounds
-    ends: np.ndarray
+    segments: np.ndarray  # (k, 2) int64: `segments_from_labels(labels)`
     segment_runs: np.ndarray  # reduceat indices of the segments
     gap_runs: np.ndarray  # reduceat indices of each closed gap, widened by a point per side
 
 
 def as_truth(labels) -> Truth:
-    """`labels` as a `Truth`: one is returned as it is, a 1-D 0/1 array is checked and read.
-
-    A closed gap is a maximal run of 0s with a segment on each side.
-    """
+    """`labels` as a `Truth`: one is returned as it is, a 1-D 0/1 array is checked and read."""
     if isinstance(labels, Truth):
         return labels
-    starts, ends = run_bounds(labels)
+    segments = segments_from_labels(labels)
     labels = np.asarray(labels, dtype=np.int64)
     normal = labels == 0
-    gap_starts, gap_ends = run_bounds(normal)
-    closed = (gap_starts > 0) & (gap_ends < labels.size - 1)
+    # a closed gap widened by a point per side runs from one segment's end to the next's start
+    gaps = np.stack([segments[:-1, 1], segments[1:, 0]], axis=1)
     return Truth(labels, normal, normal[:-1] & normal[1:], normal[:-1] != normal[1:],
-                 starts, ends, _runs(starts, ends), _runs(gap_starts[closed] - 1,
-                                                          gap_ends[closed] + 1))
-
-
-def _runs(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    return np.stack([starts, ends + 1], axis=1).ravel()
+                 segments, (segments + [0, 1]).ravel(), (gaps + [0, 1]).ravel())
 
 
 def sweep_counts(levels: np.ndarray, inv: np.ndarray, truth: Truth, metric: str):
@@ -167,7 +171,7 @@ def sweep_counts(levels: np.ndarray, inv: np.ndarray, truth: Truth, metric: str)
     fp = on(inv[truth.normal])
     if metric == "pa":
         # a hit segment counts all its points as true positives
-        tp = on(np.repeat(hit, truth.ends - truth.starts + 1))
+        tp = on(np.repeat(hit, truth.segments[:, 1] - truth.segments[:, 0] + 1))
         return levels[::-1], tp, fp, int(truth.labels.sum()) - tp
 
     tp = on(hit)
@@ -178,7 +182,7 @@ def sweep_counts(levels: np.ndarray, inv: np.ndarray, truth: Truth, metric: str)
     pair = np.minimum(inv[:-1], inv[1:])
     fp = (fp - on(pair[truth.normal_pairs]) - on(pair[truth.edge_pairs])
           + on(np.minimum.reduceat(padded, truth.gap_runs)[::2]))
-    return levels[::-1], tp, fp, truth.starts.size - tp
+    return levels[::-1], tp, fp, len(truth.segments) - tp
 
 
 def entire_f1(per_subdataset: Sequence[tuple[int, float]]) -> float:

@@ -108,18 +108,6 @@ class NormalizationStats:
             raise DataError("std entries must be clamped to at least the floor")
 
 
-@dataclass(frozen=True, order=True)
-class Segment:
-    """An inclusive index range [start, end]."""
-
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if self.start < 0 or self.end < self.start:
-            raise DataError(f"invalid segment ({self.start}, {self.end})")
-
-
 def read_bytes(path, inputs: Optional[dict] = None) -> bytes:
     """The bytes of `path`, as written.
 
@@ -374,20 +362,16 @@ def sliding_windows(series: TimeSeries, length: int, stride: int = 1) -> np.ndar
     return view[::stride].swapaxes(1, 2)
 
 
-def segments_from_labels(labels) -> list[Segment]:
-    """Maximal runs of 1s as inclusive segments, in index order."""
-    starts, ends = run_bounds(labels)
-    return [Segment(int(s), int(e)) for s, e in zip(starts, ends)]
-
-
-def run_bounds(labels) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, ends): the inclusive bounds of the maximal runs of 1s in a 1-D 0/1 array."""
+def segments_from_labels(labels) -> np.ndarray:
+    """The maximal runs of 1s in a 1-D 0/1 array, in order: one (k, 2) int64
+    array of inclusive (start, end) rows."""
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise DataError("labels must be 1-D")
     if not is_binary(labels):
         raise NonBinaryLabelError("labels must contain only 0 and 1")
     padded = np.concatenate(([0], np.asarray(labels, dtype=np.int64), [0]))
-    delta = np.diff(padded)
-    return np.flatnonzero(delta == 1), np.flatnonzero(delta == -1) - 1
-
+    # the value changes alternate: up at each start, down one past each end
+    segments = np.flatnonzero(np.diff(padded)).reshape(-1, 2)
+    segments[:, 1] -= 1
+    return segments

@@ -53,6 +53,9 @@ class ChannelSpec:
             raise ConfigError(f"shapelet must be one of {SHAPELETS}, got {self.shapelet!r}")
         if not 0.0 < self.omega < 0.5:
             raise ConfigError(f"omega must lie in (0, 0.5), got {self.omega}")
+        for key in ("amplitude", "phase", "slope"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,8 @@ class AnomalySpec:
             raise ConfigError(f"{self.kind} must have length 1, got {self.length}")
         if not point_kind and self.length < 2:
             raise ConfigError(f"{self.kind} must have length >= 2, got {self.length}")
+        if not math.isfinite(self.magnitude):
+            raise ConfigError(f"magnitude must be finite, got {self.magnitude}")
 
     @property
     def end(self) -> int:

@@ -354,6 +354,24 @@ class TestCliDetect:
         assert summary["threshold_mode"] == "best_f1"
         assert float(row["pa_threshold"]) == summary["threshold"]
 
+    def test_threshold_of_a_sweep_without_f1_is_null(self, tmp_path, capsys):
+        # with no anomaly no threshold reaches F1 > 0, and the sweep's +inf was
+        # written as `Infinity`, which strict JSON parsers reject
+        out = tmp_path / "out"
+        doc = small_config(out, threshold={"mode": "best_f1", "metric": "rpa"})
+        doc["datasets"][0]["synth"]["anomalies"] = []
+        cfgp = write_config(tmp_path, doc)
+        assert main(["train", "-c", cfgp]) == 0
+        assert main(["detect", "-c", cfgp, "--checkpoint", str(out / "demo_model.ckpt")]) == 0
+        assert "threshold inf (best_f1)" in capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        summary = json.loads((out / "demo_detect.json").read_text(), parse_constant=reject)
+        assert summary["threshold"] is None
+        assert summary["degenerate"] is True and summary["flagged_share"] == 0
+
     def test_test_split_scored_with_train_statistics(self, tmp_path):
         # a level shift in the test split must survive normalization: normalizing
         # the test split with its own statistics would remove it
@@ -397,7 +415,7 @@ class TestCliDetect:
         summary = json.loads((out / "demo_detect.json").read_text())
         scores = read_scores_csv(out / "demo_scores.csv")
         preds = (scores >= summary["threshold"]).astype(int)
-        expected = [(s.start, s.end) for s in segments_from_labels(preds)]
+        expected = [tuple(row) for row in segments_from_labels(preds).tolist()]
         lines = [l for l in (out / "demo_segments.csv").read_text().splitlines()
                  if l and not l.startswith("#")][1:]
         got = [tuple(int(v) for v in l.split(",")) for l in lines]
@@ -1053,6 +1071,11 @@ class TestCliGradcheck:
         assert main(["gradcheck", *(arg for item in counts.items() for arg in item)]) == 1
         assert f"config error: {flag} must be >= 1, got {value}" in capsys.readouterr().err
 
+    def test_constant_difference_skips_the_seasonality_window(self):
+        # every bin but bin 0 of a constant difference is zero, a kink of the modulus
+        x = np.random.default_rng(0).normal(size=(8, 2))
+        assert gradcheck._exclusion_mask("seasonality", x, x + 0.5).all()
+
     def test_perturb_fails_naming_component(self, tmp_path, capsys, monkeypatch):
         shape = gradcheck._KERNELS["shape"]
 
@@ -1072,6 +1095,13 @@ class TestCliGradcheck:
 
 
 class TestExitCodes:
+    def test_unknown_trend_variant_is_usage_error(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, small_config(tmp_path / "out"))
+        assert main(["train", "-c", cfgp, "--set", 'loss_weights.trend_variant="x"']) == 1
+        assert ("config error: loss_weights: trend_variant must be one of"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, capsys):
         assert main(["train", "-c", "/nonexistent/cfg.json"]) == 1
         assert "error: no such file: /nonexistent/cfg.json\n" in capsys.readouterr().err
@@ -1160,9 +1190,24 @@ class TestExitCodes:
          lambda s: s["channels"][0].update(slope=int(HUGE))),
         ("datasets.0.synth.anomalies.0.magnitude: expected a number",
          lambda s: s["anomalies"][0].update(magnitude=int(HUGE))),
+        # json reads NaN and Infinity; they failed at generation, after the output directory
+        ("datasets.0.synth.channels.0: amplitude must be finite, got nan",
+         lambda s: s["channels"][0].update(amplitude=math.nan)),
+        ("datasets.0.synth.channels.0: phase must be finite, got inf",
+         lambda s: s["channels"][0].update(phase=math.inf)),
+        ("datasets.0.synth.channels.0: slope must be finite, got nan",
+         lambda s: s["channels"][0].update(slope=math.nan)),
+        ("datasets.0.synth.anomalies.1: magnitude must be finite, got inf",
+         lambda s: s["anomalies"][1].update(magnitude=math.inf)),
+        ("datasets.0.synth.channels.0: shapelet must be one of",
+         lambda s: s["channels"][0].update(shapelet="triangle")),
+        ("datasets.0.synth.anomalies.0: start must be >= 0",
+         lambda s: s["anomalies"][0].update(start=-1)),
     ], ids=["frequency", "length", "noise", "fraction", "empty-split", "omega", "no-channels",
             "point-length", "no-kind", "range", "channel", "huge-noise", "huge-fraction",
-            "huge-length", "huge-amplitude", "huge-phase", "huge-slope", "huge-magnitude"])
+            "huge-length", "huge-amplitude", "huge-phase", "huge-slope", "huge-magnitude",
+            "nan-amplitude", "inf-phase", "nan-slope", "inf-magnitude", "unknown-shapelet",
+            "negative-start"])
     def test_synth_value_fails_at_load_naming_its_key(self, tmp_path, capsys, expected, edit):
         # every value is checked before any output directory exists
         doc = small_config(tmp_path / "out")

@@ -383,3 +383,11 @@ class TestThresholdQuantile:
     def test_q_out_of_range(self):
         with pytest.raises(ConfigError):
             threshold_quantile(self.make([1, 2]), 0.0)
+
+    def test_empty_scores(self):
+        with pytest.raises(DataError, match="empty scores"):
+            threshold_quantile(self.make([]), 0.5)
+
+    def test_non_finite_scores_rejected(self):
+        with pytest.raises(NumericError):
+            self.make([0.0, np.nan])

@@ -256,6 +256,10 @@ class TestLossWeights:
         with pytest.raises(ConfigError):
             LossWeights(epsilon=0.0)
 
+    def test_unknown_trend_variant_rejected(self):
+        with pytest.raises(ConfigError, match="trend_variant must be one of"):
+            LossWeights(trend_variant="x")
+
 
 class TestCombined:
     def test_identity_monotone_all_zero(self):

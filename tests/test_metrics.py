@@ -13,7 +13,7 @@ from strad.metrics import (
     point_adjust,
     rpa_counts,
 )
-from strad.series import Segment, segments_from_labels
+from strad.series import segments_from_labels
 
 
 # --- independent reference recounts, written as plain per-definition loops ---
@@ -70,20 +70,30 @@ class TestConfusionCounts:
 
 class TestPointAdjust:
     def test_hit_fills_segment(self):
-        out = point_adjust([0, 0, 1, 0, 0], [Segment(1, 3)])
+        out = point_adjust([0, 0, 1, 0, 0], [(1, 3)])
         assert np.array_equal(out, [0, 1, 1, 1, 0])
 
     def test_miss_leaves_unchanged(self):
-        out = point_adjust([1, 0, 0, 0, 0], [Segment(2, 3)])
+        out = point_adjust([1, 0, 0, 0, 0], [(2, 3)])
         assert np.array_equal(out, [1, 0, 0, 0, 0])
 
     def test_independent_segments(self):
-        out = point_adjust([0, 1, 0, 0, 0, 1, 0], [Segment(0, 2), Segment(4, 6)])
+        out = point_adjust([0, 1, 0, 0, 0, 1, 0], [(0, 2), (4, 6)])
         assert np.array_equal(out, [1, 1, 1, 0, 1, 1, 1])
 
     def test_segment_out_of_range(self):
         with pytest.raises(DataError):
-            point_adjust([0, 1], [Segment(1, 5)])
+            point_adjust([0, 1], [(1, 5)])
+
+    @pytest.mark.parametrize("count", [point_adjust, rpa_counts], ids=["point_adjust", "rpa"])
+    @pytest.mark.parametrize("segments", [[(1, 2)], [(-1, 0)], [(1, 0)], [(0.0, 1.0)],
+                                          [(0, 1, 1)], [(0,), (0, 1)], [0, 1]],
+                             ids=["end_one_past", "negative_start", "end_before_start",
+                                  "float", "triple", "ragged", "flat"])
+    def test_segment_rule(self, count, segments):
+        # 0 <= start <= end < len(preds), as integer pairs
+        with pytest.raises(DataError):
+            count([0, 1], segments)
 
 
 class TestPaCounts:
@@ -110,14 +120,14 @@ class TestPaCounts:
 class TestRpaCounts:
     def test_worked_example(self):
         preds = [0, 1, 0, 0, 1, 1, 0]
-        counts = rpa_counts(preds, [Segment(1, 2)])
+        counts = rpa_counts(preds, [(1, 2)])
         assert (counts.tp, counts.fp, counts.fn) == (1, 1, 0)
         assert counts.precision == pytest.approx(0.5)
         assert counts.recall == 1.0
         assert counts.f1 == pytest.approx(2 / 3)
 
     def test_all_zero_preds(self):
-        counts = rpa_counts([0, 0, 0], [Segment(1, 1)])
+        counts = rpa_counts([0, 0, 0], [(1, 1)])
         assert (counts.tp, counts.fp, counts.fn) == (0, 0, 1) and counts.f1 == 0.0
 
     def test_exact_match(self):
@@ -127,7 +137,7 @@ class TestRpaCounts:
 
     def test_run_absorbed_with_out_of_segment_tail(self):
         # a run overlapping a segment leaves no residual fp for its tail
-        counts = rpa_counts([0, 1, 1, 1, 1, 0], [Segment(2, 3)])
+        counts = rpa_counts([0, 1, 1, 1, 1, 0], [(2, 3)])
         assert (counts.tp, counts.fp, counts.fn) == (1, 0, 0)
 
     def test_widening_inside_one_segment_rpa_invariant_pa_not(self):
