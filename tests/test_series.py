@@ -427,7 +427,8 @@ class TestSegments:
         assert segments_from_labels([0, 1, 1, 0, 1]).tolist() == [[1, 2], [4, 4]]
 
     def test_all_zero(self):
-        assert segments_from_labels([0, 0, 0]).shape == (0, 2)
+        empty = segments_from_labels([0, 0, 0])
+        assert empty.shape == (0, 2) and empty.dtype == np.int64
 
     def test_all_one(self):
         assert segments_from_labels([1, 1, 1]).tolist() == [[0, 2]]
