@@ -122,10 +122,9 @@ def _waveform(kind: str, theta: np.ndarray) -> np.ndarray:
     return 2.0 * np.mod(theta / (2.0 * np.pi), 1.0) - 1.0
 
 
-def _deterministic(cfg: GeneratorConfig) -> np.ndarray:
-    """Shapelet-plus-trend component, (length, channels), no noise."""
-    j = np.arange(cfg.length, dtype=np.float64)
-    out = np.empty((cfg.length, len(cfg.channels)))
+def _deterministic(cfg: GeneratorConfig, j: np.ndarray) -> np.ndarray:
+    """Shapelet-plus-trend component at time indices `j`, (len(j), channels), no noise."""
+    out = np.empty((len(j), len(cfg.channels)))
     for c, ch in enumerate(cfg.channels):
         theta = 2.0 * np.pi * ch.omega * j + ch.phase
         out[:, c] = ch.amplitude * _waveform(ch.shapelet, theta) + ch.slope * j
@@ -135,7 +134,7 @@ def _deterministic(cfg: GeneratorConfig) -> np.ndarray:
 def generate_base(cfg: GeneratorConfig) -> TimeSeries:
     """Deterministic-per-seed base series with all-zero labels."""
     rng = np.random.default_rng(cfg.seed)
-    values = _deterministic(cfg)
+    values = _deterministic(cfg, np.arange(cfg.length, dtype=np.float64))
     if cfg.noise_sigma > 0:
         values = values + rng.normal(0.0, cfg.noise_sigma, size=values.shape)
     return TimeSeries(values=values, labels=np.zeros(cfg.length, dtype=np.int64), name=cfg.name)
@@ -201,9 +200,8 @@ def inject(series: TimeSeries, spec: AnomalySpec, cfg: GeneratorConfig) -> TimeS
             local = series.values[a:b, c]
             values[spec.start, c] = float(local.mean()) + spec.magnitude * float(local.std())
     else:
-        det = _deterministic(cfg)
-        residual = series.values - det
         j = np.arange(lo, hi, dtype=np.float64)
+        residual = series.values[lo:hi] - _deterministic(cfg, j)
         for c in channels:
             ch = cfg.channels[c]
             trend = ch.slope * j
@@ -219,7 +217,7 @@ def inject(series: TimeSeries, spec: AnomalySpec, cfg: GeneratorConfig) -> TimeS
             else:  # trend_pattern: add a ramp, keep the original waveform
                 values[lo:hi, c] += spec.magnitude * (j - spec.start)
                 continue
-            values[lo:hi, c] = wave + trend + residual[lo:hi, c]
+            values[lo:hi, c] = wave + trend + residual[:, c]
 
     labels = (series.labels.copy() if series.labels is not None
               else np.zeros(series.length, dtype=np.int64))
@@ -234,17 +232,12 @@ def make_benchmark(
 ) -> tuple[TimeSeries, TimeSeries]:
     """Clean train split plus a freshly generated, injected test series.
 
-    The train series is the first `train_fraction` of a clean generation; the
-    test series is a full-length fresh generation (seed offset by 1) with all
-    injections applied. Specs must fall inside the test series bounds.
+    The train series is a clean `train_length` generation, equal to the first
+    `train_fraction` of a full-length one; the test series is a fresh one (seed
+    offset by 1) with all `specs` injected, which must fall inside its bounds.
     """
-    train_len = train_length(cfg, train_fraction)
-    base = generate_base(cfg)
-    train = TimeSeries(
-        values=base.values[:train_len],
-        labels=np.zeros(train_len, dtype=np.int64),
-        name=f"{cfg.name}_train",
-    )
+    train = generate_base(replace(cfg, length=train_length(cfg, train_fraction),
+                                  name=f"{cfg.name}_train"))
     test_cfg = replace(cfg, seed=cfg.seed + 1, name=f"{cfg.name}_test")
     test = generate_base(test_cfg)
     for spec in specs:

@@ -10,6 +10,7 @@ from strad.synth import (
     generate_base,
     inject,
     make_benchmark,
+    train_length,
 )
 
 
@@ -160,6 +161,18 @@ class TestMakeBenchmark:
         _, test = make_benchmark(cfg, specs, 0.5)
         segments = segments_from_labels(test.labels)
         assert segments.tolist() == [[100, 129], [300, 329]]
+
+    def test_train_is_the_head_of_a_full_length_generation(self):
+        cfg = GeneratorConfig(
+            length=301, noise_sigma=0.3, seed=11, name="h",
+            channels=(ChannelSpec(),
+                      ChannelSpec(shapelet="square", omega=0.07, amplitude=0.8, phase=1.0),
+                      ChannelSpec(shapelet="sawtooth", omega=0.013, phase=2.0, slope=0.01)))
+        train, _ = make_benchmark(cfg, [], 0.37)
+        head = generate_base(cfg).values[:train_length(cfg, 0.37)]
+        assert train.values.shape == head.shape == (111, 3)
+        assert train.values.tobytes() == head.tobytes()  # bit for bit
+        assert train.name == "h_train" and not train.labels.any()
 
     def test_reproducible(self):
         cfg = clean_cfg(length=300, noise_sigma=0.1, seed=13)
