@@ -116,6 +116,23 @@ MUTANTS = (
            "except csv.Error as exc:",
            "except UnicodeError as exc:",
            ("tests/test_config_cli.py::TestCliEval", "tests/test_config_cli.py::TestCsvDatasetSource")),
+    Mutant("train_split_drawn_full_length", "synth.py",
+           "length=train_length(cfg, train_fraction)",
+           "length=cfg.length",
+           ("tests/test_benchmarks.py::test_config_builds_and_materializes",
+            "tests/test_synth.py::TestMakeBenchmark")),
+    Mutant("injection_deterministic_shifted", "synth.py",
+           "_deterministic(cfg, j)",
+           "_deterministic(cfg, j + 1)",
+           ("tests/test_synth.py::TestInject::test_seasonal_identity_magnitude",)),
+    Mutant("f1_at_alignment_unchecked", "metrics.py",
+           "if np.shape(scores) != truth.labels.shape:",
+           "if False:",
+           ("tests/test_detector.py::TestF1At",)),
+    Mutant("memory_error_escapes_main", "cli.py",
+           "except MemoryError",
+           "except ArithmeticError",
+           ("tests/test_config_cli.py::TestExitCodes",)),
 )
 
 

@@ -251,6 +251,9 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # a model or series too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except StradError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

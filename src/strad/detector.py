@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeMismatchError
 from .losses import LossWeights, mse_batch, seasonality_batch, strad_batch, trend_batch
-from .metrics import as_truth, pa_counts, rpa_counts, sweep_counts
+from .metrics import as_truth, check_scored, pa_counts, rpa_counts, sweep_counts
 from .model import DenseAutoencoder, adam_step, backward_batch, forward_batch, init_adam
 from .series import TimeSeries, sliding_windows
 
@@ -177,9 +177,10 @@ def score(
 def f1_at(scores: np.ndarray, threshold: float, labels, metric: str) -> float:
     """F1 of the predictions `scores >= threshold` under the RPA or PA metric.
 
-    `labels` is the 0/1 array or its `metrics.Truth`.
+    `labels` is the 0/1 array or its `metrics.Truth`, one label per score.
     """
     truth = as_truth(labels)
+    check_scored(scores, truth, metric)
     preds = (scores >= threshold).astype(np.int64)
     if metric == "rpa":
         return rpa_counts(preds, truth.segments).f1

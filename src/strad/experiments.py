@@ -29,7 +29,6 @@ from .detector import (
 )
 from .errors import CheckpointError, ConfigError, DataError
 from .fanout import fan_out
-from .losses import LossWeights
 from .metrics import air, as_truth, avg_improved, entire_f1
 from .model import (
     DenseAutoencoder,
@@ -121,9 +120,8 @@ def fit(cfg: ExperimentConfig, train_norm: TimeSeries, arm: TrainConfig) -> Trai
 
 
 def detect(cfg: ExperimentConfig, model: DenseAutoencoder, train_norm: TimeSeries,
-           test_norm: TimeSeries, mode: str,
-           weights: LossWeights) -> tuple[ScoreSeries, Optional[float]]:
-    """Score the normalized test split; return its scores and threshold.
+           test_norm: TimeSeries, mode: str) -> tuple[ScoreSeries, Optional[float]]:
+    """Score the normalized test split with the configured weights; return scores, threshold.
 
     "quantile" mode thresholds at the q-quantile of the train split's
     scores; "best_f1" mode returns None, for `evaluate` to sweep on the
@@ -131,7 +129,7 @@ def detect(cfg: ExperimentConfig, model: DenseAutoencoder, train_norm: TimeSerie
     """
 
     def scores_of(series: TimeSeries) -> ScoreSeries:
-        return score(model, series, cfg.window_length, cfg.score_stride, weights, mode)
+        return score(model, series, cfg.window_length, cfg.score_stride, cfg.train.weights, mode)
 
     test_scores = scores_of(test_norm)
     if cfg.threshold_mode == "quantile":
@@ -178,7 +176,7 @@ def run_arm(cfg: ExperimentConfig, data: tuple[TimeSeries, TimeSeries], arm: Tra
     train_norm, test_norm = data
     model = fit(cfg, train_norm, arm).model
     mode = resolve_score_mode(cfg.score_mode, arm.loss_kind)
-    test_scores, threshold = detect(cfg, model, train_norm, test_norm, mode, arm.weights)
+    test_scores, threshold = detect(cfg, model, train_norm, test_norm, mode)
     return evaluate(test_scores, test_norm.labels, dict.fromkeys(cfg.eval_metrics, threshold))
 
 
@@ -296,12 +294,12 @@ def run_synth(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     indices = [i for i, d in enumerate(cfg.datasets) if d.source == "synth"]
     if not indices:
         raise ConfigError("cmd synth needs at least one dataset with source 'synth'")
+    splits = [materialize_dataset(cfg, i) for i in indices]  # fails before any output
     _make_outdir(outdir)
     written = []
     manifest = {"config_hash": cfg.hash, "seed": cfg.seed, "datasets": []}
-    for i in indices:
+    for i, (train_ts, test_ts) in zip(indices, splits):
         ds = cfg.datasets[i]
-        train_ts, test_ts = materialize_dataset(cfg, i)
         train_path = outdir / f"{ds.name}_train.csv"
         test_path = outdir / f"{ds.name}_test.csv"
         write_series_csv(train_ts, train_path, provenance(cfg, dataset=ds.name, split="train"))
@@ -346,7 +344,7 @@ def run_detect_cmd(cfg: ExperimentConfig, checkpoint: Path, outdir: Path) -> dic
         )
     mode = resolve_score_mode(cfg.score_mode, cfg.train.loss_kind)
     train_norm, test_norm = normalize_splits((train_raw, test_raw))
-    test_scores, threshold = detect(cfg, model, train_norm, test_norm, mode, cfg.train.weights)
+    test_scores, threshold = detect(cfg, model, train_norm, test_norm, mode)
     degenerate = False
     if threshold is None:  # best_f1 mode
         metric = cfg.threshold_metric

@@ -142,6 +142,15 @@ def as_truth(labels) -> Truth:
                  segments, (segments + [0, 1]).ravel(), (gaps + [0, 1]).ravel())
 
 
+def check_scored(scores: np.ndarray, truth: Truth, metric: str) -> None:
+    """What every thresholded F1 needs: a known metric, and one score per label."""
+    if metric not in THRESHOLD_METRICS:
+        raise DataError(f"metric must be one of {THRESHOLD_METRICS}, got {metric!r}")
+    if np.shape(scores) != truth.labels.shape:
+        raise ShapeMismatchError(
+            f"scores length {np.shape(scores)} != labels length {truth.labels.shape}")
+
+
 def sweep_counts(levels: np.ndarray, inv: np.ndarray, truth: Truth, metric: str):
     """Confusion counts of `scores >= theta` at every distinct score theta, in one pass.
 
@@ -156,11 +165,7 @@ def sweep_counts(levels: np.ndarray, inv: np.ndarray, truth: Truth, metric: str)
     min (all of several points on) or max (any one on) of several levels: a
     bincount of event levels, summed from the top.
     """
-    if metric not in THRESHOLD_METRICS:
-        raise DataError(f"metric must be one of {THRESHOLD_METRICS}, got {metric!r}")
-    if inv.shape != truth.labels.shape:
-        raise ShapeMismatchError(
-            f"scores length {inv.shape} != labels length {truth.labels.shape}")
+    check_scored(inv, truth, metric)
 
     def on(event_levels: np.ndarray) -> np.ndarray:
         """Per threshold, descending, how many of the events are on."""

@@ -195,9 +195,7 @@ def inject(series: TimeSeries, spec: AnomalySpec, cfg: GeneratorConfig) -> TimeS
             values[spec.start, c] += spec.magnitude * float(series.values[:, c].std())
     elif spec.kind == "contextual_point":
         for c in channels:
-            a = max(0, spec.start - _CONTEXT_RADIUS)
-            b = min(series.length, spec.start + _CONTEXT_RADIUS + 1)
-            local = series.values[a:b, c]
+            local = series.values[max(0, lo - _CONTEXT_RADIUS):hi + _CONTEXT_RADIUS, c]
             values[spec.start, c] = float(local.mean()) + spec.magnitude * float(local.std())
     else:
         j = np.arange(lo, hi, dtype=np.float64)

@@ -972,6 +972,35 @@ class TestCliAblate:
         assert float(shape_only["entire_rpa_f1"]) == manual["rpa_f1"]
         assert float(shape_only["entire_pa_f1"]) == manual["pa_f1"]
 
+    def test_subsets_train_on_their_weights_and_score_on_the_configured(
+            self, tmp_path, monkeypatch):
+        import strad.experiments
+        from strad.config import load_config as load
+        from strad.experiments import ABLATION_SUBSETS
+        from strad.fanout import BLAS_THREAD_VARS, fan_workers
+
+        for var in BLAS_THREAD_VARS:  # one process, so the wrappers see every call
+            monkeypatch.delenv(var, raising=False)
+        assert fan_workers(7) == 1
+        trained, scored = [], []
+
+        def spy(real, seen, position):
+            def wrapper(*args):
+                seen.append(args[position])
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(strad.experiments, "train", spy(strad.experiments.train, trained, 2))
+        monkeypatch.setattr(strad.experiments, "score", spy(strad.experiments.score, scored, 4))
+        cfgp = write_config(tmp_path, small_config(tmp_path / "out"))
+        assert main(["ablate", "-c", cfgp]) == 0
+        configured = load(cfgp).train.weights
+        assert [(a.weights.lambda1, a.weights.lambda2, a.weights.lambda3) for a in trained] == [
+            (configured.lambda1 * t, configured.lambda2 * s, configured.lambda3 * sh)
+            for t, s, sh in ABLATION_SUBSETS]
+        assert len(scored) == 7 * 2  # test and train split of each subset
+        assert all(w == configured for w in scored)
+
 
 class TestMultichannel:
     def test_two_channel_pipeline(self, tmp_path):
@@ -1100,6 +1129,22 @@ class TestExitCodes:
         assert main(["train", "-c", cfgp, "--set", 'loss_weights.trend_variant="x"']) == 1
         assert ("config error: loss_weights: trend_variant must be one of"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    # Each array needs more than 128 PiB, the largest x86-64 address space, so
+    # numpy refuses it at once and touches no memory.
+    @pytest.mark.parametrize("argv, size", [
+        (["train", "--set", "model.hidden=[1000000000000000]"], "917. PiB"),
+        (["gradcheck", "--sizes", "4", "100000000000000000", "4", "--windows", "1",
+          "--models", "1"], "6.25 EiB"),
+        (["synth", "--set", 'datasets=[{"name":"a","synth":{"length":100000000000000000}}]'],
+         "355. PiB"),  # the train split, half the length
+    ], ids=["train", "gradcheck", "synth"])
+    def test_out_of_memory_is_runtime_error(self, tmp_path, capsys, monkeypatch, argv, size):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: out of memory: Unable to allocate {size} for an array")
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, capsys):

@@ -367,6 +367,21 @@ class TestThresholdBestF1:
             threshold_best_f1(ScoreSeries(np.zeros(3)), np.zeros(4, dtype=int), "rpa")
 
 
+class TestF1At:
+    """A fixed threshold checks what the sweep checks."""
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_scores_past_the_labels_rejected(self, metric):
+        # under "rpa" this was a false-positive run past the labels' end: F1 0.667
+        with pytest.raises(ShapeMismatchError, match="scores length"):
+            f1_at(np.array([0, 1, 0, 0, 0, 0, 1, 1.]), 0.5, np.array([0, 1, 0, 0]), metric)
+
+    def test_unknown_metric(self):
+        # was counted as PA, F1 1.0
+        with pytest.raises(DataError, match="metric must be one of"):
+            f1_at(np.array([0, 1, 0, 0.]), 0.5, np.array([0, 1, 0, 0]), "f1")
+
+
 class TestThresholdQuantile:
     def make(self, values):
         return ScoreSeries(np.asarray(values, dtype=float))
