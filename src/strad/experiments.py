@@ -121,7 +121,7 @@ def fit(cfg: ExperimentConfig, train_norm: TimeSeries, arm: TrainConfig) -> Trai
 
 def detect(cfg: ExperimentConfig, model: DenseAutoencoder, train_norm: TimeSeries,
            test_norm: TimeSeries, mode: str) -> tuple[ScoreSeries, Optional[float]]:
-    """Score the normalized test split with the configured weights; return scores, threshold.
+    """Score the normalized test split with the configured weights; return scores and threshold.
 
     "quantile" mode thresholds at the q-quantile of the train split's
     scores; "best_f1" mode returns None, for `evaluate` to sweep on the
