@@ -6,12 +6,13 @@ Run from the repository root (stdlib only; each mutant runs pytest once):
     python3 scripts/mutants.py                  # every entry
     python3 scripts/mutants.py --only adam_folded_step_size
 
-For each entry the script copies `src/`, `tests/` and `pyproject.toml` into a
-fresh temporary directory (under `TMPDIR` if set), replaces the entry's old
-snippet, which must occur exactly once, with its new one, and runs pytest on
-the entry's tests there. A mutant is "killed" when pytest reports failures or
-errors, "survived" when the tests pass, and "error" when pytest could not run
-them (exit 4 or 5) or ran past 15 minutes. First the chosen entries' tests run once on an unmutated copy, as "baseline":
+For each entry the script copies `COPIED`, the package, its tests and the
+repository files they read, into a fresh temporary directory (under `TMPDIR`
+if set), replaces the entry's old snippet, which must occur exactly once, with
+its new one, and runs pytest on the entry's tests there. A mutant is "killed"
+when pytest reports failures or errors, "survived" when the tests pass, and
+"error" when pytest could not run them (exit 4 or 5) or ran past 15 minutes.
+First the chosen entries' tests run once on an unmutated copy, as "baseline":
 a failure there would make every mutant look killed. The script prints one
 JSON object, {name: outcome}, and exits 1 unless the baseline passed and every
 mutant was killed. `tests/test_mutants.py` checks in Tier-1 that every old
@@ -31,6 +32,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# relative to the repository root: the package, its tests and every file they read
+COPIED = ("src", "tests", "pyproject.toml", "README.md", "configs/pattern_benchmark.json",
+          "scripts/run_pattern_benchmark.py")
 
 
 @dataclass(frozen=True)
@@ -119,8 +124,7 @@ MUTANTS = (
     Mutant("train_split_drawn_full_length", "synth.py",
            "length=train_length(cfg, train_fraction)",
            "length=cfg.length",
-           ("tests/test_benchmarks.py::test_config_builds_and_materializes",
-            "tests/test_synth.py::TestMakeBenchmark")),
+           ("tests/test_benchmarks.py", "tests/test_synth.py::TestMakeBenchmark")),
     Mutant("injection_deterministic_shifted", "synth.py",
            "_deterministic(cfg, j)",
            "_deterministic(cfg, j + 1)",
@@ -133,7 +137,30 @@ MUTANTS = (
            "except MemoryError",
            "except ArithmeticError",
            ("tests/test_config_cli.py::TestExitCodes",)),
+    Mutant("phases_divide_small_bins", "losses.py",
+           ", where=mod >= ZERO_MODULUS)",
+           ")",
+           ("tests/test_losses.py::TestKernelsAgainstOracles::test_seasonality",)),
+    Mutant("seasonality_values_contiguous_sum", "losses.py",
+           "np.ascontiguousarray(np.swapaxes(mod, 1, 2)).swapaxes(1, 2) @ _pair_weights(n)",
+           "mod @ _pair_weights(n)",
+           ("tests/test_losses.py::TestKernelsAgainstOracles::test_seasonality",)),
+    Mutant("train_cmd_generates_test_split", "experiments.py",
+           "train_raw = materialize_train(cfg, 0)",
+           "train_raw, _ = materialize_dataset(cfg, 0)",
+           ("tests/test_config_cli.py::TestCliTrain::test_synth_dataset_draws_only_the_train_split",)),
 )
+
+
+def copy_tree(tree: Path) -> None:
+    """Copy `COPIED` from the repository into `tree`, without bytecode caches."""
+    for rel in COPIED:
+        source, target = ROOT / rel, tree / rel
+        if source.is_dir():
+            shutil.copytree(source, target, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(source, target)
 
 
 def run(tests, mutant=None) -> str:
@@ -143,10 +170,7 @@ def run(tests, mutant=None) -> str:
     """
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
-        shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copytree(ROOT / "tests", tree / "tests",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", tree)
+        copy_tree(tree)
         if mutant is not None:
             target = tree / "src" / "strad" / mutant.file
             text = target.read_text()

@@ -48,7 +48,7 @@ from .series import (
     sliding_windows,
     write_text,
 )
-from .synth import make_benchmark
+from .synth import make_benchmark, make_train_split
 
 
 # Marks a swept best F1 that the all-positive prediction (threshold at the
@@ -91,6 +91,18 @@ def materialize_dataset(cfg: ExperimentConfig, index: int) -> tuple[TimeSeries, 
     return make_benchmark(ds.synth.generator, ds.synth.anomalies, ds.synth.train_fraction)
 
 
+def materialize_train(cfg: ExperimentConfig, index: int) -> TimeSeries:
+    """The train split of one configured dataset; a synthetic one draws no test split.
+
+    A csv dataset reads both files, like `materialize_dataset`, so a bad test
+    file fails here too.
+    """
+    ds = cfg.datasets[index]
+    if ds.source == "csv":
+        return materialize_dataset(cfg, index)[0]
+    return make_train_split(ds.synth.generator, ds.synth.train_fraction)
+
+
 def resolve_score_mode(configured: str, loss_kind: str) -> str:
     """"auto" pairs each objective with its own discrepancy measure."""
     if configured != "auto":
@@ -114,9 +126,10 @@ def fit(cfg: ExperimentConfig, train_norm: TimeSeries, arm: TrainConfig) -> Trai
     """Window the normalized train split and train `arm` on a model seeded by `cfg.seed`."""
     t = cfg.window_length
     windows = sliding_windows(train_norm, t, cfg.train_stride)
-    model = init_model(default_layer_sizes(t * train_norm.channels, cfg.model_hidden),
-                       seed=cfg.seed)
-    return train(model, windows, arm)
+    # not bound to a name here, so the initial model is freed once `train` has copied it
+    return train(init_model(default_layer_sizes(t * train_norm.channels, cfg.model_hidden),
+                            seed=cfg.seed),
+                 windows, arm)
 
 
 def detect(cfg: ExperimentConfig, model: DenseAutoencoder, train_norm: TimeSeries,
@@ -321,8 +334,10 @@ def run_synth(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 def run_train_cmd(cfg: ExperimentConfig, outdir: Path) -> tuple[Path, Path]:
     """Train on the first configured dataset; emit checkpoint and history."""
     ds = cfg.datasets[0]
-    train_raw, _ = materialize_dataset(cfg, 0)
-    result = fit(cfg, apply_normalization(train_raw, fit_normalization(train_raw)), cfg.train)
+    train_raw = materialize_train(cfg, 0)
+    train_norm = apply_normalization(train_raw, fit_normalization(train_raw))
+    del train_raw  # only the normalized copy stays live through training
+    result = fit(cfg, train_norm, cfg.train)
     _make_outdir(outdir)
     ckpt_path = outdir / f"{ds.name}_model.ckpt"
     save_checkpoint(result.model, ckpt_path, meta={"config": cfg.hash, "seed": str(cfg.seed)})

@@ -131,8 +131,8 @@ def trend_batch(X, XR, epsilon: float, variant: str, want_grad: bool = False):
     scale = abs_tau_sum / (disc + epsilon)  # (B,)
     if variant == "negated_log":
         scale = -scale
-    grads = scale[:, None, None] * w[None, :, None] * sign[:, None, :]
-    return values, grads
+    # formed along the contiguous time axis, (B, d, t), and returned as a (B, t, d) view
+    return values, np.swapaxes((scale[:, None] * sign)[:, :, None] * w, 1, 2)
 
 
 def _transform(z: np.ndarray) -> np.ndarray:
@@ -178,16 +178,21 @@ def seasonality_batch(X, XR, want_grad: bool = False):
     """
     _check_pair(X, XR)
     n = X.shape[1]
-    # Channels become the batch axis of the transform: (B, d, n//2 + 1).
-    delta = _transform(np.swapaxes(XR - X, 1, 2))
+    # Channels become the batch axis of the transform, contiguous: (B, d, n//2 + 1).
+    delta = _transform(np.ascontiguousarray(np.swapaxes(XR - X, 1, 2)))
     mod = np.abs(delta)
-    values = np.sum(mod @ _pair_weights(n), axis=1)
+    # matmul sums in an order set by the memory layout; the (B, n//2 + 1, d)
+    # layout's order is the one tests/test_losses.py pins, bit for bit
+    values = np.sum(np.ascontiguousarray(np.swapaxes(mod, 1, 2)).swapaxes(1, 2) @ _pair_weights(n),
+                    axis=1)
     if not want_grad:
         return values, None
     with np.errstate(invalid="ignore"):  # non-finite inputs surface via the loss check
-        phases = np.where(mod < ZERO_MODULUS, 0.0, delta / np.maximum(mod, ZERO_MODULUS))
+        # delta becomes the unit phases: times the real 1/|delta|, which is
+        # 0 on bins below ZERO_MODULUS (a zero there may come out as -0)
+        delta *= np.divide(1.0, mod, out=np.zeros_like(mod), where=mod >= ZERO_MODULUS)
     # norm="forward" leaves the inverse unscaled: n * irfft(phases, n)
-    return values, np.swapaxes(np.fft.irfft(phases, n, axis=-1, norm="forward"), 1, 2)
+    return values, np.swapaxes(np.fft.irfft(delta, n, axis=-1, norm="forward"), 1, 2)
 
 
 def shape_batch(X, XR, want_grad: bool = False):
@@ -224,10 +229,13 @@ def strad_batch(X, XR, weights: LossWeights, want_grad: bool = False):
     total = weights.lambda1 * tre + weights.lambda2 * sea + weights.lambda3 * shp
     if not want_grad:
         return tre, sea, shp, total, None
-    # each kernel returns a fresh gradient, so the weighted sum builds up in g1
+    # each kernel returns a fresh gradient, so the weighted sum builds up in
+    # place, ending in g3: the one C-ordered (B, t, d) array, so the caller's
+    # flattening copies nothing. x + y == y + x bit for bit, so the sum is
+    # still (trend + seasonality) + shape.
     g1 *= weights.lambda1
     g2 *= weights.lambda2
     g1 += g2
     g3 *= weights.lambda3
-    g1 += g3
-    return tre, sea, shp, total, g1
+    g3 += g1
+    return tre, sea, shp, total, g3

@@ -149,8 +149,9 @@ def backward_batch(model: DenseAutoencoder, acts: list[np.ndarray], upstream: np
 class AdamState:
     """First/second moment accumulators, laid out like the model's `params`.
 
-    `work` holds two vectors of that size, allocated once here, that
-    `adam_step` computes into, so a step allocates no parameter-sized arrays.
+    `work` is one vector of that size, allocated once here, that `adam_step`
+    computes each moment's increment and then the step into, so a step
+    allocates no parameter-sized arrays.
     """
 
     step: int
@@ -160,7 +161,7 @@ class AdamState:
     work: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.work = np.empty((2, *self.m.shape))
+        self.work = np.empty_like(self.m)
 
 
 def init_adam(model: DenseAutoencoder, lr: float = 1e-3) -> AdamState:
@@ -189,28 +190,28 @@ def adam_step(model: DenseAutoencoder, grad: np.ndarray, state: AdamState) -> No
         raise ShapeMismatchError(f"gradient shape {grad.shape} != parameter shape {model.params.shape}")
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient passed to adam_step")
-    m, v, (scaled, update) = state.m, state.v, state.work
+    m, v, work = state.m, state.v, state.work
     # v = beta2 v + (1 - beta2) g g and m = beta1 m + (1 - beta1) g, term by term
     try:
         with np.errstate(over="raise"):
-            np.multiply(grad, 1 - ADAM_BETA2, out=scaled)
-            scaled *= grad
+            np.multiply(grad, 1 - ADAM_BETA2, out=work)
+            work *= grad
             v *= ADAM_BETA2
-            v += scaled
+            v += work
     except FloatingPointError:
         raise NumericError("Adam's second moment overflowed: gradient too large") from None
     m *= ADAM_BETA1
-    np.multiply(grad, 1 - ADAM_BETA1, out=scaled)
-    m += scaled
+    np.multiply(grad, 1 - ADAM_BETA1, out=work)
+    m += work
     state.step += 1
     sqrt_c2 = math.sqrt(1.0 - ADAM_BETA2 ** state.step)
     step_size = state.lr * sqrt_c2 / (1.0 - ADAM_BETA1 ** state.step)
-    np.sqrt(v, out=update)
-    update += ADAM_EPS * sqrt_c2
-    np.divide(m, update, out=update)
+    np.sqrt(v, out=work)
+    work += ADAM_EPS * sqrt_c2
+    np.divide(m, work, out=work)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        update *= step_size
-        candidate = np.subtract(model.params, update, out=scaled)
+        work *= step_size
+        candidate = np.subtract(model.params, work, out=work)
     if not np.isfinite(candidate).all():
         raise NumericError("model parameters became non-finite after an Adam step")
     model.params[...] = candidate

@@ -223,6 +223,13 @@ def inject(series: TimeSeries, spec: AnomalySpec, cfg: GeneratorConfig) -> TimeS
     return TimeSeries(values=values, labels=labels, name=series.name)
 
 
+def make_train_split(cfg: GeneratorConfig, train_fraction: float) -> TimeSeries:
+    """The clean train split: a `train_length` generation, equal to the first
+    `train_fraction` of a full-length one."""
+    return generate_base(replace(cfg, length=train_length(cfg, train_fraction),
+                                 name=f"{cfg.name}_train"))
+
+
 def make_benchmark(
     cfg: GeneratorConfig,
     specs: Sequence[AnomalySpec],
@@ -230,12 +237,11 @@ def make_benchmark(
 ) -> tuple[TimeSeries, TimeSeries]:
     """Clean train split plus a freshly generated, injected test series.
 
-    The train series is a clean `train_length` generation, equal to the first
-    `train_fraction` of a full-length one; the test series is a fresh one (seed
-    offset by 1) with all `specs` injected, which must fall inside its bounds.
+    The train series is `make_train_split`'s; the test series is a fresh
+    generation (seed offset by 1) with all `specs` injected, which must fall
+    inside its bounds.
     """
-    train = generate_base(replace(cfg, length=train_length(cfg, train_fraction),
-                                  name=f"{cfg.name}_train"))
+    train = make_train_split(cfg, train_fraction)
     test_cfg = replace(cfg, seed=cfg.seed + 1, name=f"{cfg.name}_test")
     test = generate_base(test_cfg)
     for spec in specs:

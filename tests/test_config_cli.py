@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import strad.experiments
+import strad.synth
 from strad import gradcheck
 from strad.cli import _load, build_parser, main
 from strad.config import config_hash, load_config, resolve
@@ -21,6 +22,7 @@ from strad.detector import ScoreSeries
 from strad.experiments import evaluate, read_scores_csv
 from strad.model import DenseAutoencoder, load_checkpoint, save_checkpoint
 from strad.series import load_csv, segments_from_labels
+from strad.synth import generate_base
 
 
 # a JSON integer beyond float range
@@ -308,6 +310,28 @@ class TestCliTrain:
         lines = (out / "demo_history.csv").read_text().splitlines()
         assert "epoch,total" in lines[1]
         assert "trend" not in lines[1]
+
+    def test_synth_dataset_draws_only_the_train_split(self, tmp_path, monkeypatch):
+        lengths = []
+
+        def counting(cfg):
+            lengths.append(cfg.length)
+            return generate_base(cfg)
+
+        monkeypatch.setattr(strad.synth, "generate_base", counting)
+        assert main(["train", "-c", write_config(tmp_path, small_config(tmp_path / "out"))]) == 0
+        assert lengths == [300]  # half of the 600-point generation; no test split
+
+    def test_csv_dataset_still_reads_its_test_file(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        data.write_text("v0,label\n" + "".join(f"{math.sin(i / 5)!r},0\n" for i in range(100)))
+        doc = small_config(tmp_path / "out")
+        doc["datasets"] = [{"name": "ext", "source": "csv",
+                            "csv": {"train_path": str(data),
+                                    "test_path": str(tmp_path / "missing.csv")}}]
+        assert main(["train", "-c", write_config(tmp_path, doc)]) == 1
+        assert "missing.csv" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_checkpoint_reproducible(self, tmp_path):
         cfgp = write_config(tmp_path, small_config(tmp_path / "a"))

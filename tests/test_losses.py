@@ -194,6 +194,81 @@ class TestSeasonalityLoss:
         assert rel_err(grad, fd) < 1e-4
 
 
+def seasonality_oracle(X, XR):
+    """`seasonality_batch`'s earlier form: a complex-by-real divide, masked by `np.where`."""
+    n = X.shape[1]
+    delta = np.fft.rfft(np.swapaxes(XR - X, 1, 2), axis=-1)
+    mod = np.abs(delta)
+    values = np.sum(mod @ losses._pair_weights(n), axis=1)
+    with np.errstate(invalid="ignore"):
+        phases = np.where(mod < losses.ZERO_MODULUS, 0.0,
+                          delta / np.maximum(mod, losses.ZERO_MODULUS))
+    return values, np.swapaxes(np.fft.irfft(phases, n, axis=-1, norm="forward"), 1, 2)
+
+
+def trend_grad_oracle(X, XR, epsilon, variant):
+    """`trend_batch`'s earlier gradient, broadcast over a size-d inner axis."""
+    w, abs_tau_sum = losses._slope_weights(X.shape[1])
+    diff = slopes_batch(XR) - slopes_batch(X)
+    disc = abs_tau_sum * np.sum(np.abs(diff), axis=1)
+    sign = np.where(np.abs(diff) < losses.SLOPE_TIE, 0.0, np.sign(diff))
+    scale = abs_tau_sum / (disc + epsilon)
+    if variant == "negated_log":
+        scale = -scale
+    return scale[:, None, None] * w[None, :, None] * sign[:, None, :]
+
+
+def random_pairs(seed, count, min_t):
+    """`count` random (X, XR) stacks, (B, t, d) with t in min_t..140 and d in 1..5.
+
+    The differences range from exact ties (X == XR, and one window equal in
+    every stack) through bins below ZERO_MODULUS to order-1 gaps."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        shape = (int(rng.integers(1, 9)), int(rng.integers(min_t, 141)), int(rng.integers(1, 6)))
+        X = rng.normal(size=shape) * rng.uniform(1e-3, 10.0)
+        XR = X + rng.normal(size=shape) * rng.choice([0.0, 1e-16, 1e-14, 1e-3, 1.0])
+        XR[0] = X[0]
+        yield X, XR
+
+
+class TestKernelsAgainstOracles:
+    """The kernels against their earlier expressions: values bit for bit, and
+    gradients equal as numbers (a zero may change sign, which Adam ignores)."""
+
+    def test_seasonality(self):
+        below = 0
+        for X, XR in random_pairs(20, 1000, 1):
+            values, grads = seasonality_batch(X, XR, want_grad=True)
+            expected_values, expected_grads = seasonality_oracle(X, XR)
+            assert values.tobytes() == expected_values.tobytes()
+            assert np.array_equal(grads, expected_grads)
+            assert np.array_equal(seasonality_batch(X, XR)[0], values)
+            mod = np.abs(np.fft.rfft(XR - X, axis=1))
+            below += np.count_nonzero((mod > 0) & (mod < losses.ZERO_MODULUS))
+        assert below > 0  # some nonzero bins took the zero subgradient
+
+    @pytest.mark.parametrize("variant", losses.TREND_VARIANTS)
+    def test_trend(self, variant):
+        for X, XR in random_pairs(21, 1000, 2):
+            values, grads = trend_batch(X, XR, EPS, variant, want_grad=True)
+            assert values.tobytes() == trend_batch(X, XR, EPS, variant)[0].tobytes()
+            assert np.array_equal(grads, trend_grad_oracle(X, XR, EPS, variant))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_window_is_silent(self, bad):
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(3, 16, 2))
+        XR = X + rng.normal(size=X.shape)
+        XR[1, 5, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, grads = seasonality_batch(X, XR, want_grad=True)
+        assert np.isfinite(values).tolist() == [True, False, True]
+        assert not np.isfinite(grads[1, :, 1]).any()
+        assert np.isfinite(grads[[0, 2]]).all() and np.isfinite(grads[1, :, 0]).all()
+
+
 class TestShapeLoss:
     def test_known_value(self):
         assert one_value(shape_batch, col([1, 2]), col([0, 0])) == 3.0
@@ -290,6 +365,12 @@ class TestCombined:
             + w.lambda3 * one_grad(shape_batch, x, y)
         )
         assert np.array_equal(combined, parts)
+
+    def test_gradient_flattens_without_a_copy(self):
+        rng = np.random.default_rng(23)
+        X, XR = rng.normal(size=(4, 16, 3)), rng.normal(size=(4, 16, 3))
+        grads = strad_batch(X, XR, LossWeights(), want_grad=True)[4]
+        assert np.shares_memory(grads, grads.reshape(4, -1))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):

@@ -192,6 +192,10 @@ class TestAdam:
         assert np.array_equal(state.m, mom) and np.array_equal(state.v, vel)
         np.testing.assert_allclose(m.params, params, rtol=1e-12, atol=0)
 
+    def test_work_is_one_parameter_sized_vector(self):
+        m = init_model([6, 3, 6], seed=5)
+        assert init_adam(m).work.shape == m.params.shape
+
     def test_overflowing_candidate_leaves_parameters(self):
         m = init_model([6, 3, 6], seed=6)
         m.params[:] = -np.finfo(np.float64).max

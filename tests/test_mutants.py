@@ -26,7 +26,16 @@ def test_old_snippet_occurs_exactly_once(mutant):
 
 
 def test_table_is_small_and_names_existing_tests():
-    assert 1 <= len(mutants.MUTANTS) <= 22
+    assert 1 <= len(mutants.MUTANTS) <= 25
     assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
     for m in mutants.MUTANTS:
         assert m.tests and all((REPO / node.split("::")[0]).is_file() for node in m.tests)
+
+
+def test_copied_tree_holds_the_files_the_tests_read(tmp_path):
+    mutants.copy_tree(tmp_path)
+    for rel in ("pyproject.toml", "README.md", "configs/pattern_benchmark.json",
+                "scripts/run_pattern_benchmark.py", "src/strad/losses.py",
+                "tests/test_benchmarks.py"):
+        assert (tmp_path / rel).is_file(), rel
+    assert not list(tmp_path.rglob("__pycache__"))
