@@ -94,9 +94,9 @@ MUTANTS = (
            "",
            ("tests/test_detector.py",)),
     Mutant("score_overlap_add_skips_offset_0", "detector.py",
-           "for j in range(t - 1, -1, -1):",
-           "for j in range(t - 1, 0, -1):",
-           ("tests/test_detector.py",)),
+           "shape=((block - 1) * stride + t, self.terms + 1)",
+           "shape=((block - 1) * stride + t, self.terms)",
+           ("tests/test_detector.py::TestOverlapAdd",)),
     Mutant("trend_sign_subgradient_flipped", "losses.py",
            "SLOPE_TIE, 0.0, np.sign(diff))",
            "SLOPE_TIE, 0.0, -np.sign(diff))",

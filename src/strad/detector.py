@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -142,8 +143,9 @@ def score(
     uncovered score 0; with stride <= length that is possible only in the tail
     after the last window.
 
-    Windows are reconstructed `SCORE_CHUNK` at a time, so a block's
-    activations stay small enough to be reused from the heap call after call.
+    Windows are reconstructed `SCORE_CHUNK` at a time, and each block's
+    contributions go straight into the point sums (`OverlapAdd`), so memory
+    is O(M + (SCORE_CHUNK + t) * t) however many windows there are.
     """
     if mode not in SCORE_MODES:
         raise ConfigError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
@@ -151,27 +153,80 @@ def score(
     n, t, d = data.shape
     if t * d != model.input_size:
         raise ShapeMismatchError(f"windows flatten to {t * d}, model expects {model.input_size}")
-    contrib = np.empty((n, t))  # window i's contribution to each of its points
+    overlap = OverlapAdd(series.length, t, stride, min(SCORE_CHUNK, n))
     for lo in range(0, n, SCORE_CHUNK):
         X = data[lo : lo + SCORE_CHUNK]
         count = len(X)
         XR = forward_batch(model, X.reshape(count, -1))[-1].reshape(X.shape)
-        part = contrib[lo : lo + count]
-        part[...] = weights.lambda3 * np.sum(np.abs(X - XR), axis=2)
+        part = weights.lambda3 * np.sum(np.abs(X - XR), axis=2)  # (count, t)
         if mode == "strad_broadcast":
             sea, _ = seasonality_batch(X, XR)
             tre, _ = trend_batch(X, XR, weights.epsilon, "monotone")
             part += ((weights.lambda1 * tre + weights.lambda2 * sea) / t)[:, None]
-    # Window i adds contrib[i, j] at point i*stride + j. Offsets run from t-1
-    # down so every point sums its windows in start order.
-    sums = np.zeros(series.length)
-    coverage = np.zeros(series.length, dtype=np.int64)
-    for j in range(t - 1, -1, -1):
-        points = slice(j, j + n * stride, stride)
-        sums[points] += contrib[:, j]
-        coverage[points] += 1
-    scores = np.divide(sums, coverage, out=np.zeros_like(sums), where=coverage > 0)
-    return ScoreSeries(scores)
+        overlap.add(lo, part)
+    sums = overlap.sums
+    coverage = window_coverage(series.length, n, t, stride)
+    np.divide(sums, coverage, out=sums, where=coverage > 0)  # uncovered points stay 0
+    return ScoreSeries(sums)
+
+
+class OverlapAdd:
+    """Per-point sums of window contributions, added one block of windows at a time.
+
+    Window i starts at point i*stride and adds `part[i - lo, j]` to point
+    i*stride + j. Every point sums its terms one at a time in window order,
+    the way a loop over windows would, so the sums do not depend on how the
+    windows are split into blocks. Memory is the sums plus a buffer of
+    O((t/stride + 1) * (block*stride + t)) floats.
+    """
+
+    def __init__(self, length: int, t: int, stride: int, block: int):
+        self.sums = np.zeros(length)
+        self.stride, self.block = stride, block
+        self.terms = -(-t // stride)  # the most windows that cover one point
+        width = stride * self.terms + (block - 1) * stride + max(stride, t)
+        # Row 0 holds the running sums of the points a block touches. Row
+        # terms - k holds offsets k*stride .. k*stride + stride - 1 of every
+        # window, the block's window i from column stride*(terms + i). So the
+        # terms of point lo*stride + q lie at [k, q + k*stride], k = 0..terms,
+        # oldest window first, and every other cell those reads reach is 0.
+        self._buf = np.zeros((self.terms + 1, width))
+        self._padded = np.zeros((block, self.terms * stride))  # t rounded up to stride
+        step = self._buf.itemsize
+        self._diagonals = np.lib.stride_tricks.as_strided(  # [q, k] = buf[k, q + k*stride]
+            self._buf, shape=((block - 1) * stride + t, self.terms + 1),
+            strides=(step, (width + stride) * step), writeable=False)
+
+    def add(self, lo: int, part: np.ndarray) -> None:
+        """Add windows lo .. lo + len(part) - 1, after every earlier window."""
+        count, t = part.shape
+        s, terms, buf = self.stride, self.terms, self._buf
+        padded = self._padded[:count]
+        padded[:, :t] = part
+        data = buf[terms:0:-1, s * terms :]
+        if count < self.block:  # a short block must not read what the last one left
+            data[:, count * s :] = 0.0
+        data[:, : count * s].reshape(terms, count, s)[...] = (
+            padded.reshape(count, terms, s).transpose(1, 0, 2))
+        sums = self.sums[lo * s : lo * s + (count - 1) * s + t]  # the points it touches
+        buf[0, : len(sums)] = sums
+        # the running sum first, then the windows in order: one add per term,
+        # the reduced axis outermost, so no pairwise summation reorders them
+        np.add.reduce(self._diagonals[: len(sums)], axis=1, out=sums)
+
+
+def window_coverage(length: int, n: int, t: int, stride: int) -> np.ndarray:
+    """How many of the n windows (window i covers points i*stride ..
+    i*stride + t - 1) cover each of `length` points, as int64."""
+    points = np.arange(length)
+    last = points // stride
+    np.minimum(last, n - 1, out=last)  # the last window starting at or before each point
+    points += stride - t
+    points //= stride
+    first = np.maximum(points, 0, out=points)  # the first reaching it: ceil((p-t+1)/stride)
+    last -= first
+    last += 1
+    return np.maximum(last, 0, out=last)
 
 
 def f1_at(scores: np.ndarray, threshold: float, labels, metric: str) -> float:
@@ -221,9 +276,26 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def threshold_quantile(score_series: ScoreSeries, q: float) -> float:
-    """Linear-interpolation q-quantile of (training-split) scores."""
+    """Linear-interpolation q-quantile of (training-split) scores.
+
+    It is `np.quantile`'s default "linear" method written out, bit for bit,
+    with one partial sort; `np.quantile` itself imports `numpy.ma`.
+    """
     if not 0.0 < q <= 1.0:
         raise ConfigError(f"q must lie in (0, 1], got {q}")
-    if score_series.scores.size == 0:
+    scores = score_series.scores
+    if scores.size == 0:
         raise DataError("cannot take a quantile of empty scores")
-    return float(np.quantile(score_series.scores, q))
+    index = (scores.size - 1) * q
+    if index >= scores.size - 1:  # numpy takes the maximum twice, at index -1
+        below = above = scores.max()
+        gamma = index + 1
+    else:
+        lo = math.floor(index)
+        below, above = np.partition(scores, (lo, lo + 1))[lo : lo + 2]
+        gamma = index - lo
+    diff = above - below
+    # numpy's `_lerp`: from the nearer end, so gamma = 1 gives `above` exactly
+    if gamma >= 0.5:
+        return float(above - diff * (1 - gamma))
+    return float(below + diff * gamma)

@@ -1,10 +1,20 @@
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strad.detector
+from strad.benchmarks import pattern_benchmark_config
+from strad.cli import main
 from strad.detector import (
+    OverlapAdd,
     ScoreSeries,
     TrainConfig,
     f1_at,
@@ -12,12 +22,16 @@ from strad.detector import (
     threshold_best_f1,
     threshold_quantile,
     train,
+    window_coverage,
 )
 from strad.errors import ConfigError, DataError, NumericError, ShapeMismatchError
 from strad.losses import LossWeights, seasonality_batch, trend_batch
 from strad.metrics import pa_counts, rpa_counts
 from strad.model import forward_batch, init_model, default_layer_sizes
 from strad.series import TimeSeries, segments_from_labels, sliding_windows
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def identity_model(n):
@@ -227,6 +241,72 @@ class TestScore:
             score(identity_model(16), sine_series(40), 16, 1, LossWeights(), "mse")
 
 
+def offset_loop(contrib, length, stride):
+    """The overlap-add over a whole (n, t) contribution array that `score`
+    streams: window i adds contrib[i, j] at point i*stride + j. Offsets run
+    from t-1 down, so every point sums its windows in start order."""
+    n, t = contrib.shape
+    sums = np.zeros(length)
+    coverage = np.zeros(length, dtype=np.int64)
+    for j in range(t - 1, -1, -1):
+        points = slice(j, j + n * stride, stride)
+        sums[points] += contrib[:, j]
+        coverage[points] += 1
+    return sums, coverage
+
+
+class TestOverlapAdd:
+    """Blocks of windows summed into the points bit for bit as one loop would.
+
+    numpy does not promise the order in which `np.add.reduce` visits a strided
+    view; this test pins it. If it fails on another numpy, `np.add.accumulate`
+    is sequential by definition.
+    """
+
+    def test_matches_the_offset_loop_bit_for_bit(self):
+        rng = np.random.default_rng(26)
+        cases = [  # (n, t, stride, chunk)
+            (300, 16, 1, 128), (5, 16, 1, 128),  # n < chunk
+            (40, 1, 1, 7), (40, 1, 3, 1),  # t = 1
+            (50, 9, 1, 1), (50, 9, 4, 1),  # chunk 1
+            (30, 4, 9, 8), (30, 4, 4, 8), (30, 5, 4, 8),  # stride > t, = t, not dividing t
+            (129, 64, 1, 128), (256, 64, 1, 128), (1, 3, 2, 128),
+        ]
+        for _ in range(300):
+            t = int(rng.integers(1, 40))
+            cases.append((int(rng.integers(1, 300)), t, int(rng.integers(1, 2 * t + 3)),
+                          int(rng.choice([1, 2, 7, 16, 128, 300]))))
+        for n, t, stride, chunk in cases:
+            length = (n - 1) * stride + t + int(rng.integers(0, stride))  # n windows fit
+            # terms over 12 orders of magnitude: any reordering changes the bits
+            contrib = rng.exponential(size=(n, t)) * 10.0 ** rng.uniform(-6, 6, size=(n, t))
+            expected, coverage = offset_loop(contrib, length, stride)
+            overlap = OverlapAdd(length, t, stride, min(chunk, n))
+            for lo in range(0, n, chunk):
+                overlap.add(lo, contrib[lo : lo + chunk])
+            case = (n, t, stride, chunk)
+            assert np.array_equal(overlap.sums.view(np.int64), expected.view(np.int64)), case
+            assert np.array_equal(window_coverage(length, n, t, stride), coverage), case
+
+
+class TestScoreMemory:
+    def peak_bytes(self, m):
+        ts = TimeSeries(values=np.sin(np.arange(m) / 5.0)[:, None])
+        model = init_model(default_layer_sizes(64, (16,)), seed=0)
+        tracemalloc.start()
+        try:
+            score(model, ts, 64, 1, LossWeights(), "strad_broadcast")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_linearly_in_the_points_with_a_small_constant(self):
+        # an (n, t) contribution array would take 64 * 8 bytes per point here
+        small, large = self.peak_bytes(25_000), self.peak_bytes(50_000)
+        assert large < 3_000_000
+        assert large - small < 48 * 25_000
+
+
 def brute_best_f1(score_series, labels, metric="rpa"):
     """Reference sweep: recount F1 at every distinct score, highest first.
 
@@ -406,3 +486,50 @@ class TestThresholdQuantile:
     def test_non_finite_scores_rejected(self):
         with pytest.raises(NumericError):
             self.make([0.0, np.nan])
+
+    def test_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(26)
+        for case in range(400):
+            size = 1 if case % 10 == 0 else int(rng.integers(2, 60))
+            if case % 2:  # few distinct values: many ties
+                values = rng.integers(0, 4, size=size).astype(float)
+            else:
+                values = rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3)
+            exact = int(rng.integers(1, size)) / (size - 1) if size > 1 else 1.0
+            for q in (1.0, 0.99, 0.5, 0.25, 0.75, exact, float(rng.uniform(1e-9, 1.0))):
+                got = np.float64(threshold_quantile(self.make(values), q))
+                expected = np.quantile(values, q)
+                assert got.view(np.int64) == expected.view(np.int64), (values, q)
+
+
+def run_in_child(*argv):
+    """`strad <argv>` in a fresh interpreter: its exit code and whether
+    `numpy.ma` was imported by the end."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    script = ("import json, sys; from strad.cli import main; rc = main(sys.argv[1:]); "
+              "print(json.dumps([rc, 'numpy.ma' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestNoMaskedArrays:
+    """The quantile threshold imports no `numpy.ma`; `np.quantile` does."""
+
+    def write_config(self, tmp_path):
+        doc = pattern_benchmark_config(seed=3, length=600, epochs=1)
+        doc["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_detect_in_quantile_mode(self, tmp_path):
+        cfg = self.write_config(tmp_path)
+        assert main(["train", "-c", str(cfg)]) == 0
+        ckpt = tmp_path / "out" / "shapelet_model.ckpt"
+        assert run_in_child("detect", "-c", cfg, "--checkpoint", ckpt) == [0, False]
+
+    def test_compare(self, tmp_path):
+        assert run_in_child("compare", "-c", self.write_config(tmp_path)) == [0, False]
