@@ -93,9 +93,10 @@ MUTANTS = (
            '"mse": mvalues, ',
            "",
            ("tests/test_detector.py",)),
-    Mutant("score_overlap_add_skips_offset_0", "detector.py",
-           "shape=((block - 1) * stride + t, self.terms + 1)",
-           "shape=((block - 1) * stride + t, self.terms)",
+    Mutant("overlap_add_running_sum_last", "detector.py",
+           "span[...] = np.bincount(np.concatenate((np.arange(len(span)), offsets)),\n"
+           "                            np.concatenate((span, part.ravel())), len(span))",
+           "span += np.bincount(offsets, part.ravel(), len(span))",
            ("tests/test_detector.py::TestOverlapAdd",)),
     Mutant("trend_sign_subgradient_flipped", "losses.py",
            "SLOPE_TIE, 0.0, np.sign(diff))",

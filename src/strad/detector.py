@@ -144,16 +144,15 @@ def score(
     after the last window.
 
     Windows are reconstructed `SCORE_CHUNK` at a time, and each block's
-    contributions go straight into the point sums (`OverlapAdd`), so memory
-    is O(M + (SCORE_CHUNK + t) * t) however many windows there are.
+    contributions go straight into the point sums (`overlap_add`), so memory
+    is O(M + SCORE_CHUNK * t) however many windows there are. The model's
+    input size is checked by `forward_batch` on the first block.
     """
     if mode not in SCORE_MODES:
         raise ConfigError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
     data = sliding_windows(series, length, stride)  # (N, t, d)
-    n, t, d = data.shape
-    if t * d != model.input_size:
-        raise ShapeMismatchError(f"windows flatten to {t * d}, model expects {model.input_size}")
-    overlap = OverlapAdd(series.length, t, stride, min(SCORE_CHUNK, n))
+    n, t, _ = data.shape
+    sums = np.zeros(series.length)
     for lo in range(0, n, SCORE_CHUNK):
         X = data[lo : lo + SCORE_CHUNK]
         count = len(X)
@@ -163,56 +162,26 @@ def score(
             sea, _ = seasonality_batch(X, XR)
             tre, _ = trend_batch(X, XR, weights.epsilon, "monotone")
             part += ((weights.lambda1 * tre + weights.lambda2 * sea) / t)[:, None]
-        overlap.add(lo, part)
-    sums = overlap.sums
+        overlap_add(sums, lo, part, stride)
     coverage = window_coverage(series.length, n, t, stride)
     np.divide(sums, coverage, out=sums, where=coverage > 0)  # uncovered points stay 0
     return ScoreSeries(sums)
 
 
-class OverlapAdd:
-    """Per-point sums of window contributions, added one block of windows at a time.
+def overlap_add(sums: np.ndarray, first: int, part: np.ndarray, stride: int) -> None:
+    """Add windows first .. first + len(part) - 1 into `sums`, in place: window
+    i adds part[i - first, j] to point i*stride + j.
 
-    Window i starts at point i*stride and adds `part[i - lo, j]` to point
-    i*stride + j. Every point sums its terms one at a time in window order,
-    the way a loop over windows would, so the sums do not depend on how the
-    windows are split into blocks. Memory is the sums plus a buffer of
-    O((t/stride + 1) * (block*stride + t)) floats.
+    `np.bincount` adds its weights in input order, so each point adds its
+    running sum and then its windows oldest first, one term at a time, the way
+    a loop over windows would; the sums do not depend on how the windows are
+    split into blocks. The bins start at +0.0, and no sum is ever -0.0.
     """
-
-    def __init__(self, length: int, t: int, stride: int, block: int):
-        self.sums = np.zeros(length)
-        self.stride, self.block = stride, block
-        self.terms = -(-t // stride)  # the most windows that cover one point
-        width = stride * self.terms + (block - 1) * stride + max(stride, t)
-        # Row 0 holds the running sums of the points a block touches. Row
-        # terms - k holds offsets k*stride .. k*stride + stride - 1 of every
-        # window, the block's window i from column stride*(terms + i). So the
-        # terms of point lo*stride + q lie at [k, q + k*stride], k = 0..terms,
-        # oldest window first, and every other cell those reads reach is 0.
-        self._buf = np.zeros((self.terms + 1, width))
-        self._padded = np.zeros((block, self.terms * stride))  # t rounded up to stride
-        step = self._buf.itemsize
-        self._diagonals = np.lib.stride_tricks.as_strided(  # [q, k] = buf[k, q + k*stride]
-            self._buf, shape=((block - 1) * stride + t, self.terms + 1),
-            strides=(step, (width + stride) * step), writeable=False)
-
-    def add(self, lo: int, part: np.ndarray) -> None:
-        """Add windows lo .. lo + len(part) - 1, after every earlier window."""
-        count, t = part.shape
-        s, terms, buf = self.stride, self.terms, self._buf
-        padded = self._padded[:count]
-        padded[:, :t] = part
-        data = buf[terms:0:-1, s * terms :]
-        if count < self.block:  # a short block must not read what the last one left
-            data[:, count * s :] = 0.0
-        data[:, : count * s].reshape(terms, count, s)[...] = (
-            padded.reshape(count, terms, s).transpose(1, 0, 2))
-        sums = self.sums[lo * s : lo * s + (count - 1) * s + t]  # the points it touches
-        buf[0, : len(sums)] = sums
-        # the running sum first, then the windows in order: one add per term,
-        # the reduced axis outermost, so no pairwise summation reorders them
-        np.add.reduce(self._diagonals[: len(sums)], axis=1, out=sums)
+    count, t = part.shape
+    span = sums[first * stride : (first + count - 1) * stride + t]  # the points it touches
+    offsets = (np.arange(0, count * stride, stride)[:, None] + np.arange(t)).ravel()
+    span[...] = np.bincount(np.concatenate((np.arange(len(span)), offsets)),
+                            np.concatenate((span, part.ravel())), len(span))
 
 
 def window_coverage(length: int, n: int, t: int, stride: int) -> np.ndarray:

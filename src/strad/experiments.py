@@ -518,6 +518,10 @@ ABLATION_SUBSETS = (
 def run_ablate(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> list[dict]:
     """Evaluate the 7 non-empty component subsets by zeroing excluded weights."""
     base = cfg.train.weights
+    lambdas = (base.lambda1, base.lambda2, base.lambda3)
+    if not all(v > 0 for v in lambdas):  # a subset keeping only zero weights has no objective
+        raise ConfigError("cmd ablate needs every loss weight positive, got "
+                          f"(lambda1, lambda2, lambda3) = {lambdas}")
     arms = [replace(cfg.train, loss_kind="strad",
                     weights=replace(base, lambda1=base.lambda1 if use_trend else 0.0,
                                     lambda2=base.lambda2 if use_sea else 0.0,

@@ -213,7 +213,8 @@ def air(f1_star: Sequence[float], f1_mse: Sequence[float]) -> float:
     """Mean relative F1 improvement over the MSE baseline.
 
     Datasets with a zero baseline are dropped with a warning (the denominator
-    count shrinks accordingly); if every baseline is zero this is an error.
+    count shrinks accordingly); if every baseline is zero A.I.R. is undefined
+    and this returns NaN, so the caller can still report the other columns.
     """
     if len(f1_star) != len(f1_mse):
         raise ShapeMismatchError("F1 lists must have equal length")
@@ -222,5 +223,5 @@ def air(f1_star: Sequence[float], f1_mse: Sequence[float]) -> float:
     if dropped:
         warnings.warn(f"dropping {dropped} dataset(s) with zero MSE baseline from A.I.R.")
     if not pairs:
-        raise DataError("all MSE baselines are zero; A.I.R. undefined")
+        return np.nan
     return float(np.mean([(s - m) / m for s, m in pairs]))

@@ -803,6 +803,22 @@ class TestCliCompare:
             assert float(row["avg_improved"]) == 0.0
             assert float(row["air"]) == 0.0
 
+    def test_undefined_air_still_writes_the_tables(self, tmp_path):
+        # q = 1.0 flags nothing on the MSE arm, so every MSE baseline F1 is 0
+        out = tmp_path / "out"
+        doc = {"seed": 0, "output_dir": str(out), "train": {"epochs": 1},
+               "threshold": {"q": 1.0},
+               "datasets": [{"name": "a", "synth": {"length": 1000, "anomalies": [
+                   {"kind": "trend_pattern", "start": 700, "length": 20, "magnitude": 1e-12}]}}]}
+        with pytest.warns(UserWarning, match="zero MSE baseline"):
+            assert main(["compare", "-c", write_config(tmp_path, doc)]) == 0
+        assert (out / "comparison.csv").is_file()
+        lines = [l for l in (out / "improvement.csv").read_text().splitlines()
+                 if l and not l.startswith("#")]
+        header = lines[0].split(",")
+        rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
+        assert [r["air"] for r in rows if r["arm"] == "strad"] == ["nan", "nan"]
+
     def test_explicit_shape_only_keeps_the_mse_rows(self, tmp_path):
         # "auto" scores the MSE arm shape_only, so naming that mode changes no MSE row
         def mse_rows(name, *overrides):
@@ -971,6 +987,15 @@ class TestCliAblate:
         lines = [l for l in (out / "ablation.csv").read_text().splitlines()
                  if l and not l.startswith("#")]
         assert len(lines) - 1 == 7
+
+    def test_zero_loss_weight_is_usage_error(self, tmp_path, capsys):
+        # subset (1, 0, 0) would keep no positive weight
+        cfgp = write_config(tmp_path, small_config(tmp_path / "out"))
+        assert main(["ablate", "-c", cfgp, "--set", "loss_weights.lambda1=0"]) == 1
+        err = capsys.readouterr().err
+        assert "cmd ablate needs every loss weight positive" in err
+        assert "lambda1" in err and "(0.0, 10.0, 1.0)" in err
+        assert not (tmp_path / "out").exists()
 
     def test_shape_only_row_equals_zeroed_weights_run(self, tmp_path):
         from strad.config import load_config as load

@@ -14,10 +14,10 @@ import strad.detector
 from strad.benchmarks import pattern_benchmark_config
 from strad.cli import main
 from strad.detector import (
-    OverlapAdd,
     ScoreSeries,
     TrainConfig,
     f1_at,
+    overlap_add,
     score,
     threshold_best_f1,
     threshold_quantile,
@@ -236,6 +236,10 @@ class TestScore:
         with pytest.raises(DataError):
             score(identity_model(16), sine_series(10), 16, 1, LossWeights(), "shape_only")
 
+    def test_model_input_size_mismatch(self):
+        with pytest.raises(ShapeMismatchError):
+            score(identity_model(32), sine_series(40), 16, 1, LossWeights(), "shape_only")
+
     def test_bad_mode(self):
         with pytest.raises(ConfigError):
             score(identity_model(16), sine_series(40), 16, 1, LossWeights(), "mse")
@@ -258,9 +262,9 @@ def offset_loop(contrib, length, stride):
 class TestOverlapAdd:
     """Blocks of windows summed into the points bit for bit as one loop would.
 
-    numpy does not promise the order in which `np.add.reduce` visits a strided
-    view; this test pins it. If it fails on another numpy, `np.add.accumulate`
-    is sequential by definition.
+    `overlap_add` relies on `np.bincount` adding its weights into their bins
+    one at a time in input order, starting from +0.0; numpy documents the sum
+    but not its order, so this test pins it.
     """
 
     def test_matches_the_offset_loop_bit_for_bit(self):
@@ -281,11 +285,11 @@ class TestOverlapAdd:
             # terms over 12 orders of magnitude: any reordering changes the bits
             contrib = rng.exponential(size=(n, t)) * 10.0 ** rng.uniform(-6, 6, size=(n, t))
             expected, coverage = offset_loop(contrib, length, stride)
-            overlap = OverlapAdd(length, t, stride, min(chunk, n))
+            sums = np.zeros(length)
             for lo in range(0, n, chunk):
-                overlap.add(lo, contrib[lo : lo + chunk])
+                overlap_add(sums, lo, contrib[lo : lo + chunk], stride)
             case = (n, t, stride, chunk)
-            assert np.array_equal(overlap.sums.view(np.int64), expected.view(np.int64)), case
+            assert np.array_equal(sums.view(np.int64), expected.view(np.int64)), case
             assert np.array_equal(window_coverage(length, n, t, stride), coverage), case
 
 
