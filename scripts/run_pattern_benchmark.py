@@ -17,8 +17,6 @@ from strad.benchmarks import pattern_benchmark_config
 from strad.config import build, resolve
 from strad.experiments import run_compare
 
-DATASETS = ("shapelet", "seasonal", "trend", "mixed")
-
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
@@ -29,31 +27,31 @@ def main():
     args = parser.parse_args()
 
     per_dataset = {}
-    entire = {}
+    entire = {}  # (arm, metric) in the order of compare's summary rows
     start = time.time()
     for seed in range(args.seeds):
         doc = pattern_benchmark_config(seed=seed, length=args.length,
                                        epochs=args.epochs, quantile=args.quantile)
-        outcome = run_compare(build(resolve(doc)))
+        cfg = build(resolve(doc))
+        outcome = run_compare(cfg)
         for row in outcome.per_arm_dataset:
-            for metric in ("rpa", "pa"):
+            for metric in cfg.eval_metrics:
                 key = (row["arm"], row["dataset"], metric)
                 per_dataset.setdefault(key, []).append(row[f"{metric}_f1"])
         for row in outcome.summary:
             entire.setdefault((row["arm"], row["metric"]), []).append(row["entire_f1"])
         print(f"seed {seed} done ({time.time() - start:.1f}s)")
 
+    names = [ds.name for ds in cfg.datasets]
     print(f"\nmedian F1 over {args.seeds} seeds "
           f"(quantile threshold q={args.quantile}):\n")
-    header = f"{'arm':<8} {'metric':<7} " + " ".join(f"{d:>9}" for d in DATASETS) + f" {'entire':>9}"
+    header = f"{'arm':<8} {'metric':<7} " + " ".join(f"{d:>9}" for d in names) + f" {'entire':>9}"
     print(header)
     print("-" * len(header))
-    for arm in ("mse", "strad"):
-        for metric in ("rpa", "pa"):
-            cells = [float(np.median(per_dataset[(arm, d, metric)])) for d in DATASETS]
-            ent = float(np.median(entire[(arm, metric)]))
-            row = " ".join(f"{c:>9.4f}" for c in cells)
-            print(f"{arm:<8} {metric:<7} {row} {ent:>9.4f}")
+    for (arm, metric), ents in entire.items():
+        cells = [float(np.median(per_dataset[(arm, d, metric)])) for d in names]
+        row = " ".join(f"{c:>9.4f}" for c in cells)
+        print(f"{arm:<8} {metric:<7} {row} {float(np.median(ents)):>9.4f}")
 
 
 if __name__ == "__main__":

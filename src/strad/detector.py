@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, ShapeMismatchError
+from .errors import ConfigError, DataError, NumericError
 from .losses import LossWeights, mse_batch, seasonality_batch, strad_batch, trend_batch
 from .metrics import as_truth, check_scored, pa_counts, rpa_counts, sweep_counts
 from .model import DenseAutoencoder, adam_step, backward_batch, forward_batch, init_adam
@@ -90,11 +90,10 @@ def train(model: DenseAutoencoder, windows: np.ndarray, cfg: TrainConfig) -> Tra
     gradient is the mean over the batch. Each history row maps every value
     `_batch_loss` names, "total" first, to its per-window mean over the epoch.
     Raises NumericError the moment a loss, gradient, or parameter goes
-    non-finite instead of clipping.
+    non-finite instead of clipping. The model's input size is checked by
+    `forward_batch` on the first batch.
     """
     n, t, d = windows.shape
-    if t * d != model.input_size:
-        raise ShapeMismatchError(f"windows flatten to {t * d}, model expects {model.input_size}")
     if n == 0:
         raise DataError("no windows to train on")
     rng = np.random.default_rng(cfg.seed)
@@ -187,15 +186,10 @@ def overlap_add(sums: np.ndarray, first: int, part: np.ndarray, stride: int) -> 
 def window_coverage(length: int, n: int, t: int, stride: int) -> np.ndarray:
     """How many of the n windows (window i covers points i*stride ..
     i*stride + t - 1) cover each of `length` points, as int64."""
-    points = np.arange(length)
-    last = points // stride
-    np.minimum(last, n - 1, out=last)  # the last window starting at or before each point
-    points += stride - t
-    points //= stride
-    first = np.maximum(points, 0, out=points)  # the first reaching it: ceil((p-t+1)/stride)
-    last -= first
-    last += 1
-    return np.maximum(last, 0, out=last)
+    steps = np.zeros(length, dtype=np.int64)  # slices drop the steps past the end
+    steps[: n * stride : stride] += 1  # at each window's first point
+    steps[t : n * stride + t : stride] -= 1  # one past each window's last point
+    return np.cumsum(steps, out=steps)
 
 
 def f1_at(scores: np.ndarray, threshold: float, labels, metric: str) -> float:

@@ -77,19 +77,12 @@ class LossWeights:
 
 
 @lru_cache(maxsize=64)
-def _time_axis(t: int) -> np.ndarray:
-    """Normalized time axis tau_j = -1 + 2j/(t-1), the degree-1 projection domain."""
-    tau = -1.0 + 2.0 * np.arange(t) / (t - 1)
-    tau.setflags(write=False)
-    return tau
-
-
-@lru_cache(maxsize=64)
 def _slope_weights(t: int) -> tuple[np.ndarray, float]:
-    """OLS slope functional w (slope = w . x per channel) and sum_j |tau_j|."""
+    """OLS slope functional w (slope = w . x per channel) and sum_j |tau_j|,
+    on the normalized time axis tau_j = -1 + 2j/(t-1)."""
     if t < 2:
         raise ShapeMismatchError("trend fitting needs window length >= 2")
-    tau = _time_axis(t)
+    tau = -1.0 + 2.0 * np.arange(t) / (t - 1)
     w = tau / float(np.sum(tau * tau))
     w.setflags(write=False)
     return w, float(np.sum(np.abs(tau)))

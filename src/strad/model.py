@@ -157,14 +157,14 @@ class AdamState:
     step: int
     m: np.ndarray
     v: np.ndarray
-    lr: float = 1e-3
+    lr: float
     work: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.work = np.empty_like(self.m)
 
 
-def init_adam(model: DenseAutoencoder, lr: float = 1e-3) -> AdamState:
+def init_adam(model: DenseAutoencoder, lr: float) -> AdamState:
     return AdamState(step=0, m=np.zeros_like(model.params), v=np.zeros_like(model.params), lr=lr)
 
 

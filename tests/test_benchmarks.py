@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 from strad.benchmarks import pattern_benchmark_config
-from strad.config import build, resolve
+from strad.config import build, config_hash, resolve
 from strad.experiments import materialize_dataset
 
 REPO = Path(__file__).resolve().parents[1]
@@ -27,6 +27,17 @@ def test_committed_config_in_sync():
     # the README's example config is the generator's default plus its output directory
     committed = json.loads((REPO / "configs" / "pattern_benchmark.json").read_text())
     assert committed == {**pattern_benchmark_config(), "output_dir": "out/pattern"}
+
+
+# A changed default moves these hashes, and with them every output file's
+# provenance line: such a change must show here, not pass unnoticed.
+def test_default_config_hash_is_pinned():
+    assert config_hash(resolve({})) == "fcdd0e6fce1a"
+
+
+def test_committed_config_hash_is_pinned():
+    committed = json.loads((REPO / "configs" / "pattern_benchmark.json").read_text())
+    assert config_hash(resolve(committed)) == "62eb22881be1"
 
 
 def test_scripts_run():

@@ -26,9 +26,11 @@ from strad.detector import (
 )
 from strad.errors import ConfigError, DataError, NumericError, ShapeMismatchError
 from strad.losses import LossWeights, seasonality_batch, trend_batch
-from strad.metrics import pa_counts, rpa_counts
+from strad.metrics import ConfusionCounts, pa_counts, rpa_counts
 from strad.model import forward_batch, init_model, default_layer_sizes
 from strad.series import TimeSeries, segments_from_labels, sliding_windows
+
+from test_metrics import brute_pa, brute_rpa
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -312,16 +314,19 @@ class TestScoreMemory:
 
 
 def brute_best_f1(score_series, labels, metric="rpa"):
-    """Reference sweep: recount F1 at every distinct score, highest first.
+    """Reference sweep: recount F1 at every distinct score, highest first,
+    with the per-definition loops of `test_metrics`.
 
     The strict `>` keeps the higher threshold on ties; +inf (predict nothing)
     with F1 = 0 stands when no threshold scores above 0.
     """
     scores = score_series.scores
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = [int(v) for v in labels]
+    recount = brute_rpa if metric == "rpa" else brute_pa
     best_threshold, best_f1 = np.inf, 0.0
     for threshold in np.unique(scores)[::-1]:
-        f1 = f1_at(scores, threshold, labels, metric)
+        tp, fp, fn = recount([int(v) for v in scores >= threshold], labels)
+        f1 = ConfusionCounts(tp=tp, fp=fp, fn=fn).f1
         if f1 > best_f1:
             best_f1, best_threshold = f1, float(threshold)
     return best_threshold, best_f1

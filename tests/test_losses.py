@@ -89,7 +89,7 @@ class TestTrendFit:
 
     def test_one_point_raises_before_building_the_axis(self):
         # t = 1 used to divide by t - 1 = 0 and cache a NaN axis before raising
-        cached = losses._time_axis.cache_info().currsize
+        cached = losses._slope_weights.cache_info().currsize
         X = np.zeros((2, 1, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -97,7 +97,7 @@ class TestTrendFit:
                 trend_batch(X, X, EPS, "monotone", want_grad=True)
             with pytest.raises(ShapeMismatchError):
                 slopes_batch(X)
-        assert losses._time_axis.cache_info().currsize == cached
+        assert losses._slope_weights.cache_info().currsize == cached
 
 
 class TestTrendLoss:

@@ -148,7 +148,7 @@ def textbook_adam(params, m, v, step, grad, lr):
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         m = init_model([6, 3, 6], seed=1)
-        state = init_adam(m)
+        state = init_adam(m, lr=1e-3)
         before = m.params.copy()
         assert adam_step(m, np.zeros_like(m.params), state) is None
         assert state.step == 1
@@ -169,7 +169,7 @@ class TestAdam:
     def test_deterministic_replay(self):
         def run():
             m = init_model([6, 3, 6], seed=3)
-            state = init_adam(m)
+            state = init_adam(m, lr=1e-3)
             rng = np.random.default_rng(1)
             for _ in range(2):
                 adam_step(m, rng.normal(size=m.params.shape), state)
@@ -194,7 +194,7 @@ class TestAdam:
 
     def test_work_is_one_parameter_sized_vector(self):
         m = init_model([6, 3, 6], seed=5)
-        assert init_adam(m).work.shape == m.params.shape
+        assert init_adam(m, lr=1e-3).work.shape == m.params.shape
 
     def test_overflowing_candidate_leaves_parameters(self):
         m = init_model([6, 3, 6], seed=6)
@@ -208,7 +208,7 @@ class TestAdam:
     def test_overflowing_second_moment_is_numeric_error(self):
         # (1 - beta2) g g overflows for g = 1e200; an inf v would freeze params[0] for good
         m = init_model([6, 3, 6], seed=6)
-        state = init_adam(m)
+        state = init_adam(m, lr=1e-3)
         adam_step(m, np.ones_like(m.params), state)
         grad = np.zeros_like(m.params)
         grad[0] = 1e200
@@ -224,7 +224,7 @@ class TestAdam:
 
     def test_non_finite_gradient_rejected(self):
         m = init_model([6, 3, 6], seed=4)
-        state = init_adam(m)
+        state = init_adam(m, lr=1e-3)
         grad = np.zeros_like(m.params)
         grad[0] = np.nan
         with pytest.raises(NumericError):
