@@ -93,10 +93,9 @@ MUTANTS = (
            '"mse": mvalues, ',
            "",
            ("tests/test_detector.py",)),
-    Mutant("overlap_add_running_sum_last", "detector.py",
-           "span[...] = np.bincount(np.concatenate((np.arange(len(span)), offsets)),\n"
-           "                            np.concatenate((span, part.ravel())), len(span))",
-           "span += np.bincount(offsets, part.ravel(), len(span))",
+    Mutant("score_adds_windows_newest_first", "detector.py",
+           "np.add.at(sums[lo * stride :], points[: part.size], part.ravel())",
+           "np.add.at(sums[lo * stride :], points[: part.size][::-1], part.ravel()[::-1])",
            ("tests/test_detector.py::TestOverlapAdd",)),
     Mutant("trend_sign_subgradient_flipped", "losses.py",
            "SLOPE_TIE, 0.0, np.sign(diff))",

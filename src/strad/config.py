@@ -154,8 +154,12 @@ def parse_override(text: str) -> tuple[list[str], Any]:
 
 
 def apply_override(raw: dict, path: list[str], value: Any) -> None:
-    node = raw
-    for part in path[:-1]:
+    node, default = raw, DEFAULTS  # the defaults decide what is a list, not the document
+    for depth, part in enumerate(path[:-1], 1):
+        default = default.get(part) if isinstance(default, dict) else None
+        if isinstance(default, list):
+            raise ConfigError(f"cannot descend into {'.'.join(path)}: "
+                              f"{'.'.join(path[:depth])} is a list; --set replaces it whole")
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
             raise ConfigError(f"cannot descend into {'.'.join(path)}")

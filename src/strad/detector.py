@@ -143,15 +143,19 @@ def score(
     after the last window.
 
     Windows are reconstructed `SCORE_CHUNK` at a time, and each block's
-    contributions go straight into the point sums (`overlap_add`), so memory
-    is O(M + SCORE_CHUNK * t) however many windows there are. The model's
-    input size is checked by `forward_batch` on the first block.
+    contributions go straight into the point sums, so memory is
+    O(M + SCORE_CHUNK * t) however many windows there are. `np.add.at` adds
+    the terms one at a time in the order listed, window by window, so every
+    point sums its windows oldest first, the way a loop over windows would.
+    The model's input size is checked by `forward_batch` on the first block.
     """
     if mode not in SCORE_MODES:
         raise ConfigError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
     data = sliding_windows(series, length, stride)  # (N, t, d)
     n, t, _ = data.shape
     sums = np.zeros(series.length)
+    # window k of a block adds its term j to point k*stride + j of the block's span
+    points = (np.arange(0, SCORE_CHUNK * stride, stride)[:, None] + np.arange(t)).ravel()
     for lo in range(0, n, SCORE_CHUNK):
         X = data[lo : lo + SCORE_CHUNK]
         count = len(X)
@@ -161,26 +165,10 @@ def score(
             sea, _ = seasonality_batch(X, XR)
             tre, _ = trend_batch(X, XR, weights.epsilon, "monotone")
             part += ((weights.lambda1 * tre + weights.lambda2 * sea) / t)[:, None]
-        overlap_add(sums, lo, part, stride)
+        np.add.at(sums[lo * stride :], points[: part.size], part.ravel())
     coverage = window_coverage(series.length, n, t, stride)
     np.divide(sums, coverage, out=sums, where=coverage > 0)  # uncovered points stay 0
     return ScoreSeries(sums)
-
-
-def overlap_add(sums: np.ndarray, first: int, part: np.ndarray, stride: int) -> None:
-    """Add windows first .. first + len(part) - 1 into `sums`, in place: window
-    i adds part[i - first, j] to point i*stride + j.
-
-    `np.bincount` adds its weights in input order, so each point adds its
-    running sum and then its windows oldest first, one term at a time, the way
-    a loop over windows would; the sums do not depend on how the windows are
-    split into blocks. The bins start at +0.0, and no sum is ever -0.0.
-    """
-    count, t = part.shape
-    span = sums[first * stride : (first + count - 1) * stride + t]  # the points it touches
-    offsets = (np.arange(0, count * stride, stride)[:, None] + np.arange(t)).ravel()
-    span[...] = np.bincount(np.concatenate((np.arange(len(span)), offsets)),
-                            np.concatenate((span, part.ravel())), len(span))
 
 
 def window_coverage(length: int, n: int, t: int, stride: int) -> np.ndarray:

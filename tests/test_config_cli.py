@@ -517,6 +517,18 @@ class TestCliDetect:
         assert main(["detect", "-c", str(tmp_path / "out.json"), "--checkpoint", str(out)]) == 1
         assert "not a readable file" in capsys.readouterr().err
 
+    def test_checkpoint_of_another_input_size_exits_2(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, {"train": {"epochs": 1}, "datasets": [{"name": "a", "synth": {
+            "length": 600, "anomalies": [{"kind": "global_point", "start": 500}]}}]})
+        tr, det = tmp_path / "tr", tmp_path / "det"
+        assert main(["train", "-c", cfgp, "--set", "window.length=32", "-o", str(tr)]) == 0
+        capsys.readouterr()
+        assert main(["detect", "-c", cfgp, "--checkpoint", str(tr / "a_model.ckpt"),
+                     "-o", str(det)]) == 2
+        err = capsys.readouterr().err
+        assert "error: checkpoint expects input size 32, configuration implies 64" in err
+        assert not det.exists()
+
     def test_incompatible_checkpoint(self, tmp_path):
         out = self.run_train_detect(tmp_path)
         cfgp = write_config(tmp_path, small_config(out, window={"length": 32}), name="w.json")
@@ -1222,6 +1234,16 @@ class TestExitCodes:
         cfgp = write_config(tmp_path, small_config(tmp_path / "out"))
         assert main(["synth", "-c", cfgp, "--set", override]) == 1
         assert override.partition("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_set_through_a_list_names_its_key_path(self, tmp_path, capsys, with_config):
+        # the list is in the defaults either way, and in the document only with a config
+        cfg = ["-c", write_config(tmp_path, small_config(tmp_path / "out"))] if with_config else []
+        out = tmp_path / "out"
+        assert main(["synth", *cfg, "--set", "datasets.0.name=x", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot descend into datasets.0.name: datasets is a list" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("override", [
         "train.lr=-1", "train.lr=0", "train.lr=NaN", "train.lr=Infinity",

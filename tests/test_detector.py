@@ -17,7 +17,6 @@ from strad.detector import (
     ScoreSeries,
     TrainConfig,
     f1_at,
-    overlap_add,
     score,
     threshold_best_f1,
     threshold_quantile,
@@ -262,15 +261,27 @@ def offset_loop(contrib, length, stride):
 
 
 class TestOverlapAdd:
-    """Blocks of windows summed into the points bit for bit as one loop would.
+    """`score` sums blocks of windows into the points bit for bit as one loop
+    would.
 
-    `overlap_add` relies on `np.bincount` adding its weights into their bins
-    one at a time in input order, starting from +0.0; numpy documents the sum
-    but not its order, so this test pins it.
+    `score` relies on `np.add.at` adding its terms into their points one at a
+    time in the order listed, window by window; numpy documents the sum but
+    not its order, so this test pins it. A fake `forward_batch` records each
+    block's terms, and with lambda3 = 1, one channel and "shape_only" each
+    recorded `np.abs(flat - recon)` is exactly the term `score` adds.
     """
 
-    def test_matches_the_offset_loop_bit_for_bit(self):
+    def test_matches_the_offset_loop_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(26)
+        terms = []
+
+        def fake_forward(model, flat):
+            # terms over 12 orders of magnitude: any reordering changes the bits
+            recon = flat - rng.exponential(size=flat.shape) * 10.0 ** rng.uniform(-6, 6, flat.shape)
+            terms.append(np.abs(flat - recon))
+            return [recon]
+
+        monkeypatch.setattr(strad.detector, "forward_batch", fake_forward)
         cases = [  # (n, t, stride, chunk)
             (300, 16, 1, 128), (5, 16, 1, 128),  # n < chunk
             (40, 1, 1, 7), (40, 1, 3, 1),  # t = 1
@@ -284,14 +295,15 @@ class TestOverlapAdd:
                           int(rng.choice([1, 2, 7, 16, 128, 300]))))
         for n, t, stride, chunk in cases:
             length = (n - 1) * stride + t + int(rng.integers(0, stride))  # n windows fit
-            # terms over 12 orders of magnitude: any reordering changes the bits
-            contrib = rng.exponential(size=(n, t)) * 10.0 ** rng.uniform(-6, 6, size=(n, t))
-            expected, coverage = offset_loop(contrib, length, stride)
-            sums = np.zeros(length)
-            for lo in range(0, n, chunk):
-                overlap_add(sums, lo, contrib[lo : lo + chunk], stride)
+            monkeypatch.setattr(strad.detector, "SCORE_CHUNK", chunk)
+            terms.clear()
+            ts = TimeSeries(values=rng.normal(size=(length, 1)))
+            scores = score(None, ts, t, stride, LossWeights(), "shape_only").scores
+            sums, coverage = offset_loop(np.concatenate(terms), length, stride)
+            expected = np.divide(sums, coverage, out=sums, where=coverage > 0)
             case = (n, t, stride, chunk)
-            assert np.array_equal(sums.view(np.int64), expected.view(np.int64)), case
+            assert len(terms) == -(-n // chunk), case
+            assert np.array_equal(scores.view(np.int64), expected.view(np.int64)), case
             assert np.array_equal(window_coverage(length, n, t, stride), coverage), case
 
 
