@@ -149,6 +149,21 @@ MUTANTS = (
            "train_raw = materialize_train(cfg, 0)",
            "train_raw, _ = materialize_dataset(cfg, 0)",
            ("tests/test_config_cli.py::TestCliTrain::test_synth_dataset_draws_only_the_train_split",)),
+    Mutant("recall_guard_tp_minus_fn", "metrics.py",
+           "self.tp + self.fn",
+           "self.tp - self.fn",
+           ("tests/test_metrics.py::TestConfusionCounts::test_as_many_found_as_missed",
+            "tests/test_detector.py::TestF1At::test_rpa_finding_half_the_segments")),
+    Mutant("entire_f1_rejects_zero_segments", "metrics.py",
+           "if any(e < 0 for e, _ in per_subdataset):",
+           "if any(e <= 0 for e, _ in per_subdataset):",
+           ("tests/test_metrics.py::TestEntireF1::test_subdataset_without_segments_weighs_nothing",
+            "tests/test_config_cli.py::TestCliCompare::test_dataset_without_anomalies_has_zero_segments")),
+    Mutant("no_pairs_read_as_one_pair", "metrics.py",
+           "np.empty((0, 2), np.int64)",
+           "np.empty((1, 2), np.int64)",
+           ("tests/test_metrics.py::TestPointAdjust::test_no_pairs_leaves_preds_unchanged",
+            "tests/test_metrics.py::TestRpaCounts::test_no_pairs_counts_runs_as_false_positives")),
 )
 
 

@@ -154,15 +154,15 @@ def parse_override(text: str) -> tuple[list[str], Any]:
 
 
 def apply_override(raw: dict, path: list[str], value: Any) -> None:
-    node, default = raw, DEFAULTS  # the defaults decide what is a list, not the document
+    node, default = raw, DEFAULTS  # the defaults decide what is an object, not the document
     for depth, part in enumerate(path[:-1], 1):
-        default = default.get(part) if isinstance(default, dict) else None
-        if isinstance(default, list):
-            raise ConfigError(f"cannot descend into {'.'.join(path)}: "
-                              f"{'.'.join(path[:depth])} is a list; --set replaces it whole")
+        known = isinstance(default, dict) and part in default  # else `resolve` names it unknown
+        default = default[part] if known else None
         node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"cannot descend into {'.'.join(path)}")
+        if (known and not isinstance(default, dict)) or not isinstance(node, dict):
+            raise ConfigError(f"cannot descend into {'.'.join(path)}: {'.'.join(path[:depth])} is "
+                              + ("a list; --set replaces it whole" if isinstance(default, list)
+                                 else "not an object"))
     node[path[-1]] = value
 
 

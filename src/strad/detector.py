@@ -194,36 +194,26 @@ def f1_at(scores: np.ndarray, threshold: float, labels, metric: str) -> float:
 
 
 def threshold_best_f1(score_series: ScoreSeries, labels, metric: str) -> tuple[float, float, float]:
-    """Best-F1 threshold sweep over the distinct observed scores plus +inf.
+    """Best-F1 threshold sweep: the first maximum of `ConfusionCounts.f1` over
+    the candidates +inf (nothing predicted), then the distinct scores descending.
 
     `labels` is the 0/1 array or its `metrics.Truth`; sweeps of one
     `ScoreSeries` share its `levels`, and of one `Truth` its segments.
-    Predictions at threshold theta are `scores >= theta`. Ties are broken
-    toward the higher threshold (fewer positives). Returns (threshold, f1,
-    all_positive_f1); the last is the F1 at the lowest threshold, the minimum
-    score, where every point is predicted (0.0 when there are no scores). It
-    equals `f1_at` there bit for bit, so a caller can compare it with the best
-    F1 without a recount.
+    Predictions at theta are `scores >= theta`, so ties go to the higher
+    threshold (fewer positives). Returns (threshold, f1, all_positive_f1), the
+    last being the F1 at the minimum score, where every point is predicted
+    (+inf's 0.0 with no scores); it equals `f1_at` there bit for bit, so a
+    caller can compare it with the best F1 without a recount.
     The sweep costs O(M log M): `sweep_counts` gets every threshold's counts
     at once, each count being the number of events (points, segments, runs)
     whose switch-on level is at or above the threshold's.
     """
     if labels is None:
         raise DataError("threshold_best_f1 requires labels")
-    thresholds, tp, fp, fn = sweep_counts(*score_series.levels, as_truth(labels), metric)
-    # ConfusionCounts.f1's expression and 0/0 -> 0 convention, on every threshold
-    p = _ratio(tp, tp + fp)
-    r = _ratio(tp, tp + fn)
-    f1 = _ratio(2 * p * r, p + r)
-    all_positive = float(f1[-1]) if f1.size else 0.0  # thresholds descend
-    if f1.size and f1.max() > 0:
-        best = int(np.argmax(f1))  # the first maximum: ties keep the higher threshold
-        return float(thresholds[best]), float(f1[best]), all_positive
-    return np.inf, 0.0, all_positive  # +inf predicts nothing: F1 = 0 under the 0/0 convention
-
-
-def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    return np.divide(num, den, out=np.zeros(den.shape), where=den != 0)
+    thresholds, counts = sweep_counts(*score_series.levels, as_truth(labels), metric)
+    f1 = counts.f1
+    best = int(np.argmax(f1))
+    return float(thresholds[best]), float(f1[best]), float(f1[-1])
 
 
 def threshold_quantile(score_series: ScoreSeries, q: float) -> float:

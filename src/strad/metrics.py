@@ -27,22 +27,30 @@ THRESHOLD_METRICS = ("rpa", "pa")
 
 @dataclass(frozen=True)
 class ConfusionCounts:
-    tp: int
-    fp: int
-    fn: int
+    """One prediction's int counts or a sweep's int64 arrays; the only F1 rule."""
+
+    tp: int | np.ndarray
+    fp: int | np.ndarray
+    fn: int | np.ndarray
 
     @property
-    def precision(self) -> float:
-        return self.tp / (self.tp + self.fp) if (self.tp + self.fp) else 0.0
+    def precision(self):
+        return _ratio(self.tp, self.tp + self.fp)
 
     @property
-    def recall(self) -> float:
-        return self.tp / (self.tp + self.fn) if (self.tp + self.fn) else 0.0
+    def recall(self):
+        return _ratio(self.tp, self.tp + self.fn)
 
     @property
-    def f1(self) -> float:
+    def f1(self):
         p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if (p + r) else 0.0
+        return _ratio(2 * p * r, p + r)
+
+
+def _ratio(num, den):
+    """num / den elementwise, 0 where den is 0: num is 0 there too (counts are
+    never negative), so it is divided by 1 instead. Scalars give a float."""
+    return num / (den + (den == 0))
 
 
 def _as_binary(preds) -> np.ndarray:
@@ -152,12 +160,12 @@ def check_scored(scores: np.ndarray, truth: Truth, metric: str) -> None:
 
 
 def sweep_counts(levels: np.ndarray, inv: np.ndarray, truth: Truth, metric: str):
-    """Confusion counts of `scores >= theta` at every distinct score theta, in one pass.
+    """Confusion counts of `scores >= theta` at +inf and every distinct score theta, in one pass.
 
     `levels, inv = np.unique(scores, return_inverse=True)`. Returns (thresholds,
-    tp, fp, fn): the distinct scores in descending order and, per threshold,
-    the int64 counts that `rpa_counts` (metric "rpa") or `pa_counts` (metric
-    "pa") give for that prediction against the truth.
+    counts): +inf, then the distinct scores in descending order, and as int64
+    arrays the `ConfusionCounts` that `rpa_counts` (metric "rpa") or
+    `pa_counts` (metric "pa") give for each threshold's prediction.
 
     Point i is predicted at the j-th smallest distinct score iff its level
     inv[i] is >= j. So every count is the number of events switched on at that
@@ -168,16 +176,17 @@ def sweep_counts(levels: np.ndarray, inv: np.ndarray, truth: Truth, metric: str)
     check_scored(inv, truth, metric)
 
     def on(event_levels: np.ndarray) -> np.ndarray:
-        """Per threshold, descending, how many of the events are on."""
-        return np.cumsum(np.bincount(event_levels, minlength=levels.size)[::-1])
+        """Per threshold, descending, how many of the events are on; none at +inf."""
+        return np.cumsum(np.bincount(event_levels, minlength=levels.size + 1)[::-1])
 
     padded = np.append(inv, 0)  # for `Truth`'s reduceat runs
     hit = np.maximum.reduceat(padded, truth.segment_runs)[::2]  # any of a segment's points on
+    thresholds = np.concatenate(([np.inf], levels[::-1]))
     fp = on(inv[truth.normal])
     if metric == "pa":
         # a hit segment counts all its points as true positives
         tp = on(np.repeat(hit, truth.segments[:, 1] - truth.segments[:, 0] + 1))
-        return levels[::-1], tp, fp, int(truth.labels.sum()) - tp
+        return thresholds, ConfusionCounts(tp, fp, int(truth.labels.sum()) - tp)
 
     tp = on(hit)
     # Runs of on normal points are on normal points minus on normal-normal
@@ -187,7 +196,7 @@ def sweep_counts(levels: np.ndarray, inv: np.ndarray, truth: Truth, metric: str)
     pair = np.minimum(inv[:-1], inv[1:])
     fp = (fp - on(pair[truth.normal_pairs]) - on(pair[truth.edge_pairs])
           + on(np.minimum.reduceat(padded, truth.gap_runs)[::2]))
-    return levels[::-1], tp, fp, len(truth.segments) - tp
+    return thresholds, ConfusionCounts(tp, fp, len(truth.segments) - tp)
 
 
 def entire_f1(per_subdataset: Sequence[tuple[int, float]]) -> float:

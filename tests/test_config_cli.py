@@ -831,6 +831,19 @@ class TestCliCompare:
         rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
         assert [r["air"] for r in rows if r["arm"] == "strad"] == ["nan", "nan"]
 
+    def test_dataset_without_anomalies_has_zero_segments(self, tmp_path):
+        # it weighs nothing in the entire F1; its MSE F1 is 0, so A.I.R. drops it
+        out = tmp_path / "out"
+        doc = small_config(out)
+        doc["datasets"].append({"name": "quiet", "synth": {"length": 600}})
+        with pytest.warns(UserWarning, match="zero MSE baseline"):
+            assert main(["compare", "-c", write_config(tmp_path, doc)]) == 0
+        lines = [l for l in (out / "comparison.csv").read_text().splitlines()
+                 if l and not l.startswith("#")]
+        header = lines[0].split(",")
+        rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
+        assert [r["segments"] for r in rows if r["dataset"] == "quiet"] == ["0", "0"]
+
     def test_explicit_shape_only_keeps_the_mse_rows(self, tmp_path):
         # "auto" scores the MSE arm shape_only, so naming that mode changes no MSE row
         def mse_rows(name, *overrides):
@@ -1244,6 +1257,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "cannot descend into datasets.0.name: datasets is a list" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_set_through_a_scalar_names_its_key_path(self, tmp_path, capsys, with_config):
+        # the defaults hold an int and a null here; the document sets both only with a config
+        cfg = ["-c", write_config(tmp_path, small_config(tmp_path / "out"))] if with_config else []
+        out = tmp_path / "out"
+        for key in ("train.epochs", "window.train_stride"):
+            assert main(["synth", *cfg, "--set", f"{key}.x=1", "-o", str(out)]) == 1
+            assert f"cannot descend into {key}.x: {key} is not an object" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("override", [
         "train.lr=-1", "train.lr=0", "train.lr=NaN", "train.lr=Infinity",

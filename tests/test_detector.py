@@ -25,7 +25,7 @@ from strad.detector import (
 )
 from strad.errors import ConfigError, DataError, NumericError, ShapeMismatchError
 from strad.losses import LossWeights, seasonality_batch, trend_batch
-from strad.metrics import ConfusionCounts, pa_counts, rpa_counts
+from strad.metrics import pa_counts, rpa_counts
 from strad.model import forward_batch, init_model, default_layer_sizes
 from strad.series import TimeSeries, segments_from_labels, sliding_windows
 
@@ -338,7 +338,10 @@ def brute_best_f1(score_series, labels, metric="rpa"):
     best_threshold, best_f1 = np.inf, 0.0
     for threshold in np.unique(scores)[::-1]:
         tp, fp, fn = recount([int(v) for v in scores >= threshold], labels)
-        f1 = ConfusionCounts(tp=tp, fp=fp, fn=fn).f1
+        # the F1 rule written out, apart from `ConfusionCounts`, which the sweep uses
+        precision = tp / (tp + fp) if (tp + fp) else 0.0
+        recall = tp / (tp + fn) if (tp + fn) else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if (precision + recall) else 0.0
         if f1 > best_f1:
             best_f1, best_threshold = f1, float(threshold)
     return best_threshold, best_f1
@@ -476,6 +479,14 @@ class TestF1At:
         # under "rpa" this was a false-positive run past the labels' end: F1 0.667
         with pytest.raises(ShapeMismatchError, match="scores length"):
             f1_at(np.array([0, 1, 0, 0, 0, 0, 1, 1.]), 0.5, np.array([0, 1, 0, 0]), metric)
+
+    def test_rpa_finding_half_the_segments(self):
+        # tp == fn at a fixed threshold, as in quantile mode: 4 of 8 segments, no false run
+        labels = np.tile([0, 0, 1, 1], 8)
+        scores = np.where(np.arange(labels.size) < 16, 2.0 * labels, 0.0)
+        preds = [int(v) for v in scores >= 1.0]
+        assert brute_rpa(preds, labels.tolist()) == (4, 0, 4)
+        assert f1_at(scores, 1.0, labels, "rpa") == 2 / 3
 
     def test_unknown_metric(self):
         # was counted as PA, F1 1.0

@@ -67,6 +67,15 @@ class TestConfusionCounts:
     def test_perfect(self):
         assert ConfusionCounts(tp=3, fp=0, fn=0).f1 == 1.0
 
+    @pytest.mark.parametrize("count", [lambda n: n, lambda n: np.array([n])], ids=["int", "array"])
+    def test_as_many_found_as_missed(self, count):
+        # tp == fn > 0, as when RPA finds 4 of 8 segments: recall's denominator is 8, not 0
+        counts = ConfusionCounts(tp=count(4), fp=count(0), fn=count(4))
+        assert np.array_equal(counts.precision, count(1.0))
+        assert np.array_equal(counts.recall, count(0.5))
+        assert np.array_equal(counts.f1, count(2 / 3))
+        assert type(counts.f1) is type(count(2 / 3))  # a float for int counts
+
 
 class TestPointAdjust:
     def test_hit_fills_segment(self):
@@ -84,6 +93,10 @@ class TestPointAdjust:
     def test_segment_out_of_range(self):
         with pytest.raises(DataError):
             point_adjust([0, 1], [(1, 5)])
+
+    def test_no_pairs_leaves_preds_unchanged(self):
+        preds = [1, 0, 1, 1, 0, 0]
+        assert np.array_equal(point_adjust(preds, []), preds)
 
     @pytest.mark.parametrize("count", [point_adjust, rpa_counts], ids=["point_adjust", "rpa"])
     @pytest.mark.parametrize("segments", [[(1, 2)], [(-1, 0)], [(1, 0)], [(0.0, 1.0)],
@@ -129,6 +142,10 @@ class TestRpaCounts:
     def test_all_zero_preds(self):
         counts = rpa_counts([0, 0, 0], [(1, 1)])
         assert (counts.tp, counts.fp, counts.fn) == (0, 0, 1) and counts.f1 == 0.0
+
+    def test_no_pairs_counts_runs_as_false_positives(self):
+        counts = rpa_counts([1, 0, 1, 1, 0, 1], [])
+        assert (counts.tp, counts.fp, counts.fn) == (0, 3, 0)
 
     def test_exact_match(self):
         labels = [1, 1, 0, 0, 1, 0, 1]
@@ -179,6 +196,9 @@ class TestEntireF1:
 
     def test_constant_fixed_point(self):
         assert entire_f1([(1, 0.3), (9, 0.3), (5, 0.3)]) == pytest.approx(0.3)
+
+    def test_subdataset_without_segments_weighs_nothing(self):
+        assert entire_f1([(0, 0.0), (4, 0.5)]) == 0.5
 
     def test_zero_total_rejected(self):
         with pytest.raises(DataError):
