@@ -97,6 +97,10 @@ MUTANTS = (
            "np.add.at(sums[lo * stride :], points[: part.size], part.ravel())",
            "np.add.at(sums[lo * stride :], points[: part.size][::-1], part.ravel()[::-1])",
            ("tests/test_detector.py::TestOverlapAdd",)),
+    Mutant("score_channel_sum_from_last", "detector.py",
+           "np.abs(err, out=err)",
+           "np.abs(err, out=err)\n        err = err[:, :, ::-1]",
+           ("tests/test_detector.py::TestChannelSum",)),
     Mutant("trend_sign_subgradient_flipped", "losses.py",
            "SLOPE_TIE, 0.0, np.sign(diff))",
            "SLOPE_TIE, 0.0, -np.sign(diff))",

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .fanout import BLAS_THREAD_VARS  # loads no numpy
@@ -243,20 +244,22 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError as exc:  # a model or series too large to allocate
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except StradError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    with warnings.catch_warnings():  # a warning is one plain line, without source path or line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return _COMMANDS[args.command](args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except MemoryError as exc:  # a model or series too large to allocate
+            print(f"error: out of memory: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
+        except StradError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from .series import TimeSeries, sliding_windows
 
 LOSS_KINDS = ("mse", "strad", "mse_plus_strad")
 SCORE_MODES = ("shape_only", "strad_broadcast")
-SCORE_CHUNK = 128  # windows per reconstruction block in `score`
+SCORE_CHUNK = 256  # windows per reconstruction block in `score`
 
 
 @dataclass(frozen=True)
@@ -133,18 +133,19 @@ def score(
 ) -> ScoreSeries:
     """Per-point anomaly scores from sliding-window reconstruction error.
 
-    Every window contributes, to each of its points, the channel-summed
-    absolute reconstruction error scaled by lambda3. In "strad_broadcast" mode
-    the window-level trend (monotone variant, regardless of the training
-    variant, so scores never reward mismatch) and seasonality terms are
-    additionally spread uniformly over the window's points. A point covered by
-    several windows gets the average of its contributions. Points left
-    uncovered score 0; with stride <= length that is possible only in the tail
-    after the last window.
+    Every window contributes, to each of its points, lambda3 times the
+    absolute reconstruction error summed over the channels first to last,
+    ((e0 + e1) + e2) + ... (`np.sum`'s order below 8 channels). In
+    "strad_broadcast" mode the window-level trend (monotone variant, regardless
+    of the training variant, so scores never reward mismatch) and seasonality
+    terms are additionally spread uniformly over the window's points. A point
+    covered by several windows gets the average of its contributions. Points
+    left uncovered score 0; with stride <= length that is possible only in the
+    tail after the last window.
 
     Windows are reconstructed `SCORE_CHUNK` at a time, and each block's
     contributions go straight into the point sums, so memory is
-    O(M + SCORE_CHUNK * t) however many windows there are. `np.add.at` adds
+    O(M + SCORE_CHUNK * t * d) however many windows there are. `np.add.at` adds
     the terms one at a time in the order listed, window by window, so every
     point sums its windows oldest first, the way a loop over windows would.
     The model's input size is checked by `forward_batch` on the first block.
@@ -152,15 +153,19 @@ def score(
     if mode not in SCORE_MODES:
         raise ConfigError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
     data = sliding_windows(series, length, stride)  # (N, t, d)
-    n, t, _ = data.shape
+    n, t, d = data.shape
     sums = np.zeros(series.length)
     # window k of a block adds its term j to point k*stride + j of the block's span
     points = (np.arange(0, SCORE_CHUNK * stride, stride)[:, None] + np.arange(t)).ravel()
     for lo in range(0, n, SCORE_CHUNK):
         X = data[lo : lo + SCORE_CHUNK]
-        count = len(X)
-        XR = forward_batch(model, X.reshape(count, -1))[-1].reshape(X.shape)
-        part = weights.lambda3 * np.sum(np.abs(X - XR), axis=2)  # (count, t)
+        XR = forward_batch(model, X.reshape(len(X), -1))[-1].reshape(X.shape)
+        err = X - XR
+        np.abs(err, out=err)
+        part = err[:, :, 0]  # a (windows, t) view; the other channels add into it in order
+        for c in range(1, d):
+            part += err[:, :, c]
+        part *= weights.lambda3
         if mode == "strad_broadcast":
             sea, _ = seasonality_batch(X, XR)
             tre, _ = trend_batch(X, XR, weights.epsilon, "monotone")

@@ -30,6 +30,8 @@ HUGE = "1" + "0" * 400
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
+AIR_DROP_WARNING = "dropping 1 dataset(s) with zero MSE baseline from A.I.R."
+
 
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
@@ -815,15 +817,15 @@ class TestCliCompare:
             assert float(row["avg_improved"]) == 0.0
             assert float(row["air"]) == 0.0
 
-    def test_undefined_air_still_writes_the_tables(self, tmp_path):
+    def test_undefined_air_still_writes_the_tables(self, tmp_path, capsys):
         # q = 1.0 flags nothing on the MSE arm, so every MSE baseline F1 is 0
         out = tmp_path / "out"
         doc = {"seed": 0, "output_dir": str(out), "train": {"epochs": 1},
                "threshold": {"q": 1.0},
                "datasets": [{"name": "a", "synth": {"length": 1000, "anomalies": [
                    {"kind": "trend_pattern", "start": 700, "length": 20, "magnitude": 1e-12}]}}]}
-        with pytest.warns(UserWarning, match="zero MSE baseline"):
-            assert main(["compare", "-c", write_config(tmp_path, doc)]) == 0
+        assert main(["compare", "-c", write_config(tmp_path, doc)]) == 0
+        assert capsys.readouterr().err == f"warning: {AIR_DROP_WARNING}\n"
         assert (out / "comparison.csv").is_file()
         lines = [l for l in (out / "improvement.csv").read_text().splitlines()
                  if l and not l.startswith("#")]
@@ -831,13 +833,13 @@ class TestCliCompare:
         rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
         assert [r["air"] for r in rows if r["arm"] == "strad"] == ["nan", "nan"]
 
-    def test_dataset_without_anomalies_has_zero_segments(self, tmp_path):
+    def test_dataset_without_anomalies_has_zero_segments(self, tmp_path, capsys):
         # it weighs nothing in the entire F1; its MSE F1 is 0, so A.I.R. drops it
         out = tmp_path / "out"
         doc = small_config(out)
         doc["datasets"].append({"name": "quiet", "synth": {"length": 600}})
-        with pytest.warns(UserWarning, match="zero MSE baseline"):
-            assert main(["compare", "-c", write_config(tmp_path, doc)]) == 0
+        assert main(["compare", "-c", write_config(tmp_path, doc)]) == 0
+        assert capsys.readouterr().err == f"warning: {AIR_DROP_WARNING}\n"
         lines = [l for l in (out / "comparison.csv").read_text().splitlines()
                  if l and not l.startswith("#")]
         header = lines[0].split(",")

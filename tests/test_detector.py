@@ -307,6 +307,46 @@ class TestOverlapAdd:
             assert np.array_equal(window_coverage(length, n, t, stride), coverage), case
 
 
+class TestChannelSum:
+    """`score` sums each window's channels first to last, ((e0 + e1) + e2) +
+    ..., bit for bit.
+
+    Below 8 channels that is `np.sum`'s order as well; from 8 on `np.sum`
+    adds pairwise, so those scores moved in their last bits when `score` took
+    this order. A fake `forward_batch` records each block's absolute errors, as
+    in `TestOverlapAdd`; the channel sums go to `offset_loop`.
+    """
+
+    def test_channels_add_first_to_last(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        terms = []
+
+        def fake_forward(model, flat):
+            # terms over 12 orders of magnitude: any reordering changes the bits
+            recon = flat - rng.exponential(size=flat.shape) * 10.0 ** rng.uniform(-6, 6, flat.shape)
+            terms.append(np.abs(flat - recon))
+            return [recon]
+
+        monkeypatch.setattr(strad.detector, "forward_batch", fake_forward)
+        for d in range(2, 10):
+            for n, t, stride in ((300, 16, 1), (40, 5, 3), (7, 1, 1)):
+                length = (n - 1) * stride + t
+                terms.clear()
+                ts = TimeSeries(values=rng.normal(size=(length, d)))
+                scores = score(None, ts, t, stride, LossWeights(), "shape_only").scores
+                errors = np.concatenate(terms).reshape(n, t, d)  # a window flattens point-major
+                contrib = errors[:, :, 0]
+                for c in range(1, d):
+                    contrib = contrib + errors[:, :, c]
+                sums, coverage = offset_loop(contrib, length, stride)
+                expected = np.divide(sums, coverage, out=sums, where=coverage > 0)
+                assert np.array_equal(scores.view(np.int64), expected.view(np.int64)), (d, n, t)
+                if d >= 8 and n == 300:  # the data tells the orders apart
+                    sums, _ = offset_loop(np.sum(errors, axis=2), length, stride)
+                    pairwise = np.divide(sums, coverage, out=sums, where=coverage > 0)
+                    assert not np.array_equal(scores, pairwise)
+
+
 class TestScoreMemory:
     def peak_bytes(self, m):
         ts = TimeSeries(values=np.sin(np.arange(m) / 5.0)[:, None])
