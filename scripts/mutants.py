@@ -149,6 +149,10 @@ MUTANTS = (
            "np.ascontiguousarray(np.swapaxes(mod, 1, 2)).swapaxes(1, 2) @ _pair_weights(n)",
            "mod @ _pair_weights(n)",
            ("tests/test_losses.py::TestKernelsAgainstOracles::test_seasonality",)),
+    Mutant("eval_repeated_metric_unchecked", "experiments.py",
+           "if len(set(metrics)) != len(metrics):",
+           "if False:",
+           ("tests/test_config_cli.py::TestEvalInputs::test_repeated_metric",)),
     Mutant("train_cmd_generates_test_split", "experiments.py",
            "train_raw = materialize_train(cfg, 0)",
            "train_raw, _ = materialize_dataset(cfg, 0)",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import warnings
@@ -138,20 +137,9 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if len(args.scores) != len(args.data):
-        raise ConfigError("--scores and --data must be given the same number of times")
     metrics = args.metric or list(THRESHOLD_METRICS)
-    if len(set(metrics)) != len(metrics):
-        raise ConfigError(f"--metric repeats a metric: {metrics}")
-    if any(math.isnan(t) for t in args.threshold or ()):
-        raise ConfigError("--threshold must be a number or +/-inf, got nan")
-    *rows, entire = run_eval_cmd(
-        pairs=[(Path(s), Path(d)) for s, d in zip(args.scores, args.data)],
-        metrics=metrics,
-        outdir=Path(args.output_dir),
-        label_column=args.label_column,
-        thresholds=args.threshold,
-    )
+    *rows, entire = run_eval_cmd(args.scores, args.data, metrics, Path(args.output_dir),
+                                 args.label_column, args.threshold)
     for row in rows:
         cells = " ".join(f"{m}_f1={row[f'{m}_f1']:.6f}"
                          + (f" {DEGENERATE}" if m in row["degenerate"] else "") for m in metrics)
@@ -182,17 +170,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    for flag, value in (("--windows", args.windows), ("--models", args.models)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
-    results = gradcheck_mod.run_all(
-        seed=args.seed,
-        n_windows=args.windows,
-        n_models=args.models,
-        layer_sizes=tuple(args.sizes),
-    )
+    results = gradcheck_mod.run_all(args.seed, args.windows, args.models, tuple(args.sizes))
     report = gradcheck_mod.format_report(results)
     print(report)
     if args.output:

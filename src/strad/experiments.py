@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -18,6 +19,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .detector import (
+    LOSS_KINDS,
     ScoreSeries,
     TrainConfig,
     TrainResult,
@@ -340,16 +342,23 @@ def run_train_cmd(cfg: ExperimentConfig, outdir: Path) -> tuple[Path, Path]:
     result = fit(cfg, train_norm, cfg.train)
     _make_outdir(outdir)
     ckpt_path = outdir / f"{ds.name}_model.ckpt"
-    save_checkpoint(result.model, ckpt_path, meta={"config": cfg.hash, "seed": str(cfg.seed)})
+    save_checkpoint(result.model, ckpt_path,
+                    meta={"config": cfg.hash, "seed": str(cfg.seed), "loss": cfg.train.loss_kind})
     hist_path = outdir / f"{ds.name}_history.csv"
     write_history_csv(result, hist_path, provenance(cfg, dataset=ds.name, loss=cfg.train.loss_kind))
     return ckpt_path, hist_path
 
 
 def run_detect_cmd(cfg: ExperimentConfig, checkpoint: Path, outdir: Path) -> dict:
-    """Score the first dataset's test split and threshold it."""
+    """Score the first dataset's test split and threshold it.
+
+    "auto" scoring follows the checkpoint's `loss` line, else the configured loss.
+    """
     ds = cfg.datasets[0]
-    model, _ = load_checkpoint(checkpoint)
+    model, meta = load_checkpoint(checkpoint)
+    loss_kind = meta.get("loss", cfg.train.loss_kind)
+    if loss_kind not in LOSS_KINDS:
+        raise CheckpointError(f"{checkpoint}: loss must be one of {LOSS_KINDS}, got {loss_kind!r}")
     train_raw, test_raw = materialize_dataset(cfg, 0)
     t = cfg.window_length
     if model.input_size != t * train_raw.channels:
@@ -357,7 +366,7 @@ def run_detect_cmd(cfg: ExperimentConfig, checkpoint: Path, outdir: Path) -> dic
             f"checkpoint expects input size {model.input_size}, "
             f"configuration implies {t * train_raw.channels}"
         )
-    mode = resolve_score_mode(cfg.score_mode, cfg.train.loss_kind)
+    mode = resolve_score_mode(cfg.score_mode, loss_kind)
     train_norm, test_norm = normalize_splits((train_raw, test_raw))
     test_scores, threshold = detect(cfg, model, train_norm, test_norm, mode)
     degenerate = False
@@ -395,7 +404,8 @@ def run_detect_cmd(cfg: ExperimentConfig, checkpoint: Path, outdir: Path) -> dic
 
 
 def run_eval_cmd(
-    pairs: list[tuple[Path, Path]],
+    scores: Sequence,
+    data: Sequence,
     metrics: Sequence[str],
     outdir: Path,
     label_column: str,
@@ -403,14 +413,24 @@ def run_eval_cmd(
 ) -> list[dict]:
     """Per-sub-dataset F1s plus the segment-weighted entire-dataset F1s.
 
-    With explicit `thresholds` (one per pair, or a single broadcast value)
-    each metric is evaluated at that fixed threshold; otherwise a best-F1
-    sweep runs per metric. Each distinct path is opened once, however many
-    pairs name it, and each data path's labels are parsed and prepared for
-    the sweeps once. The provenance line's digest is `_eval_digest` of the
-    bytes parsed. Returns the rows of `report.csv`: one `evaluate` row per
-    sub-dataset, named after its data file, and the ENTIRE row last.
+    `scores[i]` and `data[i]` are the paths of pair i. With explicit
+    `thresholds` (one per pair, or a single broadcast value) each metric is
+    evaluated at that fixed threshold; otherwise a best-F1 sweep runs per
+    metric. Before any file is read, a pair count mismatch, a repeated
+    metric, a NaN threshold or a wrong threshold count raises ConfigError.
+    Each distinct path is opened once, however many pairs name it, and each
+    data path's labels are parsed and prepared for the sweeps once. The
+    provenance line's digest is `_eval_digest` of the bytes parsed. Returns
+    the rows of `report.csv`: one `evaluate` row per sub-dataset, named after
+    its data file, and the ENTIRE row last.
     """
+    if len(scores) != len(data):
+        raise ConfigError("--scores and --data must be given the same number of times")
+    if len(set(metrics)) != len(metrics):
+        raise ConfigError(f"--metric repeats a metric: {list(metrics)}")
+    if any(math.isnan(t) for t in thresholds or ()):
+        raise ConfigError("--threshold must be a number or +/-inf, got nan")
+    pairs = [(Path(s), Path(d)) for s, d in zip(scores, data)]
     if thresholds is not None and len(thresholds) == 1:
         thresholds = thresholds * len(pairs)
     if thresholds is not None and len(thresholds) != len(pairs):
@@ -419,15 +439,15 @@ def run_eval_cmd(
     inputs: dict = {}  # path -> its bytes, for `read_bytes`
     truth_of: dict = {}  # data path -> the `Truth` of its label column
     for i, (scores_path, data_path) in enumerate(pairs):
-        scores = read_scores_csv(scores_path, inputs)
+        column = read_scores_csv(scores_path, inputs)
         if data_path not in truth_of:
             truth_of[data_path] = as_truth(read_labels_csv(data_path, label_column, inputs))
         truth = truth_of[data_path]
-        if truth.labels.shape != scores.shape:
+        if truth.labels.shape != column.shape:
             raise DataError(f"{data_path}: labels misaligned with {scores_path}")
         threshold = None if thresholds is None else thresholds[i]
-        rows.append({"name": Path(data_path).stem,
-                     **evaluate(ScoreSeries(scores), truth, dict.fromkeys(metrics, threshold))})
+        rows.append({"name": data_path.stem,
+                     **evaluate(ScoreSeries(column), truth, dict.fromkeys(metrics, threshold))})
     entire = {"name": "ENTIRE", "segments": sum(r["segments"] for r in rows),
               **entire_f1s(rows, metrics)}
     digest = _eval_digest([inputs[p] for p in [*(s for s, _ in pairs), *(d for _, d in pairs)]],

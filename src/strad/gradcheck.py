@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
+from .errors import ConfigError
 from .losses import LossWeights
 from .model import backward_batch, forward_batch, init_model
 
@@ -186,7 +187,12 @@ def check_model_component(component: str, seed: int, n_models: int,
 
 def run_all(seed: int, n_windows: int, n_models: int,
             layer_sizes: tuple[int, ...]) -> list[GradCheckResult]:
-    """Run every gradient suite."""
+    """Run every gradient suite; a negative seed, or no window or model, is a ConfigError."""
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    for flag, value in (("--windows", n_windows), ("--models", n_models)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     results = []
     for component in LOSS_COMPONENTS:
         results.append(check_loss_component(component, seed=seed, n_windows=n_windows))

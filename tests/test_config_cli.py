@@ -19,7 +19,7 @@ from strad.cli import _load, build_parser, main
 from strad.config import config_hash, load_config, resolve
 from strad.errors import ConfigError
 from strad.detector import ScoreSeries
-from strad.experiments import evaluate, read_scores_csv
+from strad.experiments import evaluate, read_scores_csv, run_eval_cmd
 from strad.model import DenseAutoencoder, load_checkpoint, save_checkpoint
 from strad.series import load_csv, segments_from_labels
 from strad.synth import generate_base
@@ -531,6 +531,35 @@ class TestCliDetect:
         assert "error: checkpoint expects input size 32, configuration implies 64" in err
         assert not det.exists()
 
+    def test_auto_scores_by_the_checkpoints_loss(self, tmp_path):
+        # trained with MSE, detected under a strad config: "auto" follows the training loss
+        out = tmp_path / "out"
+        cfgp = write_config(tmp_path, small_config(out))
+        assert main(["train", "-c", cfgp, "--set", 'train.loss="mse"']) == 0
+        assert "# loss=mse" in (out / "demo_model.ckpt").read_text().splitlines()
+        assert main(["detect", "-c", cfgp, "--checkpoint", str(out / "demo_model.ckpt")]) == 0
+        assert json.loads((out / "demo_detect.json").read_text())["mode"] == "shape_only"
+
+    def test_checkpoint_without_loss_line_scores_by_the_config(self, tmp_path):
+        out = self.run_train_detect(tmp_path, train={"epochs": 3, "batch_size": 8, "loss": "mse"})
+        ckpt = out / "demo_model.ckpt"
+        save_checkpoint(load_checkpoint(ckpt)[0], ckpt, meta={"seed": "5"})
+        assert main(["detect", "-c", str(tmp_path / "out.json"), "--checkpoint", str(ckpt)]) == 0
+        assert json.loads((out / "demo_detect.json").read_text())["mode"] == "shape_only"
+        assert main(["detect", "-c", str(tmp_path / "out.json"), "--checkpoint", str(ckpt),
+                     "--set", 'train.loss="strad"']) == 0
+        assert json.loads((out / "demo_detect.json").read_text())["mode"] == "strad_broadcast"
+
+    def test_unknown_checkpoint_loss_exits_2(self, tmp_path, capsys):
+        out = self.run_train_detect(tmp_path)
+        ckpt = out / "demo_model.ckpt"
+        save_checkpoint(load_checkpoint(ckpt)[0], ckpt, meta={"loss": "huber"})
+        capsys.readouterr()
+        assert main(["detect", "-c", str(tmp_path / "out.json"), "--checkpoint", str(ckpt),
+                     "-o", str(tmp_path / "det")]) == 2
+        assert "demo_model.ckpt: loss must be one of" in capsys.readouterr().err
+        assert not (tmp_path / "det").exists()
+
     def test_incompatible_checkpoint(self, tmp_path):
         out = self.run_train_detect(tmp_path)
         cfgp = write_config(tmp_path, small_config(out, window={"length": 32}), name="w.json")
@@ -799,6 +828,32 @@ class TestCliEval:
         sc, _ = write_eval_pair(tmp_path, "x", [0, 1, 0], [0, 7, 0])
         _, data = write_eval_pair(tmp_path, "y", [0, 1], [0, 7])
         assert main(["eval", "--scores", str(sc), "--data", str(data)]) == 2
+
+
+class TestEvalInputs:
+    """`run_eval_cmd` rejects bad inputs itself, before it reads any file."""
+
+    def reject(self, tmp_path, scores=("s.csv",), data=("d.csv",), metrics=("rpa",),
+            thresholds=None):
+        # the paths name no file, so a check made after reading would raise FileNotFoundError
+        with pytest.raises(ConfigError) as excinfo:
+            run_eval_cmd([tmp_path / s for s in scores], [tmp_path / d for d in data],
+                         list(metrics), tmp_path / "rep", "label", thresholds)
+        assert not (tmp_path / "rep").exists()
+        return str(excinfo.value)
+
+    def test_pair_count_mismatch(self, tmp_path):
+        assert "--scores and --data" in self.reject(tmp_path, data=("a.csv", "b.csv"))
+
+    def test_repeated_metric(self, tmp_path):
+        assert self.reject(tmp_path, metrics=("pa", "rpa", "pa")) == (
+            "--metric repeats a metric: ['pa', 'rpa', 'pa']")
+
+    def test_nan_threshold(self, tmp_path):
+        assert "got nan" in self.reject(tmp_path, thresholds=[math.nan])
+
+    def test_wrong_threshold_count(self, tmp_path):
+        assert "one threshold per" in self.reject(tmp_path, thresholds=[1.0, 2.0])
 
 
 class TestCliCompare:
@@ -1197,6 +1252,19 @@ class TestCliGradcheck:
         assert code == 3
         captured = capsys.readouterr()
         assert "shape" in captured.err
+
+
+class TestGradcheckInputs:
+    """`gradcheck.run_all` rejects a negative seed and an empty check itself."""
+
+    @pytest.mark.parametrize("seed, windows, models, message", [
+        (-1, 1, 1, "--seed must be >= 0, got -1"),
+        (0, 0, 1, "--windows must be >= 1, got 0"),
+        (0, 1, 0, "--models must be >= 1, got 0"),
+    ])
+    def test_rejected(self, seed, windows, models, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            gradcheck.run_all(seed, windows, models, (2, 1, 2))
 
 
 class TestExitCodes:

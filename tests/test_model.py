@@ -231,6 +231,21 @@ class TestAdam:
             adam_step(m, grad, state)
 
 
+    @pytest.mark.parametrize("bad, error", [
+        (lambda p: np.ones(p.size - 1), ShapeMismatchError),
+        (lambda p: np.ones((1, p.size)), ShapeMismatchError),
+        (lambda p: np.where(np.arange(p.size) == 7, np.nan, 1.0), NumericError),
+    ], ids=["short", "2-D", "nan"])
+    def test_rejected_gradient_writes_nothing(self, bad, error):
+        m = init_model([6, 3, 6], seed=4)
+        state = init_adam(m, lr=1e-3)
+        adam_step(m, np.random.default_rng(0).normal(size=m.params.shape), state)
+        before = [a.tobytes() for a in (m.params, state.m, state.v)]
+        with pytest.raises(error):
+            adam_step(m, bad(m.params), state)
+        assert [a.tobytes() for a in (m.params, state.m, state.v)] == before
+        assert state.step == 1
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         m = init_model([8, 4, 2, 4, 8], seed=9)

@@ -471,6 +471,30 @@ class TestBinaryChecks:
         check(np.array(good))
 
 
+class TestTimeSeriesChecks:
+    def test_nan_value_names_its_row(self):
+        values = np.zeros((5, 3))
+        values[3, 2] = np.nan
+        with pytest.raises(NonFiniteValueError, match="row 3 of series 'tiny'"):
+            TimeSeries(values=values, name="tiny")
+
+    @pytest.mark.parametrize("values, message", [
+        (np.zeros((2, 3, 1)), "1-D or 2-D, got ndim=3"),
+        (np.zeros(0), r"non-empty, got shape \(0, 1\)"),
+        (np.zeros((4, 0)), r"non-empty, got shape \(4, 0\)"),
+    ])
+    def test_rejects_values_of_another_shape(self, values, message):
+        with pytest.raises(DataError, match=message) as excinfo:
+            TimeSeries(values=values)
+        assert excinfo.type is DataError
+
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_rejects_labels_of_another_length(self, length):
+        with pytest.raises(DataError, match="does not match series length 4") as excinfo:
+            TimeSeries(values=np.zeros(4), labels=np.zeros(length))
+        assert excinfo.type is DataError
+
+
 class TestImmutability:
     def test_values_read_only(self):
         ts = TimeSeries(values=np.arange(4.0))
