@@ -172,6 +172,15 @@ MUTANTS = (
            "np.empty((1, 2), np.int64)",
            ("tests/test_metrics.py::TestPointAdjust::test_no_pairs_leaves_preds_unchanged",
             "tests/test_metrics.py::TestRpaCounts::test_no_pairs_counts_runs_as_false_positives")),
+    Mutant("train_step_keeps_its_arrays", "detector.py",
+           "del X, flat, acts, XR, values, v, grads, upstream, grad",
+           "pass",
+           ("tests/test_detector.py::TestTrainMemory",)),
+    Mutant("checkpoint_joined_as_text", "model.py",
+           'header + base64.b64encode(memoryview(params)) + b"\\nend\\n"',
+           '(header.decode() + "\\n".join([base64.b64encode(params.tobytes()).decode("ascii"), "end"])'
+           ' + "\\n").encode()',
+           ("tests/test_model.py::TestCheckpoint::test_save_peak_is_under_three_parameter_vectors",)),
 )
 
 

@@ -92,6 +92,11 @@ def train(model: DenseAutoencoder, windows: np.ndarray, cfg: TrainConfig) -> Tra
     Raises NumericError the moment a loss, gradient, or parameter goes
     non-finite instead of clipping. The model's input size is checked by
     `forward_batch` on the first batch.
+
+    Every array of a step (the batch, its activations and reconstruction, the
+    loss values and gradient, the parameter gradient) is dropped before the
+    next step allocates, so training holds one step's arrays at a time next
+    to the parameters and Adam's three vectors.
     """
     n, t, d = windows.shape
     if n == 0:
@@ -119,6 +124,8 @@ def train(model: DenseAutoencoder, windows: np.ndarray, cfg: TrainConfig) -> Tra
             upstream /= len(idx)  # mean over the batch
             grad = backward_batch(model, acts, upstream)
             adam_step(model, grad, state)
+            # freed here, so the next step allocates into their memory
+            del X, flat, acts, XR, values, v, grads, upstream, grad
         history.append({name: s / n for name, s in sums.items()})
     return TrainResult(model=model, history=history)
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericError, ShapeMismatchError
-from .series import read_text, write_text
+from .series import encode, read_text, write_text
 
 CHECKPOINT_MAGIC = "strad-checkpoint v3"
 
@@ -231,15 +231,33 @@ _PARAM_DTYPE = "<f8"  # explicit byte order, so a file reads the same on every h
 
 
 def save_checkpoint(model: DenseAutoencoder, path, meta: Optional[dict] = None) -> None:
-    """Write the model's layer sizes and the exact bytes of its parameter vector."""
+    """Write the model's layer sizes and the exact bytes of its parameter vector.
+
+    A `meta` key or value that would not load back as written raises
+    CheckpointError naming the key before the file is opened: a key holding
+    "=", or a key or value holding a line break (`str.splitlines`) or leading
+    or trailing whitespace. Only the header is built as text; the parameter
+    line is encoded straight from the parameter vector's bytes.
+    """
     lines = [CHECKPOINT_MAGIC]
     for key, value in (meta or {}).items():
+        _check_meta_item(str(key), str(value))
         lines.append(f"# {key}={value}")
     lines.append("sizes " + " ".join(str(s) for s in model.layer_sizes))
-    raw = model.params.astype(_PARAM_DTYPE, copy=False).tobytes()
-    lines.append(base64.b64encode(raw).decode("ascii"))
-    lines.append("end")
-    write_text(path, "\n".join(lines) + "\n")
+    header = encode(path, "\n".join(lines) + "\n")
+    params = np.ascontiguousarray(model.params, dtype=_PARAM_DTYPE)  # no copy on a little-endian host
+    write_text(path, header + base64.b64encode(memoryview(params)) + b"\nend\n")
+
+
+def _check_meta_item(key: str, value: str) -> None:
+    """Raise CheckpointError unless the line `# key=value` loads back as (key, value)."""
+    if "=" in key:
+        raise CheckpointError(f"checkpoint meta key {key!r} holds '='")
+    for text in (key, value):
+        if "".join(text.splitlines()) != text:
+            raise CheckpointError(f"checkpoint meta {key!r} holds a line break")
+        if text.strip() != text:
+            raise CheckpointError(f"checkpoint meta {key!r} has leading or trailing whitespace")
 
 
 def load_checkpoint(path) -> tuple[DenseAutoencoder, dict]:

@@ -151,11 +151,12 @@ def encode(path, text: str) -> bytes:
         raise DataError(f"{path}: cannot encode: {exc}") from None
 
 
-def write_text(path, text: str) -> None:
+def write_text(path, text: str | bytes) -> None:
     """Write `text` to `path` as `open(path, "w")` would, but rewrite an existing file in place.
 
     The whole text is encoded first (`encode`), so text the encoding cannot
-    hold raises DataError before the file is opened. The file is opened
+    hold raises DataError before the file is opened; `bytes` are written as
+    given, for a caller that has encoded its text already. The file is opened
     without O_TRUNC, written, and cut to the length written: the bytes, and an
     existing file's inode, mode and links, are those `open(path, "w")` leaves,
     and a new file gets mode 0o666 less the umask. Truncating a file to zero
@@ -163,7 +164,7 @@ def write_text(path, text: str) -> None:
     in place does not. A crash before writeback may leave old and new bytes
     mixed, where truncation could leave the file empty.
     """
-    raw = encode(path, text)
+    raw = text if isinstance(text, bytes) else encode(path, text)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)

@@ -365,6 +365,22 @@ class TestScoreMemory:
         assert large - small < 48 * 25_000
 
 
+class TestTrainMemory:
+    @pytest.mark.parametrize("loss_kind", ["strad", "mse_plus_strad"])
+    def test_peak_holds_one_step_next_to_adam(self, loss_kind):
+        # parameters, Adam's m, v and work vector, and one step's arrays; a step
+        # that kept its arrays into the next took 7.1 parameter vectors here
+        windows = np.random.default_rng(0).standard_normal((96, 128, 4))
+        model = init_model(default_layer_sizes(512, (64, 16)), seed=0)
+        tracemalloc.start()
+        try:
+            train(model, windows, TrainConfig(epochs=2, loss_kind=loss_kind))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * model.params.nbytes
+
+
 def brute_best_f1(score_series, labels, metric="rpa"):
     """Reference sweep: recount F1 at every distinct score, highest first,
     with the per-definition loops of `test_metrics`.

@@ -1,4 +1,5 @@
 import base64
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,9 +251,10 @@ class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         m = init_model([8, 4, 2, 4, 8], seed=9)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(m, path, meta={"config": "abc123", "seed": "9"})
+        given = {"config": "abc123", "seed": "9", "a": "b=c", "k": "in ner", "": "", "#x": "#y"}
+        save_checkpoint(m, path, meta=given)
         loaded, meta = load_checkpoint(path)
-        assert meta == {"config": "abc123", "seed": "9"}
+        assert meta == given
         assert loaded.layer_sizes == m.layer_sizes
         assert np.array_equal(m.params, loaded.params)
 
@@ -373,6 +375,34 @@ class TestCheckpoint:
         save_checkpoint(m, p1)
         save_checkpoint(m, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("meta", [
+        {"a=b": "c"},  # loaded back as {"a": "b=c"}
+        {"k": " padded "},  # loaded back as {"k": " padded"}
+        {"k": "two\nlines"},
+        {"k": "form\x0cfeed"},
+        {"k\u2028": "v"},
+        {" k": "v"},
+        {"k": "v\t"},
+    ])
+    def test_meta_that_would_not_load_back_is_refused(self, tmp_path, meta):
+        path = tmp_path / "model.ckpt"
+        (key,) = meta
+        with pytest.raises(CheckpointError) as caught:
+            save_checkpoint(init_model([6, 3, 6], seed=2), path, meta=meta)
+        assert repr(key) in str(caught.value)
+        assert not path.exists()
+
+    def test_save_peak_is_under_three_parameter_vectors(self, tmp_path):
+        # the parameter line built as text five times over took 5.0 times the vector
+        m = init_model(default_layer_sizes(512, (64, 16)), seed=0)
+        tracemalloc.start()
+        try:
+            save_checkpoint(m, tmp_path / "model.ckpt", meta={"seed": "0"})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * m.params.nbytes
 
 
 class TestDescentSmoke:
