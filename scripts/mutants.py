@@ -173,9 +173,13 @@ MUTANTS = (
            ("tests/test_metrics.py::TestPointAdjust::test_no_pairs_leaves_preds_unchanged",
             "tests/test_metrics.py::TestRpaCounts::test_no_pairs_counts_runs_as_false_positives")),
     Mutant("train_step_keeps_its_arrays", "detector.py",
-           "del X, flat, acts, XR, values, v, grads, upstream, grad",
+           "del values, v, g, grads, upstream, grad",
            "pass",
            ("tests/test_detector.py::TestTrainMemory",)),
+    Mutant("lockstep_history_sums_the_run", "detector.py",
+           "v.reshape(b - a, -1).sum(axis=1).tolist()",
+           "[float(v.sum())] * (b - a)",
+           ("tests/test_detector.py::TestLockstep::test_each_fit_gets_its_bits_alone",)),
     Mutant("checkpoint_joined_as_text", "model.py",
            'header + base64.b64encode(memoryview(params)) + b"\\nend\\n"',
            '(header.decode() + "\\n".join([base64.b64encode(params.tobytes()).decode("ascii"), "end"])'

@@ -5,10 +5,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, ShapeMismatchError
 from .losses import LossWeights, mse_batch, seasonality_batch, strad_batch, trend_batch
 from .metrics import as_truth, check_scored, pa_counts, rpa_counts, sweep_counts
 from .model import DenseAutoencoder, adam_step, backward_batch, forward_batch, init_adam
@@ -82,52 +83,85 @@ def _batch_loss(X, XR, cfg: TrainConfig):
     return {"total": values, "mse": mvalues, **components}, grads
 
 
-def train(model: DenseAutoencoder, windows: np.ndarray, cfg: TrainConfig) -> TrainResult:
-    """Algorithmic core: encode, reconstruct, evaluate objective, Adam update.
+def train(model: DenseAutoencoder, windows: np.ndarray,
+          cfgs: Sequence[TrainConfig]) -> list[TrainResult]:
+    """Algorithmic core: encode, reconstruct, evaluate objective, Adam update,
+    for K fits of `model` in lockstep; one TrainResult per fit.
 
-    `windows` is the (N, t, d) stack from `sliding_windows`. Each epoch walks
-    a seeded permutation of the windows in batches; the per-batch parameter
-    gradient is the mean over the batch. Each history row maps every value
-    `_batch_loss` names, "total" first, to its per-window mean over the epoch.
-    Raises NumericError the moment a loss, gradient, or parameter goes
-    non-finite instead of clipping. The model's input size is checked by
+    `windows` is a (K, N, t, d) stack: fit k trains a copy of `model` on
+    `windows[k]` (one `sliding_windows` result) with `cfgs[k]`. The fits must
+    share epochs, batch size, seed and learning rate; their loss settings may
+    differ. Each epoch walks one seeded permutation of the N windows in
+    batches. Per batch the stack gets one forward pass, one `_batch_loss` call
+    per contiguous run of fits with equal loss settings, one backward pass and
+    one Adam step over the (K, P) parameter stack; the parameter gradient is
+    the mean over the batch. The loss works window by window and the other
+    steps elementwise across fits or as one matrix product per fit, so every
+    fit ends with the parameters and history it gets when trained alone
+    (K = 1). Each history row maps every value `_batch_loss` names, "total"
+    first, to its per-window mean over the epoch.
+    Raises NumericError the moment a loss, gradient, or parameter of any fit
+    goes non-finite instead of clipping; when several fits fail, the first
+    error met in step order is raised. The model's input size is checked by
     `forward_batch` on the first batch.
 
-    Every array of a step (the batch, its activations and reconstruction, the
-    loss values and gradient, the parameter gradient) is dropped before the
-    next step allocates, so training holds one step's arrays at a time next
-    to the parameters and Adam's three vectors.
+    A step's loss values and gradients and its parameter gradient are dropped
+    at its end, and its batch and activations when the next step replaces
+    them, so training holds one step's arrays at a time next to the parameter
+    stack and Adam's three stacks: O(K * P) memory, at its peak in the
+    backward pass and Adam step.
     """
-    n, t, d = windows.shape
+    k, n, t, d = windows.shape
+    if len(cfgs) != k:
+        raise ShapeMismatchError(f"{len(cfgs)} train configs for a stack of {k} window sets")
+    first = cfgs[0]
+    schedule = (first.epochs, first.batch_size, first.seed, first.lr)
+    if any((cfg.epochs, cfg.batch_size, cfg.seed, cfg.lr) != schedule for cfg in cfgs):
+        raise ConfigError("fits trained in lockstep must share epochs, batch_size, seed and lr")
     if n == 0:
         raise DataError("no windows to train on")
-    rng = np.random.default_rng(cfg.seed)
-    # one copy, trained in place, so the caller's model keeps its parameters
-    model = DenseAutoencoder(layer_sizes=model.layer_sizes, params=model.params.copy())
-    state = init_adam(model, lr=cfg.lr)
-    history: list[dict[str, float]] = []
-    for _ in range(cfg.epochs):
+    # fits a..b-1 of each run (a, b) agree on what `_batch_loss` reads, so share its call
+    settings = [(cfg.loss_kind, cfg.weights, cfg.mix) for cfg in cfgs]
+    starts = [i for i in range(k) if i == 0 or settings[i] != settings[i - 1]]
+    runs = list(zip(starts, [*starts[1:], k]))
+    rng = np.random.default_rng(first.seed)
+    # one copy per fit, trained in place, so the caller's model keeps its parameters;
+    # rebinding the name frees a model the caller does not hold
+    model = DenseAutoencoder(layer_sizes=model.layer_sizes, params=np.tile(model.params, (k, 1)))
+    state = init_adam(model, lr=first.lr)
+    histories: list[list[dict[str, float]]] = [[] for _ in range(k)]
+    for _ in range(first.epochs):
         order = rng.permutation(n)
-        sums: dict[str, float] = {}
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            X = windows[idx]
-            flat = X.reshape(len(idx), -1)
-            acts = forward_batch(model, flat)
+        sums: list[dict[str, float]] = [{} for _ in range(k)]
+        for lo in range(0, n, first.batch_size):
+            idx = order[lo : lo + first.batch_size]
+            X = windows[:, idx]
+            acts = forward_batch(model, X.reshape(k, len(idx), -1))
             XR = acts[-1].reshape(X.shape)
-            values, grads = _batch_loss(X, XR, cfg)
-            if not np.isfinite(values["total"]).all():
-                raise NumericError("non-finite loss during training")
-            for name, v in values.items():
-                sums[name] = sums.get(name, 0.0) + float(v.sum())
-            upstream = grads.reshape(len(idx), -1)
+            grads = []
+            for a, b in runs:
+                values, g = _batch_loss(X[a:b].reshape(-1, t, d), XR[a:b].reshape(-1, t, d), cfgs[a])
+                if not np.isfinite(values["total"]).all():
+                    raise NumericError("non-finite loss during training")
+                for name, v in values.items():
+                    # each fit sums its own windows, as it does when trained alone
+                    for fit_sums, total in zip(sums[a:b], v.reshape(b - a, -1).sum(axis=1).tolist()):
+                        fit_sums[name] = fit_sums.get(name, 0.0) + total
+                grads.append(g)
+            upstream = (grads[0] if len(grads) == 1 else np.concatenate(grads)).reshape(k, len(idx), -1)
             upstream /= len(idx)  # mean over the batch
             grad = backward_batch(model, acts, upstream)
             adam_step(model, grad, state)
-            # freed here, so the next step allocates into their memory
-            del X, flat, acts, XR, values, v, grads, upstream, grad
-        history.append({name: s / n for name, s in sums.items()})
-    return TrainResult(model=model, history=history)
+            # freed here, so the next step allocates into their memory. The batch
+            # and activations stay until the next step replaces them: freeing them
+            # here too let glibc hand the heap top back to the OS at every step,
+            # to be faulted in again by the next
+            del values, v, g, grads, upstream, grad
+        for history, fit_sums in zip(histories, sums):
+            history.append({name: s / n for name, s in fit_sums.items()})
+    return [TrainResult(model=DenseAutoencoder(layer_sizes=model.layer_sizes, params=params),
+                        history=history)
+            for params, history in zip(model.params, histories)]
 
 
 def score(

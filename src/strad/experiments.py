@@ -30,7 +30,7 @@ from .detector import (
     train,
 )
 from .errors import CheckpointError, ConfigError, DataError
-from .fanout import fan_out
+from .fanout import fan_out, fan_workers
 from .metrics import air, as_truth, avg_improved, entire_f1
 from .model import (
     DenseAutoencoder,
@@ -124,14 +124,21 @@ def normalize_splits(data: tuple[TimeSeries, TimeSeries]) -> tuple[TimeSeries, T
     return apply_normalization(train_raw, stats), apply_normalization(test_raw, stats)
 
 
-def fit(cfg: ExperimentConfig, train_norm: TimeSeries, arm: TrainConfig) -> TrainResult:
-    """Window the normalized train split and train `arm` on a model seeded by `cfg.seed`."""
+def fit(cfg: ExperimentConfig, train_norms: Sequence[TimeSeries],
+        arms: Sequence[TrainConfig]) -> list[TrainResult]:
+    """Window each normalized train split and train `arms[k]` on split k, every
+    fit from one model seeded by `cfg.seed`, as one lockstep stack (`train`).
+
+    The splits must share their length and channel count, so that their
+    windows stack; one split's windows are trained from the view, uncopied.
+    """
     t = cfg.window_length
-    windows = sliding_windows(train_norm, t, cfg.train_stride)
+    windows = [sliding_windows(ts, t, cfg.train_stride) for ts in train_norms]
+    stack = windows[0][None] if len(windows) == 1 else np.stack(windows)
     # not bound to a name here, so the initial model is freed once `train` has copied it
-    return train(init_model(default_layer_sizes(t * train_norm.channels, cfg.model_hidden),
+    return train(init_model(default_layer_sizes(t * train_norms[0].channels, cfg.model_hidden),
                             seed=cfg.seed),
-                 windows, arm)
+                 stack, arms)
 
 
 def detect(cfg: ExperimentConfig, model: DenseAutoencoder, train_norm: TimeSeries,
@@ -186,21 +193,37 @@ def entire_f1s(rows: Sequence[dict], metrics: Sequence[str]) -> dict:
     return {f"{m}_f1": entire_f1([(r["segments"], r[f"{m}_f1"]) for r in rows]) for m in metrics}
 
 
-def run_arm(cfg: ExperimentConfig, data: tuple[TimeSeries, TimeSeries], arm: TrainConfig) -> dict:
-    """Train `arm` on a `normalize_splits` pair; the `evaluate` row of its labeled test split."""
-    train_norm, test_norm = data
-    model = fit(cfg, train_norm, arm).model
-    mode = resolve_score_mode(cfg.score_mode, arm.loss_kind)
-    test_scores, threshold = detect(cfg, model, train_norm, test_norm, mode)
-    return evaluate(test_scores, test_norm.labels, dict.fromkeys(cfg.eval_metrics, threshold))
+def run_fits(cfg: ExperimentConfig,
+             fits: Sequence[tuple[TrainConfig, tuple[TimeSeries, TimeSeries]]]) -> list[dict]:
+    """Per (arm, `normalize_splits` pair) fit, the `evaluate` row of its labeled test split.
+
+    Fits whose train splits share length and channel count train as one
+    `fit` stack, in lockstep, stacks in order of their first fit; then each
+    fit is scored with its own model.
+    """
+    stacks: dict[tuple[int, int], list[int]] = {}
+    for i, (_, (train_norm, _)) in enumerate(fits):
+        stacks.setdefault((train_norm.length, train_norm.channels), []).append(i)
+    rows: list = [None] * len(fits)
+    for members in stacks.values():
+        results = fit(cfg, [fits[i][1][0] for i in members], [fits[i][0] for i in members])
+        for i, result in zip(members, results):
+            arm, (train_norm, test_norm) = fits[i]
+            mode = resolve_score_mode(cfg.score_mode, arm.loss_kind)
+            test_scores, threshold = detect(cfg, result.model, train_norm, test_norm, mode)
+            rows[i] = evaluate(test_scores, test_norm.labels,
+                               dict.fromkeys(cfg.eval_metrics, threshold))
+    return rows
 
 
 def run_arms(cfg: ExperimentConfig, arms: Sequence[TrainConfig]) -> list[list[dict]]:
-    """Per arm, its `run_arm` row on each configured dataset.
+    """Per arm, its `run_fits` row on each configured dataset.
 
     Every dataset is read, checked for test labels and normalized once,
-    before the first model trains. The (arm, dataset) fits are independent,
-    so `fan_out` may run them in several processes; each row is the same.
+    before the first model trains. The (arm, dataset) fits are independent:
+    with W = `fan_workers` of their count, share w holds fits w, w + W, ...,
+    and `fan_out` runs each share's `run_fits` in its own process. Each fit's
+    row is the one it gets alone.
     """
     data = []
     for i, ds in enumerate(cfg.datasets):
@@ -208,8 +231,12 @@ def run_arms(cfg: ExperimentConfig, arms: Sequence[TrainConfig]) -> list[list[di
         if test_raw.labels is None:
             raise DataError(f"dataset {ds.name}: evaluation requires test labels")
         data.append(normalize_splits((train_raw, test_raw)))
-    rows = fan_out(lambda job: run_arm(cfg, job[1], job[0]),
-                   [(arm, pair) for arm in arms for pair in data])
+    fits = [(arm, pair) for arm in arms for pair in data]
+    workers = fan_workers(len(fits))
+    rows: list = [None] * len(fits)
+    shares = [fits[w::workers] for w in range(workers)]
+    for w, share_rows in enumerate(fan_out(lambda share: run_fits(cfg, share), shares)):
+        rows[w::workers] = share_rows
     return [rows[k:k + len(data)] for k in range(0, len(rows), len(data))]
 
 
@@ -339,7 +366,7 @@ def run_train_cmd(cfg: ExperimentConfig, outdir: Path) -> tuple[Path, Path]:
     train_raw = materialize_train(cfg, 0)
     train_norm = apply_normalization(train_raw, fit_normalization(train_raw))
     del train_raw  # only the normalized copy stays live through training
-    result = fit(cfg, train_norm, cfg.train)
+    [result] = fit(cfg, [train_norm], [cfg.train])
     _make_outdir(outdir)
     ckpt_path = outdir / f"{ds.name}_model.ckpt"
     save_checkpoint(result.model, ckpt_path,

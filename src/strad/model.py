@@ -38,16 +38,22 @@ def _param_count(sizes: tuple[int, ...]) -> int:
 
 
 def _layer_views(sizes: tuple[int, ...], flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer (weights, biases) views into `flat`, laid out W0 (row-major), b0, W1, b1, ..."""
+    """Per-layer (weights, biases) views into `flat`, laid out W0 (row-major), b0, W1, b1, ...
+
+    `flat` is one parameter vector (P,) or a stack of K of them (K, P); a
+    stack's views carry the leading K axis, (K, fan_out, fan_in) and (K, fan_out).
+    """
     count = _param_count(sizes)
-    if flat.shape != (count,):
-        raise ShapeMismatchError(f"parameter vector shape {flat.shape} != ({count},) for sizes {sizes}")
+    if flat.ndim not in (1, 2) or flat.shape[-1] != count:
+        raise ShapeMismatchError(f"parameter vector shape {flat.shape} != ({count},) or (K, {count}) "
+                                 f"for sizes {sizes}")
+    stack = flat.shape[:-1]
     weights, biases = [], []
     pos = 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+        weights.append(flat[..., pos : pos + fan_out * fan_in].reshape(*stack, fan_out, fan_in))
         pos += fan_out * fan_in
-        biases.append(flat[pos : pos + fan_out])
+        biases.append(flat[..., pos : pos + fan_out])
         pos += fan_out
     return weights, biases
 
@@ -58,6 +64,8 @@ class DenseAutoencoder:
 
     `weights[i]` (shape (sizes[i+1], sizes[i])) and `biases[i]` (shape
     (sizes[i+1],)) are views into `params`: writing through either changes both.
+    A stack of K models that train in lockstep holds a (K, P) `params`, and
+    its views carry the leading K axis.
     """
 
     layer_sizes: tuple[int, ...]
@@ -106,14 +114,21 @@ def init_model(layer_sizes, seed: int = 0) -> DenseAutoencoder:
 
 
 def forward_batch(model: DenseAutoencoder, X: np.ndarray) -> list[np.ndarray]:
-    """Activations [input, layer1, ..., output] for a (B, input) batch."""
-    if X.ndim != 2 or X.shape[1] != model.input_size:
-        raise ShapeMismatchError(f"batch shape {X.shape} incompatible with input size {model.input_size}")
+    """Activations [input, layer1, ..., output] for a (B, input) batch.
+
+    A stack of K models takes a (K, B, input) batch, batch k through model k;
+    each model's activations are the bits it computes alone, since a stacked
+    matmul runs the same gemm per model.
+    """
+    stack = model.params.shape[:-1]  # () for one model, (K,) for a stack
+    if X.ndim != len(stack) + 2 or X.shape[:-2] != stack or X.shape[-1] != model.input_size:
+        raise ShapeMismatchError(f"batch shape {X.shape} incompatible with input size "
+                                 f"{model.input_size} and model stack {stack}")
     acts = [X]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[-1] @ w.T  # the layer's one new array: bias and tanh work in place
-        z += b
+        z = acts[-1] @ np.swapaxes(w, -1, -2)  # the layer's one new array: bias and tanh work in place
+        z += b[..., None, :]
         if i != last:
             np.tanh(z, out=z)
         acts.append(z)
@@ -124,7 +139,8 @@ def backward_batch(model: DenseAutoencoder, acts: list[np.ndarray], upstream: np
     """Parameter gradient summed over the batch, laid out like `model.params`.
 
     `acts` are the cached activations from `forward_batch`; `upstream` is the
-    loss gradient with respect to the output, shape (B, output).
+    loss gradient with respect to the output, shape (B, output), or
+    (K, B, output) for a stack of K models, whose gradient is then (K, P).
     """
     if upstream.shape != acts[-1].shape:
         raise ShapeMismatchError(
@@ -134,8 +150,8 @@ def backward_batch(model: DenseAutoencoder, acts: list[np.ndarray], upstream: np
     grad_weights, grad_biases = _layer_views(model.layer_sizes, grad)
     delta = upstream
     for i in range(len(model.weights) - 1, -1, -1):
-        np.matmul(delta.T, acts[i], out=grad_weights[i])
-        delta.sum(axis=0, out=grad_biases[i])
+        np.matmul(np.swapaxes(delta, -1, -2), acts[i], out=grad_weights[i])
+        delta.sum(axis=-2, out=grad_biases[i])
         if i > 0:
             # tanh'(z) expressed through the cached activation a: 1 - a^2
             deriv = np.square(acts[i])
@@ -188,7 +204,7 @@ def adam_step(model: DenseAutoencoder, grad: np.ndarray, state: AdamState) -> No
     """
     if grad.shape != model.params.shape:
         raise ShapeMismatchError(f"gradient shape {grad.shape} != parameter shape {model.params.shape}")
-    if not np.isfinite(grad).all():
+    if not _all_finite(grad):
         raise NumericError("non-finite gradient passed to adam_step")
     m, v, work = state.m, state.v, state.work
     # v = beta2 v + (1 - beta2) g g and m = beta1 m + (1 - beta1) g, term by term
@@ -212,9 +228,21 @@ def adam_step(model: DenseAutoencoder, grad: np.ndarray, state: AdamState) -> No
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         work *= step_size
         candidate = np.subtract(model.params, work, out=work)
-    if not np.isfinite(candidate).all():
+    if not _all_finite(candidate):
         raise NumericError("model parameters became non-finite after an Adam step")
     model.params[...] = candidate
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """`np.isfinite(x).all()`, without its bool array when it holds.
+
+    A finite sum of the entries proves every entry finite, since an inf or NaN
+    entry makes the sum inf or NaN; only a sum that is not finite (finite
+    entries may overflow it) pays for the exact check.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(x, axis=None)
+    return math.isfinite(total) or bool(np.isfinite(x).all())
 
 
 # ---------------------------------------------------------------------------

@@ -857,6 +857,29 @@ class TestEvalInputs:
 
 
 class TestCliCompare:
+    def test_fits_of_another_shape_train_in_their_own_stack(self, tmp_path, monkeypatch):
+        from strad.experiments import materialize_dataset, normalize_splits, run_fits
+
+        doc = small_config(tmp_path / "out")
+        longer, wider = copy.deepcopy(doc["datasets"][0]), copy.deepcopy(doc["datasets"][0])
+        longer["name"], longer["synth"]["length"] = "longer", 800
+        wider["name"] = "wider"
+        wider["synth"]["channels"] = 2 * wider["synth"]["channels"]
+        doc["datasets"] += [longer, wider]
+        cfg = load_config(write_config(tmp_path, doc))
+        data = [normalize_splits(materialize_dataset(cfg, i)) for i in range(3)]
+        fits = [(arm, pair) for arm in cfg.compare_arms for pair in data]
+        stacks = []
+        trainer = strad.experiments.train
+        monkeypatch.setattr(strad.experiments, "train", lambda model, windows, arms: (
+            stacks.append(windows.shape[:2] + windows.shape[3:]) or trainer(model, windows, arms)))
+        rows = run_fits(cfg, fits)
+        # in order of each stack's first fit: (fits, windows, channels)
+        assert stacks == [(2, 36, 1), (2, 49, 1), (2, 36, 2)]
+        stacks.clear()
+        assert rows == [run_fits(cfg, [one])[0] for one in fits]
+        assert [k for k, _, _ in stacks] == [1] * len(fits)
+
     def test_mse_vs_mse_zero_improvement(self, tmp_path):
         out = tmp_path / "out"
         doc = small_config(out, compare={"losses": ["mse", "mse"]})
@@ -1083,7 +1106,7 @@ class TestCliAblate:
         from strad.config import load_config as load
         from dataclasses import replace
 
-        from strad.experiments import materialize_dataset, normalize_splits, run_arm
+        from strad.experiments import materialize_dataset, normalize_splits, run_fits
         from strad.losses import LossWeights
 
         out = tmp_path / "out"
@@ -1096,10 +1119,10 @@ class TestCliAblate:
         shape_only = next(r for r in rows
                           if (r["trend"], r["seasonality"], r["shape"]) == ("0", "0", "1"))
         cfg = load(cfgp)
-        manual = run_arm(cfg, normalize_splits(materialize_dataset(cfg, 0)),
-                         replace(cfg.train, loss_kind="strad",
-                                 weights=LossWeights(lambda1=0.0, lambda2=0.0, lambda3=1.0,
-                                                     epsilon=1e-7, trend_variant="monotone")))
+        arm = replace(cfg.train, loss_kind="strad",
+                      weights=LossWeights(lambda1=0.0, lambda2=0.0, lambda3=1.0,
+                                          epsilon=1e-7, trend_variant="monotone"))
+        [manual] = run_fits(cfg, [(arm, normalize_splits(materialize_dataset(cfg, 0)))])
         assert float(shape_only["entire_rpa_f1"]) == manual["rpa_f1"]
         assert float(shape_only["entire_pa_f1"]) == manual["pa_f1"]
 
@@ -1126,7 +1149,9 @@ class TestCliAblate:
         cfgp = write_config(tmp_path, small_config(tmp_path / "out"))
         assert main(["ablate", "-c", cfgp]) == 0
         configured = load(cfgp).train.weights
-        assert [(a.weights.lambda1, a.weights.lambda2, a.weights.lambda3) for a in trained] == [
+        # one lockstep stack of the 7 subsets' arms
+        assert [(a.weights.lambda1, a.weights.lambda2, a.weights.lambda3)
+                for arms in trained for a in arms] == [
             (configured.lambda1 * t, configured.lambda2 * s, configured.lambda3 * sh)
             for t, s, sh in ABLATION_SUBSETS]
         assert len(scored) == 7 * 2  # test and train split of each subset

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,12 @@ from test_metrics import brute_pa, brute_rpa
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def train_alone(model, windows, cfg):
+    """One fit: `train` of a one-fit stack."""
+    [result] = train(model, windows[None], [cfg])
+    return result
 
 
 def identity_model(n):
@@ -88,7 +95,7 @@ class TestTrain:
         ts = sine_series(64)
         windows = sliding_windows(ts, 16, 16)
         model = init_model(default_layer_sizes(16, (8,)), seed=0)
-        result = train(model, windows, TrainConfig(epochs=1, batch_size=len(windows), seed=0))
+        result = train_alone(model, windows, TrainConfig(epochs=1, batch_size=len(windows), seed=0))
         assert len(steps) == 1
         assert len(result.history) == 1
 
@@ -96,15 +103,15 @@ class TestTrain:
         ts = sine_series(80)
         windows = sliding_windows(ts, 16, 8)
         model = init_model(default_layer_sizes(16, (8,)), seed=0)
-        result = train(model, windows, TrainConfig(epochs=7, batch_size=4, seed=0))
+        result = train_alone(model, windows, TrainConfig(epochs=7, batch_size=4, seed=0))
         assert len(result.history) == 7
 
     def test_strad_history_carries_components(self):
         ts = sine_series(64)
         windows = sliding_windows(ts, 16, 16)
         model = init_model(default_layer_sizes(16, (8,)), seed=0)
-        result = train(model, windows, TrainConfig(epochs=2, batch_size=4, seed=0,
-                                                   loss_kind="strad"))
+        result = train_alone(model, windows, TrainConfig(epochs=2, batch_size=4, seed=0,
+                                                         loss_kind="strad"))
         epoch = result.history[0]
         assert list(epoch) == ["total", "trend", "seasonality", "shape"]
         assert epoch["seasonality"] >= 0 and epoch["shape"] >= 0
@@ -113,8 +120,8 @@ class TestTrain:
         ts = sine_series(64)
         windows = sliding_windows(ts, 16, 16)
         model = init_model(default_layer_sizes(16, (8,)), seed=0)
-        result = train(model, windows, TrainConfig(epochs=2, batch_size=4, seed=0,
-                                                   loss_kind="mse"))
+        result = train_alone(model, windows, TrainConfig(epochs=2, batch_size=4, seed=0,
+                                                         loss_kind="mse"))
         assert list(result.history[0]) == ["total"]
 
     def test_deterministic_given_seed(self):
@@ -123,8 +130,8 @@ class TestTrain:
 
         def run():
             model = init_model(default_layer_sizes(16, (8,)), seed=4)
-            return train(model, windows, TrainConfig(epochs=3, batch_size=4, seed=4,
-                                                     loss_kind="strad"))
+            return train_alone(model, windows, TrainConfig(epochs=3, batch_size=4, seed=4,
+                                                           loss_kind="strad"))
 
         a, b = run(), run()
         assert np.array_equal(a.model.params, b.model.params)
@@ -136,8 +143,8 @@ class TestTrain:
         model = init_model(default_layer_sizes(16, (8,)), seed=1)
         w = LossWeights(lambda1=2.0, lambda2=5.0, lambda3=1.5)
         mix = 0.3
-        result = train(model, windows, TrainConfig(epochs=3, batch_size=4, seed=1, weights=w,
-                                                   loss_kind="mse_plus_strad", mix=mix))
+        result = train_alone(model, windows, TrainConfig(epochs=3, batch_size=4, seed=1, weights=w,
+                                                         loss_kind="mse_plus_strad", mix=mix))
         assert list(result.history[0]) == ["total", "mse", "trend", "seasonality", "shape"]
         for e in result.history:  # the total is the mix of the terms the row reports
             strad = w.lambda1 * e["trend"] + w.lambda2 * e["seasonality"] + w.lambda3 * e["shape"]
@@ -149,28 +156,91 @@ class TestTrain:
         model = init_model(default_layer_sizes(16, (8,)), seed=0)
         model.weights[0][0, 0] = np.nan
         with pytest.raises(NumericError):
-            train(model, windows, TrainConfig(epochs=1, batch_size=4, seed=0))
+            train_alone(model, windows, TrainConfig(epochs=1, batch_size=4, seed=0))
 
     def test_leaves_the_callers_model_unchanged(self):
         ts = sine_series(64)
         windows = sliding_windows(ts, 16, 16)
         model = init_model(default_layer_sizes(16, (8,)), seed=0)
         before = model.params.copy()
-        result = train(model, windows, TrainConfig(epochs=2, batch_size=2, seed=0))
+        result = train_alone(model, windows, TrainConfig(epochs=2, batch_size=2, seed=0))
         assert np.array_equal(model.params, before)
         assert not np.array_equal(result.model.params, before)
 
     def test_empty_window_stack_is_data_error(self):
         model = init_model(default_layer_sizes(16, (8,)), seed=0)
         with pytest.raises(DataError):
-            train(model, np.zeros((0, 16, 1)), TrainConfig(epochs=1, batch_size=4, seed=0))
+            train_alone(model, np.zeros((0, 16, 1)), TrainConfig(epochs=1, batch_size=4, seed=0))
 
     def test_shape_mismatch(self):
         ts = sine_series(64)
         windows = sliding_windows(ts, 8, 8)
         model = init_model(default_layer_sizes(16, (8,)), seed=0)
         with pytest.raises(ShapeMismatchError):
-            train(model, windows, TrainConfig(epochs=1, batch_size=4, seed=0))
+            train_alone(model, windows, TrainConfig(epochs=1, batch_size=4, seed=0))
+
+
+class TestLockstep:
+    """`train` of a K-fit stack: per batch one step for every fit, and each
+    fit's parameters and history are the bits it gets when trained alone."""
+
+    @pytest.mark.parametrize("hidden", [(5,), (64, 16)])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_each_fit_gets_its_bits_alone(self, d, hidden):
+        # 23 windows in batches of 7 leave a remainder; the two strad fits in a
+        # row share one loss call, the ablation-style weights and the two mse
+        # fits (not in a row) get their own
+        base = TrainConfig(epochs=3, batch_size=7, seed=2, lr=1e-2)
+        cfgs = [replace(base, loss_kind="mse"),
+                replace(base, loss_kind="strad"),
+                replace(base, loss_kind="strad"),
+                replace(base, loss_kind="strad",
+                        weights=LossWeights(lambda1=0.0, lambda2=10.0, lambda3=0.0)),
+                replace(base, loss_kind="mse_plus_strad", mix=0.3),
+                replace(base, loss_kind="mse")]
+        windows = np.random.default_rng(d).standard_normal((len(cfgs), 23, 16, d))
+        model = init_model(default_layer_sizes(16 * d, hidden), seed=1)
+        stacked = train(model, windows, cfgs)
+        assert len(stacked) == len(cfgs)
+        for result, fit_windows, cfg in zip(stacked, windows, cfgs):
+            alone = train_alone(model, fit_windows, cfg)
+            assert result.model.params.tobytes() == alone.model.params.tobytes()
+            assert ([list(row.items()) for row in result.history]
+                    == [list(row.items()) for row in alone.history])
+
+    def test_one_step_per_batch_and_one_loss_call_per_run(self, monkeypatch):
+        calls, steps = [], []
+        batch_loss, adam_step = strad.detector._batch_loss, strad.detector.adam_step
+        monkeypatch.setattr(strad.detector, "_batch_loss", lambda X, XR, cfg: (
+            calls.append((len(X), cfg.loss_kind)) or batch_loss(X, XR, cfg)))
+        monkeypatch.setattr(strad.detector, "adam_step",
+                            lambda *args: steps.append(adam_step(*args)))
+        base = TrainConfig(epochs=1, batch_size=10, seed=0)
+        cfgs = [replace(base, loss_kind=kind) for kind in ("mse", "strad", "strad", "mse")]
+        windows = np.random.default_rng(0).standard_normal((4, 10, 16, 1))
+        train(init_model(default_layer_sizes(16, (8,)), seed=0), windows, cfgs)
+        assert len(steps) == 1
+        assert calls == [(10, "mse"), (20, "strad"), (10, "mse")]
+
+    @pytest.mark.parametrize("key, value", [("epochs", 2), ("batch_size", 3), ("seed", 1),
+                                            ("lr", 1e-2)])
+    def test_fits_share_their_schedule(self, key, value):
+        cfg = TrainConfig(epochs=1, batch_size=4, seed=0)
+        model = init_model(default_layer_sizes(16, (8,)), seed=0)
+        with pytest.raises(ConfigError, match="must share epochs, batch_size, seed and lr"):
+            train(model, np.zeros((2, 8, 16, 1)), [cfg, replace(cfg, **{key: value})])
+
+    def test_one_config_per_fit(self):
+        model = init_model(default_layer_sizes(16, (8,)), seed=0)
+        with pytest.raises(ShapeMismatchError, match="1 train configs for a stack of 2"):
+            train(model, np.zeros((2, 8, 16, 1)), [TrainConfig(epochs=1)])
+
+    def test_one_failing_fit_fails_the_stack(self):
+        windows = np.random.default_rng(0).standard_normal((3, 8, 16, 1))
+        windows[1, 5, 0, 0] = np.nan
+        model = init_model(default_layer_sizes(16, (8,)), seed=0)
+        with pytest.raises(NumericError, match="non-finite loss"):
+            train(model, windows, [TrainConfig(epochs=1, batch_size=4, seed=0)] * 3)
 
 
 class TestScore:
@@ -374,11 +444,37 @@ class TestTrainMemory:
         model = init_model(default_layer_sizes(512, (64, 16)), seed=0)
         tracemalloc.start()
         try:
-            train(model, windows, TrainConfig(epochs=2, loss_kind=loss_kind))
+            train_alone(model, windows, TrainConfig(epochs=2, loss_kind=loss_kind))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 6.5 * model.params.nbytes
+
+    def test_a_model_the_caller_does_not_hold_is_freed(self):
+        # `experiments.fit` passes its initial model so; kept through training,
+        # it took 7.1 parameter vectors here
+        windows = np.random.default_rng(0).standard_normal((1, 96, 128, 4))
+        tracemalloc.start()
+        try:
+            [result] = train(init_model(default_layer_sizes(512, (64, 16)), seed=0), windows,
+                             [TrainConfig(epochs=2)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * result.model.params.nbytes
+
+    def test_stack_peak_grows_with_its_fits(self):
+        # K parameter copies, Adam's three (K, P) stacks and one stacked step
+        fits = ("strad", "mse_plus_strad", "strad")
+        windows = np.random.default_rng(0).standard_normal((len(fits), 96, 128, 4))
+        model = init_model(default_layer_sizes(512, (64, 16)), seed=0)
+        tracemalloc.start()
+        try:
+            train(model, windows, [TrainConfig(epochs=2, loss_kind=kind) for kind in fits])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * len(fits) * model.params.nbytes
 
 
 def brute_best_f1(score_series, labels, metric="rpa"):

@@ -79,14 +79,14 @@ def test_unpicklable_exception_names_its_type(forking):
 
 def test_child_killed_by_signal_exits_2(forking, tmp_path, monkeypatch, capsys):
     parent = forking
-    run_arm = strad.experiments.run_arm
+    run_fits = strad.experiments.run_fits
 
-    def killed_in_child(cfg, data, arm):
+    def killed_in_child(cfg, fits):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return run_arm(cfg, data, arm)
+        return run_fits(cfg, fits)
 
-    monkeypatch.setattr(strad.experiments, "run_arm", killed_in_child)
+    monkeypatch.setattr(strad.experiments, "run_fits", killed_in_child)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config()))
     assert main(["compare", "-c", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
@@ -230,6 +230,35 @@ def test_cli_writes_what_the_serial_loop_writes(command, tmp_path, monkeypatch, 
     capsys.readouterr()
     assert main([command, "-c", str(cfg_path), "-o", str(tmp_path / "serial")]) == 0
     assert proc.stdout == capsys.readouterr().out
+    forked, serial = tree(tmp_path / "forked"), tree(tmp_path / "serial")
+    assert forked == serial and serial
+
+
+@pytest.mark.parametrize("command, fits", [("compare", 2 * 2), ("ablate", 7 * 2)])
+def test_each_share_trains_one_stack(forking, command, fits, tmp_path, monkeypatch, capsys):
+    # two datasets of one length: each share's fits train as one lockstep stack
+    log = tmp_path / "stacks"
+    train = strad.experiments.train
+
+    def logged(model, windows, cfgs):
+        with open(log, "a") as fh:  # from this process and the child alike
+            fh.write(f"{len(cfgs)}\n")
+        return train(model, windows, cfgs)
+
+    monkeypatch.setattr(strad.experiments, "train", logged)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config()))
+    assert main([command, "-c", str(cfg_path), "-o", str(tmp_path / "forked")]) == 0
+    assert log.read_text().split() == [str(fits // 2)] * 2
+    forked_out = capsys.readouterr().out
+
+    log.unlink()
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var)
+    assert fan_workers(8) == 1
+    assert main([command, "-c", str(cfg_path), "-o", str(tmp_path / "serial")]) == 0
+    assert log.read_text().split() == [str(fits)]
+    assert capsys.readouterr().out == forked_out
     forked, serial = tree(tmp_path / "forked"), tree(tmp_path / "serial")
     assert forked == serial and serial
 

@@ -146,6 +146,33 @@ def textbook_adam(params, m, v, step, grad, lr):
     return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v, step
 
 
+class TestStack:
+    """A (K, P) parameter stack computes each model's bits, as `train` relies on."""
+
+    def test_each_model_computes_its_bits_alone(self):
+        sizes = default_layer_sizes(12, (5, 2))
+        models = [init_model(sizes, seed=s) for s in range(3)]
+        stack = DenseAutoencoder(layer_sizes=sizes, params=np.stack([m.params for m in models]))
+        rng = np.random.default_rng(0)
+        X, upstream = rng.normal(size=(2, 3, 7, 12))
+        acts = forward_batch(stack, X)
+        grad = backward_batch(stack, acts, upstream)
+        assert grad.shape == stack.params.shape
+        for k, m in enumerate(models):
+            alone = forward_batch(m, X[k])
+            assert [a[k].tobytes() for a in acts] == [a.tobytes() for a in alone]
+            assert grad[k].tobytes() == backward_batch(m, alone, upstream[k]).tobytes()
+
+    def test_batch_must_match_the_stack(self):
+        sizes = default_layer_sizes(12, (5,))
+        stack = DenseAutoencoder(layer_sizes=sizes, params=np.zeros((3, init_model(sizes).params.size)))
+        for shape in [(7, 12), (2, 7, 12), (3, 7, 11)]:
+            with pytest.raises(ShapeMismatchError):
+                forward_batch(stack, np.zeros(shape))
+        with pytest.raises(ShapeMismatchError):
+            DenseAutoencoder(layer_sizes=sizes, params=np.zeros((1, *stack.params.shape)))
+
+
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         m = init_model([6, 3, 6], seed=1)
@@ -246,6 +273,45 @@ class TestAdam:
             adam_step(m, bad(m.params), state)
         assert [a.tobytes() for a in (m.params, state.m, state.v)] == before
         assert state.step == 1
+
+    @pytest.mark.parametrize("entries", [[np.inf], [-np.inf], [np.inf, -np.inf]],
+                             ids=["inf", "-inf", "inf-and-minus-inf"])
+    def test_infinite_gradient_writes_nothing(self, entries):
+        m = init_model([6, 3, 6], seed=4)
+        state = init_adam(m, lr=1e-3)
+        grad = np.ones_like(m.params)
+        grad[[3, 11][: len(entries)]] = entries  # inf - inf sums to NaN
+        before = [a.tobytes() for a in (m.params, state.m, state.v)]
+        with pytest.raises(NumericError, match="non-finite gradient"):
+            adam_step(m, grad, state)
+        assert [a.tobytes() for a in (m.params, state.m, state.v)] == before
+        assert state.step == 0
+
+    def test_finite_parameters_whose_sum_overflows_are_written(self):
+        # the sum of the candidate parameters is inf, yet every one is finite
+        m = init_model([6, 3, 6], seed=4)
+        m.params[:] = np.finfo(np.float64).max
+        state = init_adam(m, lr=1e-3)
+        adam_step(m, np.zeros_like(m.params), state)
+        assert state.step == 1
+        assert (m.params == np.finfo(np.float64).max).all()
+
+    @pytest.mark.parametrize("fits", [1, 3])
+    def test_step_peak_is_a_sixteenth_of_the_parameters(self, fits):
+        # a bool per parameter, as `np.isfinite(x).all()` makes, is an eighth
+        sizes = default_layer_sizes(512, (64, 16))
+        m = DenseAutoencoder(layer_sizes=sizes,
+                             params=np.tile(init_model(sizes, seed=0).params, (fits, 1)))
+        state = init_adam(m, lr=1e-3)
+        grad = np.random.default_rng(0).normal(size=m.params.shape)
+        tracemalloc.start()
+        try:
+            adam_step(m, grad, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.params.nbytes / 16
+
 
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
@@ -419,7 +485,7 @@ class TestDescentSmoke:
             assert len(windows) == 20
             model = init_model(default_layer_sizes(16, (64, 16)), seed=seed)
             cfg = TrainConfig(epochs=200, batch_size=20, seed=seed, loss_kind="mse")
-            result = train(model, windows, cfg)
+            [result] = train(model, windows[None], [cfg])
             assert len(result.history) == 200
             if result.history[-1]["total"] <= 0.5 * result.history[0]["total"]:
                 passed += 1
