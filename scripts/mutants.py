@@ -163,8 +163,8 @@ MUTANTS = (
            ("tests/test_metrics.py::TestConfusionCounts::test_as_many_found_as_missed",
             "tests/test_detector.py::TestF1At::test_rpa_finding_half_the_segments")),
     Mutant("entire_f1_rejects_zero_segments", "metrics.py",
-           "if any(e < 0 for e, _ in per_subdataset):",
-           "if any(e <= 0 for e, _ in per_subdataset):",
+           "if any(e < 0 for e in counts):",
+           "if any(e <= 0 for e in counts):",
            ("tests/test_metrics.py::TestEntireF1::test_subdataset_without_segments_weighs_nothing",
             "tests/test_config_cli.py::TestCliCompare::test_dataset_without_anomalies_has_zero_segments")),
     Mutant("no_pairs_read_as_one_pair", "metrics.py",
@@ -185,6 +185,15 @@ MUTANTS = (
            '(header.decode() + "\\n".join([base64.b64encode(params.tobytes()).decode("ascii"), "end"])'
            ' + "\\n").encode()',
            ("tests/test_model.py::TestCheckpoint::test_save_peak_is_under_three_parameter_vectors",)),
+    Mutant("fan_out_raises_highest_failing_share", "fanout.py",
+           "for w in range(workers):  # lowest share first",
+           "for w in reversed(range(workers)):  # highest share first",
+           ("tests/test_fan_out.py::test_lowest_index_failure_wins",
+            "tests/test_fan_out.py::test_shares_mix_children_and_this_process")),
+    Mutant("segment_total_checked_after_the_fits", "experiments.py",
+           "    segment_total([len(segments_from_labels(test_norm.labels)) for _, test_norm in data])\n",
+           "",
+           ("tests/test_config_cli.py::TestRejectBeforeFit",)),
 )
 
 

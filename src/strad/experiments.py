@@ -30,8 +30,8 @@ from .detector import (
     train,
 )
 from .errors import CheckpointError, ConfigError, DataError
-from .fanout import fan_out, fan_workers
-from .metrics import air, as_truth, avg_improved, entire_f1
+from .fanout import fan_out
+from .metrics import air, as_truth, avg_improved, entire_f1, segment_total
 from .model import (
     DenseAutoencoder,
     default_layer_sizes,
@@ -153,12 +153,11 @@ def detect(cfg: ExperimentConfig, model: DenseAutoencoder, train_norm: TimeSerie
     def scores_of(series: TimeSeries) -> ScoreSeries:
         return score(model, series, cfg.window_length, cfg.score_stride, cfg.train.weights, mode)
 
-    test_scores = scores_of(test_norm)
     if cfg.threshold_mode == "quantile":
-        return test_scores, threshold_quantile(scores_of(train_norm), cfg.threshold_q)
+        return scores_of(test_norm), threshold_quantile(scores_of(train_norm), cfg.threshold_q)
     if test_norm.labels is None:
         raise DataError(f"{test_norm.name}: best_f1 thresholding requires test labels")
-    return test_scores, None
+    return scores_of(test_norm), None
 
 
 def evaluate(scores: ScoreSeries, labels, thresholds: dict) -> dict:
@@ -219,11 +218,10 @@ def run_fits(cfg: ExperimentConfig,
 def run_arms(cfg: ExperimentConfig, arms: Sequence[TrainConfig]) -> list[list[dict]]:
     """Per arm, its `run_fits` row on each configured dataset.
 
-    Every dataset is read, checked for test labels and normalized once,
-    before the first model trains. The (arm, dataset) fits are independent:
-    with W = `fan_workers` of their count, share w holds fits w, w + W, ...,
-    and `fan_out` runs each share's `run_fits` in its own process. Each fit's
-    row is the one it gets alone.
+    Every dataset is read, checked for test labels and normalized once, and
+    their total segment count is checked, before the first model trains. The
+    (arm, dataset) fits are independent, so `fan_out` runs them in shares, one
+    `run_fits` per share. Each fit's row is the one it gets alone.
     """
     data = []
     for i, ds in enumerate(cfg.datasets):
@@ -231,12 +229,9 @@ def run_arms(cfg: ExperimentConfig, arms: Sequence[TrainConfig]) -> list[list[di
         if test_raw.labels is None:
             raise DataError(f"dataset {ds.name}: evaluation requires test labels")
         data.append(normalize_splits((train_raw, test_raw)))
+    segment_total([len(segments_from_labels(test_norm.labels)) for _, test_norm in data])
     fits = [(arm, pair) for arm in arms for pair in data]
-    workers = fan_workers(len(fits))
-    rows: list = [None] * len(fits)
-    shares = [fits[w::workers] for w in range(workers)]
-    for w, share_rows in enumerate(fan_out(lambda share: run_fits(cfg, share), shares)):
-        rows[w::workers] = share_rows
+    rows = fan_out(lambda share: run_fits(cfg, share), fits)
     return [rows[k:k + len(data)] for k in range(0, len(rows), len(data))]
 
 

@@ -1,4 +1,4 @@
-"""Independent jobs on every usable CPU, in forked processes.
+"""Independent jobs on every usable CPU, one share of them per forked process.
 
 This module loads no numpy, so `strad.cli` can read `BLAS_THREAD_VARS` from
 it before its first numpy-loading import.
@@ -32,26 +32,27 @@ def fan_workers(n_jobs: int) -> int:
 
 
 def fan_out(fn: Callable, jobs: Sequence) -> list:
-    """`[fn(job) for job in jobs]`, split over W = `fan_workers(len(jobs))` shares.
+    """`fn`'s results for `jobs`, in job order, with `fn` run once per share.
 
-    Share w holds jobs w, w + W, ... and runs them in index order up to its
-    first exception. This process runs share 0, and a forked child runs each
-    other share, then pipes back one pickle of its results or that exception;
-    a share whose pipe or fork fails runs here too. The lowest-index failure
-    is raised, which is the one the serial loop raises; a child that dies
-    without a result raises `StradError`. Every child is reaped before this
-    returns or raises, and killed first if this process is unwinding.
+    With W = `fan_workers(len(jobs))`, share w is `jobs[w::W]`, and `fn(share)`
+    returns one result per job of it. This process runs share 0, and a forked
+    child runs each other share, then pipes back one pickle of its results or
+    its exception; a share whose pipe or fork fails runs here too. When shares
+    fail, the lowest-numbered failing share's exception is raised; a child
+    that dies without a result raises `StradError`. Every child is reaped
+    before this returns or raises, and killed first if this process is
+    unwinding.
     """
     workers = fan_workers(len(jobs))
+    shares = [jobs[w::workers] for w in range(workers)]
     children = {}  # share -> (pid, read end of its pipe)
     try:
         for w in range(1, workers):
             try:
-                children[w] = _fork_share(fn, jobs, w, workers)
+                children[w] = _fork_share(fn, shares[w])
             except OSError:  # no process or descriptor to spare
                 pass
-        shares = {w: _run_share(fn, jobs, w, workers)
-                  for w in range(workers) if w not in children}
+        outcomes = {w: _run_share(fn, shares[w]) for w in range(workers) if w not in children}
         payloads = {w: pipe.read() for w, (_, pipe) in children.items()}
     except BaseException:
         for pid, _ in children.values():
@@ -64,34 +65,30 @@ def fan_out(fn: Callable, jobs: Sequence) -> list:
             statuses[w] = os.waitpid(pid, 0)[1]
     for w, payload in payloads.items():
         try:
-            shares[w] = pickle.loads(payload)
+            outcomes[w] = pickle.loads(payload)
         except Exception:
             code = os.waitstatus_to_exitcode(statuses[w])
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
             raise StradError(f"worker process {w} of {workers} died without a result "
                              f"({how})") from None
-    failures = [failure for _, failure in shares.values() if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
     results = [None] * len(jobs)
-    for w, (done, _) in shares.items():
+    for w in range(workers):  # lowest share first, so its failure is the one raised
+        done, failure = outcomes[w]
+        if failure is not None:
+            raise failure
         results[w::workers] = done
     return results
 
 
-def _run_share(fn: Callable, jobs: Sequence, first: int, step: int) -> tuple[list, Optional[tuple]]:
-    """fn over jobs[first::step] in order: (results, None), or the results
-    before the first exception and (its job index, the exception)."""
-    done = []
-    for i in range(first, len(jobs), step):
-        try:
-            done.append(fn(jobs[i]))
-        except Exception as exc:
-            return done, (i, exc)
-    return done, None
+def _run_share(fn: Callable, share: Sequence) -> tuple[Optional[list], Optional[Exception]]:
+    """(fn(share), None), or (None, the exception it raised)."""
+    try:
+        return fn(share), None
+    except Exception as exc:
+        return None, exc
 
 
-def _fork_share(fn: Callable, jobs: Sequence, first: int, step: int) -> tuple[int, BinaryIO]:
+def _fork_share(fn: Callable, share: Sequence) -> tuple[int, BinaryIO]:
     """Fork a child that runs one share and writes its pickle to a pipe: (pid, read end)."""
     read_end, write_end = os.pipe()
     try:
@@ -104,9 +101,9 @@ def _fork_share(fn: Callable, jobs: Sequence, first: int, step: int) -> tuple[in
         code = 1
         try:
             os.close(read_end)
-            done, failure = _run_share(fn, jobs, first, step)
+            done, failure = _run_share(fn, share)
             if failure is not None:
-                failure = (failure[0], _picklable(failure[1]))
+                failure = _picklable(failure)
             with open(write_end, "wb") as out:
                 out.write(pickle.dumps((done, failure)))
             code = 0

@@ -199,13 +199,19 @@ def sweep_counts(levels: np.ndarray, inv: np.ndarray, truth: Truth, metric: str)
     return thresholds, ConfusionCounts(tp, fp, len(truth.segments) - tp)
 
 
-def entire_f1(per_subdataset: Sequence[tuple[int, float]]) -> float:
-    """Segment-count-weighted average of per-sub-dataset F1 scores."""
-    total = sum(e for e, _ in per_subdataset)
-    if any(e < 0 for e, _ in per_subdataset):
+def segment_total(counts: Sequence[int]) -> int:
+    """The sum of per-sub-dataset segment counts, which `entire_f1` divides by."""
+    total = sum(counts)
+    if any(e < 0 for e in counts):
         raise DataError("segment counts must be non-negative")
     if total == 0:
         raise DataError("total segment count is zero")
+    return total
+
+
+def entire_f1(per_subdataset: Sequence[tuple[int, float]]) -> float:
+    """Segment-count-weighted average of per-sub-dataset F1 scores."""
+    total = segment_total([e for e, _ in per_subdataset])
     return sum(e * f1 for e, f1 in per_subdataset) / total
 
 

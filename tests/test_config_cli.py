@@ -20,7 +20,13 @@ from strad.config import config_hash, load_config, resolve
 from strad.errors import ConfigError
 from strad.detector import ScoreSeries
 from strad.experiments import evaluate, read_scores_csv, run_eval_cmd
-from strad.model import DenseAutoencoder, load_checkpoint, save_checkpoint
+from strad.model import (
+    DenseAutoencoder,
+    default_layer_sizes,
+    init_model,
+    load_checkpoint,
+    save_checkpoint,
+)
 from strad.series import load_csv, segments_from_labels
 from strad.synth import generate_base
 
@@ -1634,3 +1640,219 @@ class TestInputOutputPaths:
         assert sorted(opened) == sorted(first)
         assert not [name for name, flags in opened.items() if flags & os.O_TRUNC]
         assert {p.name: (p.stat().st_ino, p.read_bytes()) for p in out.iterdir()} == first
+
+
+# ---------------------------------------------------------------------------
+# every rejection comes before the first fit and the first score
+# ---------------------------------------------------------------------------
+
+
+class Fitted(Exception):
+    """Raised by the patched `train` and `score`: the command got as far as a fit."""
+
+
+def _csv_datasets(name, train_path, test_path, **csv):
+    return [{"name": name, "source": "csv",
+             "csv": {"train_path": str(train_path), "test_path": str(test_path), **csv}}]
+
+
+def _config(tmp_path, datasets=None, **extra):
+    doc = small_config(tmp_path / "out", **extra)
+    if datasets is not None:
+        doc["datasets"] = datasets
+    return write_config(tmp_path, doc)
+
+
+def _series_csv(tmp_path, body):
+    path = tmp_path / "series.csv"
+    path.write_bytes(body)
+    return path
+
+
+def _checkpoint(tmp_path, input_size=16, **meta):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_model(default_layer_sizes(input_size, (16, 4)), seed=0), path,
+                    meta={"loss": "strad", **meta})
+    return path
+
+
+def _detect(tmp_path, ckpt, cfgp=None):
+    return ["detect", "-c", cfgp or _config(tmp_path), "--checkpoint", str(ckpt)]
+
+
+def _truncated_checkpoint(tmp_path):
+    ckpt = _checkpoint(tmp_path)
+    text = ckpt.read_text()
+    ckpt.write_text(text[:text.index(text.splitlines()[-2]) + 4])
+    return _detect(tmp_path, ckpt)
+
+
+def _mismatched_checkpoint(tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(DenseAutoencoder((16, 4, 8), np.zeros(17 * 4 + 5 * 8)), ckpt)
+    return _detect(tmp_path, ckpt)
+
+
+def _nan_checkpoint(tmp_path):
+    ckpt = _checkpoint(tmp_path)
+    lines = ckpt.read_text().splitlines()
+    nan = np.full_like(load_checkpoint(ckpt)[0].params, np.nan)
+    lines[-2] = base64.b64encode(nan.tobytes()).decode("ascii")
+    ckpt.write_text("\n".join(lines) + "\n")
+    return _detect(tmp_path, ckpt)
+
+
+def _unlabelled(tmp_path, command, **extra):
+    data = _series_csv(tmp_path, b"v0\n" + b"".join(b"%r\n" % math.sin(i / 5) for i in range(600)))
+    cfgp = _config(tmp_path, _csv_datasets("nolabels", data, data, label_column=None), **extra)
+    if command == "detect":
+        return _detect(tmp_path, _checkpoint(tmp_path), cfgp)
+    return [command, "-c", cfgp]
+
+
+def _second_dataset(tmp_path, edit):
+    doc = small_config(tmp_path / "out")
+    doc["datasets"].append(edit(copy.deepcopy(doc["datasets"][0])))
+    return ["compare", "-c", write_config(tmp_path, doc)]
+
+
+def _stronger(dataset):
+    dataset["name"] = "second"
+    dataset["synth"]["anomalies"][0]["magnitude"] = 40.0
+    return dataset
+
+
+def _unencodable_name(tmp_path):
+    doc = small_config(tmp_path / "out")
+    doc["datasets"][0]["name"] = "sh\udcffx"
+    return ["compare", "-c", write_config(tmp_path, doc)]
+
+
+HUGE_ROWS = b"v0,label\n" + b"".join(b"%r,0\n" % (1e300 * math.sin(i)) for i in range(600))
+LONG_CELL = b"v0,label\n" + b"1" * 200_000 + b",0\n" + b"0.5,0\n" * 40
+
+# id -> (argv of tmp_path, exit code, a piece of stderr): the config and data
+# rejections of train, detect, compare and ablate that the tests above check
+REJECTIONS = {
+    "train/overflowing_series": (
+        lambda p: ["train", "-c", _config(p, _csv_datasets(
+            "huge", *[_series_csv(p, HUGE_ROWS)] * 2))],
+        2, "error: huge_train: channel 0 has a mean or std that overflows"),
+    "train/missing_csv": (
+        lambda p: ["train", "-c", _config(p, _csv_datasets("ext", *[p / "missing.csv"] * 2))],
+        1, "missing.csv"),
+    "train/missing_test_csv": (
+        lambda p: ["train", "-c", _config(p, _csv_datasets(
+            "ext", _series_csv(p, b"v0,label\n" + b"0.5,0\n" * 100), p / "missing.csv"))],
+        1, "missing.csv"),
+    "train/cell_over_the_csv_field_limit": (
+        lambda p: ["train", "-c", _config(p, _csv_datasets(
+            "long", *[_series_csv(p, LONG_CELL)] * 2))],
+        2, "field larger than field limit"),
+    "train/undecodable_series_csv": (
+        lambda p: ["train", "-c", _config(p, _csv_datasets(
+            "ext", *[_series_csv(p, b"v0,label\n\xff,0\n")] * 2))],
+        2, "cannot decode"),
+    "train/csv_path_no_file_name_can_hold": (
+        lambda p: ["train", "-c", _config(p, _csv_datasets(
+            "ext", p / "t\ud800.csv", _series_csv(p, b"v0,label\n0.0,0\n")))],
+        1, "config error: datasets.0.csv.train_path: cannot encode"),
+    "train/unknown_trend_variant": (
+        lambda p: ["train", "-c", _config(p), "--set", 'loss_weights.trend_variant="x"'],
+        1, "config error: loss_weights: trend_variant must be one of"),
+    "train/out_of_memory": (
+        lambda p: ["train", "--set", "model.hidden=[1000000000000000]"],
+        2, "error: out of memory: Unable to allocate 917. PiB for an array"),
+    "train/missing_config_file": (
+        lambda p: ["train", "-c", "/nonexistent/cfg.json"],
+        1, "error: no such file: /nonexistent/cfg.json"),
+    "train/config_whose_top_level_is_a_list": (
+        lambda p: ["train", "-c", write_config(p, [small_config(p / "out")])],
+        1, "top level must be an object"),
+    "train/unknown_key": (
+        lambda p: ["train", "-c", write_config(p, {"bogus": 1})],
+        1, "bogus"),
+    "train/unindexable_hidden_sizes": (
+        lambda p: ["train", "-c", _config(p), "--set", f"model.hidden=[{HUGE}]"],
+        1, "model.hidden: layer sizes"),
+    "detect/missing_checkpoint": (
+        lambda p: _detect(p, p / "missing.ckpt"), 1, "missing.ckpt"),
+    "detect/directory_checkpoint": (
+        lambda p: _detect(p, p), 1, "not a readable file"),
+    "detect/output_size_other_than_input": (
+        _mismatched_checkpoint, 2, "model.ckpt: output size 8 must equal input size 16"),
+    "detect/truncated_checkpoint": (_truncated_checkpoint, 2, "model.ckpt: "),
+    "detect/corrupt_checkpoint": (
+        _nan_checkpoint, 2, "model.ckpt: checkpoint contains non-finite parameters"),
+    "detect/unknown_checkpoint_loss": (
+        lambda p: _detect(p, _checkpoint(p, loss="huber")), 2, "model.ckpt: loss must be one of"),
+    "detect/checkpoint_of_another_input_size": (
+        lambda p: _detect(p, _checkpoint(p, 32)),
+        2, "error: checkpoint expects input size 32, configuration implies 16"),
+    "detect/best_f1_on_unlabelled_csv": (
+        lambda p: _unlabelled(p, "detect", threshold={"mode": "best_f1"}),
+        2, "error: nolabels_test: best_f1 thresholding requires test labels\n"),
+    "compare/single_loss": (
+        lambda p: ["compare", "-c", _config(p, compare={"losses": ["mse"]})],
+        1, "at least two loss entries"),
+    "compare/mse_required": (
+        lambda p: ["compare", "-c", _config(p, compare={"losses": ["strad", "mse_plus_strad"]})],
+        1, "requires 'mse' among the losses"),
+    "compare/score_stride_beyond_window": (
+        lambda p: ["compare", "-c", _config(p, window={"length": 8, "score_stride": 100})],
+        1, "window.score_stride"),
+    "compare/name_the_outputs_cannot_encode": (
+        _unencodable_name, 1, "config error: datasets.0.name: 'sh\\udcffx': cannot encode"),
+    "compare/bad_second_dataset": (
+        lambda p: _second_dataset(p, _stronger),
+        1, "datasets.1.synth.anomalies.0: scaled frequency"),
+    "compare/missing_second_csv": (
+        lambda p: _second_dataset(
+            p, lambda _: _csv_datasets("second", *[p / "missing.csv"] * 2)[0]),
+        1, "missing.csv"),
+    "compare/unlabelled_csv_dataset": (
+        lambda p: _unlabelled(p, "compare"),
+        2, "error: dataset nolabels: evaluation requires test labels\n"),
+    "compare/default_config_without_segments": (
+        lambda p: ["compare", "--seed", "0"], 2, "error: total segment count is zero\n"),
+    "ablate/zero_loss_weight": (
+        lambda p: ["ablate", "-c", _config(p), "--set", "loss_weights.lambda1=0"],
+        1, "cmd ablate needs every loss weight positive"),
+    "ablate/default_config_without_segments": (
+        lambda p: ["ablate", "--seed", "0"], 2, "error: total segment count is zero\n"),
+}
+
+# Rejections that only a fit or its scores can show, so exempt from the table:
+# the message, and the settings of `small_config` that bring it about.
+NEEDS_A_FIT = {
+    "error: non-finite loss during training\n": ["--set", "train.lr=1e300"],
+}
+
+
+def unfit(monkeypatch):
+    """`train` and `score` raise `Fitted`, wherever the experiments call them."""
+    def fitted(*args):
+        raise Fitted
+
+    monkeypatch.setattr(strad.experiments, "train", fitted)
+    monkeypatch.setattr(strad.experiments, "score", fitted)
+
+
+class TestRejectBeforeFit:
+    @pytest.mark.parametrize("row", list(REJECTIONS))
+    def test_rejected_before_any_fit(self, tmp_path, capsys, monkeypatch, row):
+        argv, code, message = REJECTIONS[row]
+        unfit(monkeypatch)
+        assert main([*argv(tmp_path), "-o", str(tmp_path / "out")]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # on the way
+    @pytest.mark.parametrize("message", list(NEEDS_A_FIT))
+    def test_exempt_rejection_needs_a_fit(self, tmp_path, capsys, monkeypatch, message):
+        argv = ["compare", "-c", _config(tmp_path), *NEEDS_A_FIT[message]]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        unfit(monkeypatch)
+        with pytest.raises(Fitted):
+            main(argv)

@@ -1,8 +1,8 @@
-"""`fanout.fan_out`: independent jobs over forked processes, with the
-serial loop's results and errors.
+"""`fanout.fan_out`: independent jobs split into shares, one forked process
+per share, with the results in job order and the lowest failing share's error.
 
 The in-process tests make the helper fork by declaring one BLAS thread and
-two usable CPUs; their jobs are plain Python. The subprocess tests run the
+two (or three) usable CPUs; their share functions are plain Python. The subprocess tests run the
 real CLI, whose import sets the BLAS variables, against a serial in-process
 run of the same commands.
 """
@@ -48,33 +48,59 @@ class TwoArgError(Exception):
         super().__init__(f"{a}/{b}")
 
 
+def squares(share):
+    """A share function: per job, its square and the process that computed it."""
+    return [(j * j, os.getpid()) for j in share]
+
+
+def failing(*bad):
+    """A share function that raises ValueError("share <first job>") on shares starting in `bad`."""
+    def fn(share):
+        if share[0] in bad:
+            raise ValueError(f"share {share[0]}")
+        return list(share)
+    return fn
+
+
 def test_results_come_back_in_job_order(forking):
     parent = forking
-    results = fan_out(lambda j: (j * j, os.getpid()), list(range(7)))
+    results = fan_out(squares, list(range(7)))
     assert [value for value, _ in results] == [j * j for j in range(7)]
     pids = [pid for _, pid in results]
-    assert pids[0::2] == [parent] * 4  # job i runs in process i mod 2
+    assert pids[0::2] == [parent] * 4  # job i runs in share i mod 2, share 0 here
     assert len(set(pids[1::2])) == 1 and parent not in pids[1::2]
 
 
-def test_lowest_index_failure_wins(forking):
-    def job(j):
-        if j in (1, 2):  # 1 fails in the child, 2 in this process
-            raise ValueError(f"job {j}")
-        return j
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_fn_runs_once_per_share_on_its_stride(forking, monkeypatch, tmp_path, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    log = tmp_path / "calls"
+    jobs = list("abcdefgh")
 
-    with pytest.raises(ValueError, match="^job 1$"):
-        fan_out(job, [0, 1, 2, 3])
+    def logged(share):
+        with open(log, "a") as fh:  # from this process and the children alike
+            fh.write("".join(share) + "\n")
+        return [j.upper() for j in share]
+
+    assert fan_out(logged, jobs) == [j.upper() for j in jobs]
+    assert sorted(log.read_text().split()) == ["".join(jobs[w::cpus]) for w in range(cpus)]
+
+
+def test_lowest_index_failure_wins(forking, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    # shares 1 and 2 both fail, each in its own child
+    with pytest.raises(ValueError, match="^share 1$"):
+        fan_out(failing(1, 2), list(range(6)))
 
 
 def test_unpicklable_exception_names_its_type(forking):
-    def job(j):
-        if j == 1:
+    def fn(share):
+        if share[0] == 1:
             raise TwoArgError("left", "right")
-        return j
+        return list(share)
 
     with pytest.raises(StradError, match="TwoArgError: left/right"):
-        fan_out(job, [0, 1])
+        fan_out(fn, [0, 1])
 
 
 def test_child_killed_by_signal_exits_2(forking, tmp_path, monkeypatch, capsys):
@@ -99,14 +125,14 @@ def test_interrupted_child_never_returns_into_the_caller(forking, tmp_path):
     parent = forking
     log = tmp_path / "unwound"
 
-    def job(j):
+    def fn(share):
         if os.getpid() != parent:
             raise KeyboardInterrupt
-        return j
+        return list(share)
 
     with pytest.raises(StradError, match="died without a result"):
         try:
-            fan_out(job, [0, 1])
+            fan_out(fn, [0, 1])
         finally:  # caller code: only this process may run it
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
@@ -116,14 +142,14 @@ def test_interrupted_child_never_returns_into_the_caller(forking, tmp_path):
 def test_unwinding_parent_kills_its_children(forking):
     parent = forking
 
-    def job(j):
+    def fn(share):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(60)
 
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        fan_out(job, [0, 1])
+        fan_out(fn, [0, 1])
     assert time.monotonic() - start < 30
 
 
@@ -135,8 +161,7 @@ def no_resource(*args):
 def test_share_without_a_process_runs_here(forking, monkeypatch, call):
     parent = forking
     monkeypatch.setattr(os, call, no_resource)
-    assert fan_out(lambda j: (j * j, os.getpid()), list(range(5))) == [(j * j, parent)
-                                                                       for j in range(5)]
+    assert fan_out(squares, list(range(5))) == [(j * j, parent) for j in range(5)]
 
 
 def test_shares_mix_children_and_this_process(forking, monkeypatch):
@@ -149,19 +174,17 @@ def test_shares_mix_children_and_this_process(forking, monkeypatch):
         return real_fork() if len(forks) == 1 else no_resource()
 
     monkeypatch.setattr(os, "fork", fork_once)
-    results = fan_out(lambda j: (j, os.getpid()), list(range(7)))
-    assert [j for j, _ in results] == list(range(7))
-    assert {pid for j, pid in results if j % 3 != 1} == {parent}  # shares 0 and 2
-    assert parent not in {pid for j, pid in results if j % 3 == 1}
+    results = fan_out(squares, list(range(7)))
+    assert [value for value, _ in results] == [j * j for j in range(7)]
+    assert {pid for j, (_, pid) in enumerate(results) if j % 3 != 1} == {parent}  # shares 0, 2
+    assert parent not in {pid for j, (_, pid) in enumerate(results) if j % 3 == 1}
 
-    def job(j):
-        if j in (2, 3):  # 2 fails in share 2, 3 in share 0, both in this process
-            raise ValueError(f"job {j}")
-        return j
-
-    forks.clear()
-    with pytest.raises(ValueError, match="^job 2$"):
-        fan_out(job, list(range(6)))
+    forks.clear()  # share 1 fails in its child, share 2 here, after share 1 has forked
+    with pytest.raises(ValueError, match="^share 1$"):
+        fan_out(failing(1, 2), list(range(6)))
+    forks.clear()  # shares 0 and 2 fail, both here
+    with pytest.raises(ValueError, match="^share 0$"):
+        fan_out(failing(0, 2), list(range(6)))
 
 
 def test_compare_without_a_process_to_spare_exits_0(forking, tmp_path, monkeypatch):
