@@ -194,6 +194,19 @@ MUTANTS = (
            "    segment_total([len(segments_from_labels(test_norm.labels)) for _, test_norm in data])\n",
            "",
            ("tests/test_config_cli.py::TestRejectBeforeFit",)),
+    Mutant("window_check_after_the_fits", "experiments.py",
+           "    for split in (split for pair in data for split in pair):\n"
+           "        sliding_windows(split, cfg.window_length)\n",
+           "",
+           ("tests/test_config_cli.py::TestRejectBeforeFit",)),
+    Mutant("detect_scores_before_its_window_check", "experiments.py",
+           "    for split in (test_norm, train_norm) if cfg.threshold_mode == \"quantile\" else (test_norm,):\n"
+           "        sliding_windows(split, t)  # each split that is scored holds one window\n"
+           "    test_scores, threshold = detect(cfg, model, train_norm, test_norm, mode)\n",
+           "    test_scores, threshold = detect(cfg, model, train_norm, test_norm, mode)\n"
+           "    for split in (test_norm, train_norm) if cfg.threshold_mode == \"quantile\" else (test_norm,):\n"
+           "        sliding_windows(split, t)\n",
+           ("tests/test_config_cli.py::TestRejectBeforeFit",)),
 )
 
 

@@ -6,23 +6,7 @@ class StradError(Exception):
 
 
 class DataError(StradError):
-    """Malformed input data."""
-
-
-class MissingColumnError(DataError):
-    """A named CSV column is absent from the header."""
-
-
-class NonNumericCellError(DataError):
-    """A value cell could not be parsed as a decimal float."""
-
-
-class NonBinaryLabelError(DataError):
-    """A label cell is not the integer 0 or 1."""
-
-
-class NonFiniteValueError(DataError):
-    """A value is NaN or infinite."""
+    """Malformed input data; the message names the file, row and column, or the series."""
 
 
 class ShapeMismatchError(StradError):

@@ -155,8 +155,6 @@ def detect(cfg: ExperimentConfig, model: DenseAutoencoder, train_norm: TimeSerie
 
     if cfg.threshold_mode == "quantile":
         return scores_of(test_norm), threshold_quantile(scores_of(train_norm), cfg.threshold_q)
-    if test_norm.labels is None:
-        raise DataError(f"{test_norm.name}: best_f1 thresholding requires test labels")
     return scores_of(test_norm), None
 
 
@@ -219,9 +217,10 @@ def run_arms(cfg: ExperimentConfig, arms: Sequence[TrainConfig]) -> list[list[di
     """Per arm, its `run_fits` row on each configured dataset.
 
     Every dataset is read, checked for test labels and normalized once, and
-    their total segment count is checked, before the first model trains. The
-    (arm, dataset) fits are independent, so `fan_out` runs them in shares, one
-    `run_fits` per share. Each fit's row is the one it gets alone.
+    their total segment count and each split's room for one window are
+    checked, before the first model trains. The (arm, dataset) fits are
+    independent, so `fan_out` runs them in shares, one `run_fits` per share.
+    Each fit's row is the one it gets alone.
     """
     data = []
     for i, ds in enumerate(cfg.datasets):
@@ -230,6 +229,8 @@ def run_arms(cfg: ExperimentConfig, arms: Sequence[TrainConfig]) -> list[list[di
             raise DataError(f"dataset {ds.name}: evaluation requires test labels")
         data.append(normalize_splits((train_raw, test_raw)))
     segment_total([len(segments_from_labels(test_norm.labels)) for _, test_norm in data])
+    for split in (split for pair in data for split in pair):
+        sliding_windows(split, cfg.window_length)
     fits = [(arm, pair) for arm in arms for pair in data]
     rows = fan_out(lambda share: run_fits(cfg, share), fits)
     return [rows[k:k + len(data)] for k in range(0, len(rows), len(data))]
@@ -390,6 +391,10 @@ def run_detect_cmd(cfg: ExperimentConfig, checkpoint: Path, outdir: Path) -> dic
         )
     mode = resolve_score_mode(cfg.score_mode, loss_kind)
     train_norm, test_norm = normalize_splits((train_raw, test_raw))
+    if cfg.threshold_mode == "best_f1" and test_norm.labels is None:
+        raise DataError(f"{test_norm.name}: best_f1 thresholding requires test labels")
+    for split in (test_norm, train_norm) if cfg.threshold_mode == "quantile" else (test_norm,):
+        sliding_windows(split, t)  # each split that is scored holds one window
     test_scores, threshold = detect(cfg, model, train_norm, test_norm, mode)
     degenerate = False
     if threshold is None:  # best_f1 mode

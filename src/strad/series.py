@@ -18,14 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    MissingColumnError,
-    NonBinaryLabelError,
-    NonFiniteValueError,
-    NonNumericCellError,
-    ShapeMismatchError,
-)
+from .errors import DataError, ShapeMismatchError
 
 # Channels with (population) standard deviation below this floor are stored
 # with std equal to the floor, so constant channels normalize to zero instead
@@ -73,7 +66,7 @@ class TimeSeries:
             raise DataError(f"values must be non-empty, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
-            raise NonFiniteValueError(f"non-finite value at row {bad} of series {self.name!r}")
+            raise DataError(f"non-finite value at row {bad} of series {self.name!r}")
         object.__setattr__(self, "values", _readonly(values))
         if self.labels is not None:
             labels = np.asarray(self.labels)
@@ -82,7 +75,7 @@ class TimeSeries:
                     f"labels length {labels.shape} does not match series length {values.shape[0]}"
                 )
             if not is_binary(labels):
-                raise NonBinaryLabelError("labels must contain only 0 and 1")
+                raise DataError("labels must contain only 0 and 1")
             object.__setattr__(self, "labels", _readonly(np.asarray(labels, dtype=np.int64)))
 
     @property
@@ -209,10 +202,7 @@ def load_columns(path, value_columns: Sequence[str], label_column: Optional[str]
     FileNotFoundError
         If `path` does not name a readable file.
     DataError
-        If the file is not valid text.
-    MissingColumnError, NonNumericCellError, NonBinaryLabelError,
-    NonFiniteValueError
-        On the corresponding malformed content, naming row and column.
+        If the file is not valid text, or on malformed content, naming row and column.
     """
     raw = read_bytes(path, inputs)
     return (_parse_columns(raw, value_columns, label_column)
@@ -293,7 +283,7 @@ def _parse_rows(path: Path, text: str, value_columns: Sequence[str],
     wanted = list(value_columns) + ([] if label_column is None else [label_column])
     for col in wanted:
         if col not in col_index:
-            raise MissingColumnError(f"{path}: column {col!r} not in header {header}")
+            raise DataError(f"{path}: column {col!r} not in header {header}")
     if not data_rows:
         raise DataError(f"{path}: no data rows")
 
@@ -308,18 +298,14 @@ def _parse_rows(path: Path, text: str, value_columns: Sequence[str],
             try:
                 v = float(cell)
             except ValueError:
-                raise NonNumericCellError(
-                    f"{path}: row {i}, column {col!r}: {cell!r} is not numeric"
-                ) from None
+                raise DataError(f"{path}: row {i}, column {col!r}: {cell!r} is not numeric") from None
             if not math.isfinite(v):
-                raise NonFiniteValueError(f"{path}: row {i}, column {col!r}: non-finite value")
+                raise DataError(f"{path}: row {i}, column {col!r}: non-finite value")
             values[i, j] = v
         if labels is not None:
             cell = row[col_index[label_column]].strip()
             if cell not in ("0", "1"):  # not `int`, which takes "+1", "01" and "0_0"
-                raise NonBinaryLabelError(
-                    f"{path}: row {i}, column {label_column!r}: {cell!r} is not 0/1"
-                )
+                raise DataError(f"{path}: row {i}, column {label_column!r}: {cell!r} is not 0/1")
             labels[i] = cell == "1"
     return values, labels
 
@@ -370,7 +356,7 @@ def segments_from_labels(labels) -> np.ndarray:
     if labels.ndim != 1:
         raise DataError("labels must be 1-D")
     if not is_binary(labels):
-        raise NonBinaryLabelError("labels must contain only 0 and 1")
+        raise DataError("labels must contain only 0 and 1")
     padded = np.concatenate(([0], np.asarray(labels, dtype=np.int64), [0]))
     # the value changes alternate: up at each start, down one past each end
     segments = np.flatnonzero(np.diff(padded)).reshape(-1, 2)

@@ -15,11 +15,18 @@ import pytest
 import strad.experiments
 import strad.synth
 from strad import gradcheck
+from strad.benchmarks import pattern_benchmark_config
 from strad.cli import _load, build_parser, main
 from strad.config import config_hash, load_config, resolve
 from strad.errors import ConfigError
-from strad.detector import ScoreSeries
-from strad.experiments import evaluate, read_scores_csv, run_eval_cmd
+from strad.detector import ScoreSeries, score
+from strad.experiments import (
+    evaluate,
+    materialize_dataset,
+    normalize_splits,
+    read_scores_csv,
+    run_eval_cmd,
+)
 from strad.model import (
     DenseAutoencoder,
     default_layer_sizes,
@@ -207,7 +214,6 @@ class TestCliSynth:
         assert test.length == 600 and test.labels.sum() == 41
 
     def test_manifest_regenerates_every_dataset(self, tmp_path):
-        from strad.benchmarks import pattern_benchmark_config
         from strad.synth import AnomalySpec, ChannelSpec, GeneratorConfig, make_benchmark
 
         out = tmp_path / "out"
@@ -1663,8 +1669,8 @@ def _config(tmp_path, datasets=None, **extra):
     return write_config(tmp_path, doc)
 
 
-def _series_csv(tmp_path, body):
-    path = tmp_path / "series.csv"
+def _series_csv(tmp_path, body, name="series.csv"):
+    path = tmp_path / name
     path.write_bytes(body)
     return path
 
@@ -1728,6 +1734,29 @@ def _unencodable_name(tmp_path):
     return ["compare", "-c", write_config(tmp_path, doc)]
 
 
+def _labelled_rows(n, anomaly=None):
+    """A one-channel labeled series CSV of `n` rows; row `anomaly`, if any, is labeled 1."""
+    return b"v0,label\n" + b"".join(b"%r,%d\n" % (math.sin(i / 5), i == anomaly) for i in range(n))
+
+
+def _short_split(tmp_path, command, train_rows, test_rows, **extra):
+    """`command` on a csv dataset whose splits have these row counts, window length 16."""
+    train = _series_csv(tmp_path, _labelled_rows(train_rows), "train.csv")
+    test = _series_csv(tmp_path, _labelled_rows(test_rows, anomaly=5), "test.csv")
+    cfgp = _config(tmp_path, _csv_datasets("short", train, test), **extra)
+    if command == "detect":
+        return _detect(tmp_path, _checkpoint(tmp_path), cfgp)
+    return [command, "-c", cfgp]
+
+
+def _short_fifth_dataset(tmp_path, command):
+    """`command` on the pattern benchmark plus a dataset whose train split (50) is
+    shorter than the window (64)."""
+    doc = pattern_benchmark_config()
+    doc["datasets"].append({"name": "short", "synth": {"length": 100}})
+    return [command, "-c", write_config(tmp_path, doc)]
+
+
 HUGE_ROWS = b"v0,label\n" + b"".join(b"%r,0\n" % (1e300 * math.sin(i)) for i in range(600))
 LONG_CELL = b"v0,label\n" + b"1" * 200_000 + b",0\n" + b"0.5,0\n" * 40
 
@@ -1757,6 +1786,9 @@ REJECTIONS = {
         lambda p: ["train", "-c", _config(p, _csv_datasets(
             "ext", p / "t\ud800.csv", _series_csv(p, b"v0,label\n0.0,0\n")))],
         1, "config error: datasets.0.csv.train_path: cannot encode"),
+    "train/train_split_shorter_than_window": (
+        lambda p: _short_split(p, "train", 10, 100),
+        2, "error: window length 16 exceeds series length 10\n"),
     "train/unknown_trend_variant": (
         lambda p: ["train", "-c", _config(p), "--set", 'loss_weights.trend_variant="x"'],
         1, "config error: loss_weights: trend_variant must be one of"),
@@ -1792,6 +1824,12 @@ REJECTIONS = {
     "detect/best_f1_on_unlabelled_csv": (
         lambda p: _unlabelled(p, "detect", threshold={"mode": "best_f1"}),
         2, "error: nolabels_test: best_f1 thresholding requires test labels\n"),
+    "detect/test_split_shorter_than_window": (
+        lambda p: _short_split(p, "detect", 100, 10),
+        2, "error: window length 16 exceeds series length 10\n"),
+    "detect/quantile_train_split_shorter_than_window": (
+        lambda p: _short_split(p, "detect", 10, 100),
+        2, "error: window length 16 exceeds series length 10\n"),
     "compare/single_loss": (
         lambda p: ["compare", "-c", _config(p, compare={"losses": ["mse"]})],
         1, "at least two loss entries"),
@@ -1815,11 +1853,20 @@ REJECTIONS = {
         2, "error: dataset nolabels: evaluation requires test labels\n"),
     "compare/default_config_without_segments": (
         lambda p: ["compare", "--seed", "0"], 2, "error: total segment count is zero\n"),
+    "compare/train_split_shorter_than_window": (
+        lambda p: _short_fifth_dataset(p, "compare"),
+        2, "error: window length 64 exceeds series length 50\n"),
+    "compare/test_split_shorter_than_window": (
+        lambda p: _short_split(p, "compare", 100, 10),
+        2, "error: window length 16 exceeds series length 10\n"),
     "ablate/zero_loss_weight": (
         lambda p: ["ablate", "-c", _config(p), "--set", "loss_weights.lambda1=0"],
         1, "cmd ablate needs every loss weight positive"),
     "ablate/default_config_without_segments": (
         lambda p: ["ablate", "--seed", "0"], 2, "error: total segment count is zero\n"),
+    "ablate/train_split_shorter_than_window": (
+        lambda p: _short_fifth_dataset(p, "ablate"),
+        2, "error: window length 64 exceeds series length 50\n"),
 }
 
 # Rejections that only a fit or its scores can show, so exempt from the table:
@@ -1846,6 +1893,18 @@ class TestRejectBeforeFit:
         assert main([*argv(tmp_path), "-o", str(tmp_path / "out")]) == code
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_best_f1_detect_never_windows_the_train_split(self, tmp_path):
+        # a train split shorter than the window only sets the normalization
+        argv = _short_split(tmp_path, "detect", 10, 100, threshold={"mode": "best_f1"})
+        out = tmp_path / "out"
+        assert main([*argv, "-o", str(out)]) == 0
+        cfg = load_config(argv[2])
+        mode = json.loads((out / "short_detect.json").read_text())["mode"]
+        _, test_norm = normalize_splits(materialize_dataset(cfg, 0))
+        expected = score(load_checkpoint(argv[4])[0], test_norm, cfg.window_length,
+                         cfg.score_stride, cfg.train.weights, mode)
+        assert np.array_equal(read_scores_csv(out / "short_scores.csv"), expected.scores)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # on the way
     @pytest.mark.parametrize("message", list(NEEDS_A_FIT))
